@@ -12,11 +12,13 @@ JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,34 +30,42 @@ from .fields import Grid, HarmonicInput, read_fields, write_fields, write_meta
 from .profile import build_potential, solve_profile
 from .verify import Thresholds, default_workers, verify_suite
 
-_COMPLEX_RE = re.compile(
-    r"^\s*(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
-    r"(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)?[iI]?\s*$")
-
 
 def parse_complex(text: str) -> complex:
-    """Grammar RE+IMi, e.g. '0.3+0.4i', '-2', '1.5i', '1e-2-3e-4i'."""
+    """Grammar RE+IMi, e.g. '0.3+0.4i', '-2', '1.5i', '1e-2-3e-4i'; both parts finite."""
     t = text.strip().replace(" ", "")
     if not t:
         raise ConfigError("empty complex literal")
-    if t[-1] in "iI":
-        body = t[:-1]
-        m = re.fullmatch(r"(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-                         r"(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)", body)
-        if m:
-            imtxt = m.group("im")
-            im = float(imtxt) if imtxt not in ("+", "-") else float(imtxt + "1")
-            return complex(float(m.group("re")), im)
-        if body in ("", "+", "-"):
-            return complex(0.0, float(body + "1") if body else 1.0)
-        try:
-            return complex(0.0, float(body))
-        except ValueError:
-            raise ConfigError(f"bad complex literal: {text!r}") from None
+    m = re.fullmatch(r"(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                     r"(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)", t[:-1])
     try:
-        return complex(float(t), 0.0)
+        if t[-1] not in "iI":
+            v = complex(float(t), 0.0)
+        elif m:
+            im = m.group("im")
+            v = complex(float(m.group("re")), float(im + "1" if im in ("+", "-") else im))
+        else:
+            v = complex(0.0, float(t[:-1] + "1" if t[:-1] in ("", "+", "-") else t[:-1]))
     except ValueError:
         raise ConfigError(f"bad complex literal: {text!r}") from None
+    if not cmath.isfinite(v):
+        raise ConfigError(f"complex literal must be finite: {text!r}")
+    return v
+
+
+def _number(kind, positive: bool = False):
+    """argparse type: a finite number of the given kind, > 0 when positive."""
+    def parse(text: str):
+        v = kind(text)
+        if not math.isfinite(v) or (positive and not v > 0):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a finite{' positive' if positive else ''} number")
+        return v
+    parse.__name__ = kind.__name__
+    return parse
+
+
+FINITE, POSITIVE, COUNT = _number(float), _number(float, True), _number(int, True)
 
 
 def fmt_complex(v: complex) -> str:
@@ -79,9 +89,20 @@ def _num(d, key, context, default=None, required=False):
             raise ConfigError(f"missing {context}.{key}")
         return default
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{context}.{key} must be a number")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"{context}.{key} must be a finite number")
     return float(v)
+
+
+def _thresholds(th) -> Thresholds:
+    _take(th, ("identity_tol", "order_band"), "config.thresholds")
+    identity_tol = _num(th, "identity_tol", "config.thresholds", default=Thresholds.identity_tol)
+    band = th.get("order_band", list(Thresholds.order_band))
+    if (not isinstance(band, list) or len(band) != 2
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in band)
+            or not band[0] < band[1]):
+        raise ConfigError("config.thresholds.order_band must be [lo, hi] with lo < hi")
+    return Thresholds(identity_tol=identity_tol, order_band=(float(band[0]), float(band[1])))
 
 
 @dataclass
@@ -100,7 +121,6 @@ class RunConfig:
     t9_mode: str
     appendix_reconciliation: str
     jet_order: int
-    raw: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -117,8 +137,7 @@ class RunConfig:
         b = _num(p, "b", "config.params", required=True)
         if rho == 0.0:
             raise ConfigError("rho must be nonzero (flat ambient space is out of scope)")
-        if b <= 0.0:
-            raise ConfigError("b must be positive")
+        params = ModelParams(rho=rho, b=b)
 
         pr = d["profile"]
         _take(pr, ("alpha0", "a0_re", "a0_im", "alpha_min", "alpha_max", "tol"),
@@ -161,19 +180,9 @@ class RunConfig:
                     y1=_num(g, "y1", "config.grid", required=True),
                     nx=g["nx"], ny=g["ny"])
 
-        if "nu0" in d and (isinstance(d["nu0"], bool) or not isinstance(d["nu0"], (int, float))):
-            raise ConfigError("config.nu0 must be a number")
-        nu0 = float(d.get("nu0", 0.0))
+        nu0 = _num(d, "nu0", "config", default=0.0)
 
-        th = d.get("thresholds", {})
-        _take(th, ("identity_tol", "order_band"), "config.thresholds")
-        identity_tol = _num(th, "identity_tol", "config.thresholds", default=1e-10)
-        band = th.get("order_band", [1.7, 2.3])
-        if (not isinstance(band, list) or len(band) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in band)
-                or not band[0] < band[1]):
-            raise ConfigError("config.thresholds.order_band must be [lo, hi] with lo < hi")
-        thresholds = Thresholds(identity_tol=identity_tol, order_band=(float(band[0]), float(band[1])))
+        thresholds = _thresholds(d.get("thresholds", {}))
 
         t9_mode = d.get("t9_mode", "as_printed")
         if t9_mode not in ("as_printed", "alternate"):
@@ -186,11 +195,11 @@ class RunConfig:
         if isinstance(jet_order, bool) or not isinstance(jet_order, int) or jet_order < 1:
             raise ConfigError("config.jet_order must be a positive integer")
 
-        return cls(params=ModelParams(rho=rho, b=b), alpha0=alpha0, a0=a0,
+        return cls(params=params, alpha0=alpha0, a0=a0,
                    alpha_range=(alpha_min, alpha_max), profile_tol=tol,
                    K0=K0, Kprime0=Kprime0, harmonic=harmonic, grid=grid, nu0=nu0,
                    thresholds=thresholds, t9_mode=t9_mode,
-                   appendix_reconciliation=appendix, jet_order=jet_order, raw=d)
+                   appendix_reconciliation=appendix, jet_order=jet_order)
 
     def echo(self) -> dict:
         """Normalized config for meta.json."""
@@ -220,13 +229,8 @@ def load_config(path: str, grid_override=None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if grid_override is not None:
-        nx, ny = grid_override
-        data = dict(data)
-        g = dict(data.get("grid", {}))
-        g["nx"], g["ny"] = nx, ny
-    if grid_override is not None:
-        data["grid"] = g
+    if grid_override is not None and isinstance(data, dict) and isinstance(data.get("grid"), dict):
+        data = {**data, "grid": {**data["grid"], "nx": grid_override[0], "ny": grid_override[1]}}
     return RunConfig.from_dict(data)
 
 
@@ -275,11 +279,7 @@ def _thresholds_for_verify(args, coarse_meta: dict):
         cfg = load_config(args.config)
         return cfg.thresholds, cfg.t9_mode
     cfg_d = coarse_meta.get("config", {})
-    th = cfg_d.get("thresholds", {})
-    band = th.get("order_band", [1.7, 2.3])
-    thresholds = Thresholds(identity_tol=float(th.get("identity_tol", 1e-10)),
-                            order_band=(float(band[0]), float(band[1])))
-    return thresholds, cfg_d.get("t9_mode", "as_printed")
+    return _thresholds(cfg_d.get("thresholds", {})), cfg_d.get("t9_mode", "as_printed")
 
 
 def cmd_verify(args) -> int:
@@ -413,41 +413,41 @@ def build_parser() -> argparse.ArgumentParser:
         v.set_defaults(fn=cmd_verify)
 
     f = sub.add_parser("family", help="explicit family surface fields")
-    f.add_argument("--c1", type=float, required=True)
-    f.add_argument("--c2", type=float, default=0.0)
+    f.add_argument("--c1", type=FINITE, required=True)
+    f.add_argument("--c2", type=FINITE, default=0.0)
     f.add_argument("--out", required=True)
     f.add_argument("--grid", nargs=2, type=int, default=[161, 161], metavar=("NX", "NY"))
-    f.add_argument("--window", nargs=2, type=float, metavar=("TLO", "THI"),
+    f.add_argument("--window", nargs=2, type=FINITE, metavar=("TLO", "THI"),
                    help="angle window inside the admissible arc (default: lower third)")
-    f.add_argument("--tilt", type=float, default=0.0,
+    f.add_argument("--tilt", type=FINITE, default=0.0,
                    help="rotation of the affine harmonic input, radians")
-    f.add_argument("--rect", nargs=4, type=float, default=[0.0, 1.0, 0.0, 1.0],
+    f.add_argument("--rect", nargs=4, type=FINITE, default=[0.0, 1.0, 0.0, 1.0],
                    metavar=("X0", "X1", "Y0", "Y1"))
-    f.add_argument("--quad-tol", type=float, default=1e-10, dest="quad_tol")
+    f.add_argument("--quad-tol", type=POSITIVE, default=1e-10, dest="quad_tol")
     f.add_argument("--quiet", action="store_true")
     f.set_defaults(fn=cmd_family)
 
     p = sub.add_parser("profile", help="amplitude profile table (CSV)")
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--alpha0", type=float, required=True)
+    p.add_argument("--rho", type=FINITE, required=True)
+    p.add_argument("--b", type=FINITE, default=1.0)
+    p.add_argument("--alpha0", type=FINITE, required=True)
     p.add_argument("--a0", required=True, help="complex literal RE+IMi")
-    p.add_argument("--range", nargs=2, type=float, required=True,
+    p.add_argument("--range", nargs=2, type=FINITE, required=True,
                    metavar=("ALPHA_MIN", "ALPHA_MAX"))
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--K0", type=float, default=0.0)
-    p.add_argument("--Kprime0", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=501)
+    p.add_argument("--tol", type=POSITIVE, default=1e-10)
+    p.add_argument("--K0", type=FINITE, default=0.0)
+    p.add_argument("--Kprime0", type=FINITE, default=1.0)
+    p.add_argument("--samples", type=COUNT, default=501)
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(fn=cmd_profile)
 
     t = sub.add_parser("tcoef", help="cascade coefficient value and first partials")
     t.add_argument("--i", type=int, required=True, help="coefficient id, 1..13")
-    t.add_argument("--alpha", type=float, required=True)
+    t.add_argument("--alpha", type=FINITE, required=True)
     t.add_argument("--a", required=True, help="complex literal RE+IMi")
     t.add_argument("--abar", help="defaults to conj(a)")
-    t.add_argument("--rho", type=float, default=-3.0)
-    t.add_argument("--b", type=float, default=1.0)
+    t.add_argument("--rho", type=FINITE, default=-3.0)
+    t.add_argument("--b", type=FINITE, default=1.0)
     t.add_argument("--order", type=int, default=1)
     t.add_argument("--branch", type=int, default=1, choices=(1, -1))
     t.add_argument("--t9-mode", default="as_printed", dest="t9_mode",

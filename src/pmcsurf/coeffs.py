@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularPoint, UnresolvedFormula, ZeroDenominator
+from .errors import ConfigError, SingularPoint, UnresolvedFormula, ZeroDenominator
 from .jets import Jet, differentiate, jcos, jcot, jsin, jsqrt, reciprocal
 
 SIN_GUARD = 1e-9        # |sin(alpha)| floor
@@ -41,9 +41,16 @@ VALID_IDS = tuple(range(1, 14))
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Ambient curvature scale rho (nonzero) and mean-curvature half-length b (> 0)."""
+    """Ambient curvature scale rho and mean-curvature half-length b (> 0).
+
+    rho = 0 stays legal here (t1..t5 exist there); the pipelines reject it.
+    """
     rho: float
     b: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.rho) and np.isfinite(self.b) and self.b > 0.0):
+            raise ConfigError(f"need finite rho and b > 0, got rho = {self.rho}, b = {self.b}")
 
 
 @dataclass
@@ -62,12 +69,48 @@ class EvalPoint:
         self.params = params
 
 
+def cascade_ok(alpha) -> np.ndarray:
+    """True where |sin(alpha)| and |3 sin^2(alpha) - 2| clear their guards.
+
+    The comparisons are > so that a NaN angle fails.
+    """
+    s = np.sin(alpha)
+    return (np.abs(s) > SIN_GUARD) & (np.abs(3.0 * s * s - 2.0) > SING_GUARD)
+
+
 def check_guards(point: EvalPoint) -> None:
-    s = np.sin(point.alpha)
-    if np.any(np.abs(s) < SIN_GUARD):
-        raise SingularPoint("sin(alpha) within guard of 0")
-    if np.any(np.abs(3.0 * s * s - 2.0) < SING_GUARD):
-        raise SingularPoint("sin^2(alpha) within guard of 2/3")
+    if not np.all(cascade_ok(point.alpha)):
+        raise SingularPoint("alpha within guard of sin(alpha) = 0 or sin^2(alpha) = 2/3")
+
+
+# ---- order-0 values in plain numpy, for callers that need no partials ----
+
+def t1_value(alpha, a, params: ModelParams):
+    s = np.sin(alpha)
+    cot = np.cos(alpha) / s
+    b = params.b
+    return (-4.0 * b + 12.0 * b * s * s + 4.0 * a + 3.0 * a * s * s) * cot / (3.0 * s * s - 2.0)
+
+
+def t2_value(alpha, a, abar, params: ModelParams):
+    cot = np.cos(alpha) / np.sin(alpha)
+    return 2.0 * a * (abar - params.b) * cot \
+        + 1.5 * params.rho * np.sin(alpha) * np.cos(alpha)
+
+
+def phase_D(alpha, a, params: ModelParams):
+    """|c|^2 = |a|^2 + (rho/2)(3 sin^2(alpha) - 2), the phase denominator D."""
+    s2 = np.sin(alpha) ** 2
+    return np.abs(a) ** 2 + 0.5 * params.rho * (3.0 * s2 - 2.0)
+
+
+def omega1(alpha, a, t1, t2, D, params: ModelParams):
+    """Phase numerator D (2 (a - b) cot - t1) - abar a1, with a1 from the amplitude ODE."""
+    b = params.b
+    ab = np.conj(a)
+    cot = np.cos(alpha) / np.sin(alpha)
+    a1 = -a * t1 + (a + b) * t2 / (ab + b)
+    return D * (2.0 * (a - b) * cot - t1) - ab * a1
 
 
 class _Cascade:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .coeffs import SIN_GUARD, SING_GUARD, ModelParams
+from .coeffs import ModelParams, cascade_ok, omega1, phase_D, t1_value, t2_value
 from .errors import NonpositiveDenominator, PathInconsistency, RangeMismatch
 from .fields import (MASK_DOMAIN, MASK_NUPATH, MASK_SINGULAR, Grid,
                      HarmonicInput, SurfaceFields)
@@ -29,23 +29,7 @@ NU_STRUCTURAL_FRACTION = 0.5
 
 def cascade_mask(alpha: np.ndarray) -> np.ndarray:
     """Mask bit for nodes the coefficient cascade cannot evaluate."""
-    s = np.sin(alpha)
-    bad = (np.abs(s) < SIN_GUARD) | (np.abs(3.0 * s * s - 2.0) < SING_GUARD)
-    return np.where(bad, np.uint8(MASK_SINGULAR), np.uint8(0))
-
-
-def _t1_t2_values(alpha, a, params: ModelParams, valid):
-    """Pointwise t1, t2 on the valid subset, NaN elsewhere."""
-    t1 = np.full(alpha.shape, np.nan, dtype=np.complex128)
-    t2 = np.full(alpha.shape, np.nan, dtype=np.complex128)
-    al, av = alpha[valid], a[valid]
-    s = np.sin(al)
-    cot = np.cos(al) / s
-    b, rho = params.b, params.rho
-    t1[valid] = (-4.0 * b + 12.0 * b * s * s + 4.0 * av + 3.0 * av * s * s) \
-        * cot / (3.0 * s * s - 2.0)
-    t2[valid] = 2.0 * av * (np.conj(av) - b) * cot + 1.5 * rho * s * np.cos(al)
-    return t1, t2
+    return np.where(cascade_ok(alpha), np.uint8(0), np.uint8(MASK_SINGULAR))
 
 
 def build_alpha(f: np.ndarray, potential: Potential) -> np.ndarray:
@@ -67,28 +51,24 @@ def build_lambda(alpha, a, fz, potential: Potential, params: ModelParams):
 def omega_W(alpha, a, lam, params: ModelParams, mask=None):
     """Density W of the phase one-form Im(W dz), from point data only.
 
-    W = omega1 * lambda / D with D = |a|^2 + (rho/2)(3 sin^2 - 2) and
-    omega1 = D (2(a-b)cot - t1) - abar * a1, a1 taken from the amplitude ODE.
+    W = omega1 * lambda / D, with omega1 and D as in coeffs.omega1 and phase_D.
     The continuum form is closed precisely on compatible profiles; the
     verifier checks Re dW/dzbar -> 0 at second order.
     """
     valid = np.isfinite(alpha)
     if mask is not None:
         valid &= mask == 0
-    s2 = np.sin(alpha) ** 2
-    E = 0.5 * params.rho * (3.0 * s2 - 2.0)
-    D = np.abs(a) ** 2 + E
+    D = phase_D(alpha, a, params)
     bad = valid & ~(D > 0)
     if bad.any():
         raise _DomainError(bad)
-    t1, t2 = _t1_t2_values(alpha, a, params, valid)
-    b = params.b
-    ab = np.conj(a)
-    cot = np.cos(alpha) / np.sin(alpha)
-    a1 = -a * t1 + (a + b) * t2 / (ab + b)
-    om1 = D * (2.0 * (a - b) * cot - t1) - ab * a1
+    t1 = np.full(alpha.shape, np.nan, dtype=np.complex128)
+    t2 = t1.copy()
+    al, av = alpha[valid], a[valid]
+    t1[valid] = t1_value(al, av, params)
+    t2[valid] = t2_value(al, av, np.conj(av), params)
     W = np.full(alpha.shape, np.nan, dtype=np.complex128)
-    W[valid] = (om1 * lam / D)[valid]
+    W[valid] = (omega1(alpha, a, t1, t2, D, params) * lam / D)[valid]
     return W
 
 
@@ -167,8 +147,7 @@ class _PathError(PathInconsistency):
 
 def build_c(alpha, a, nu, nu0: float, params: ModelParams):
     """Second fundamental entry: c = sqrt(D) exp(i (nu + nu0)); NaN where nu is masked."""
-    s2 = np.sin(alpha) ** 2
-    D = np.abs(a) ** 2 + 0.5 * params.rho * (3.0 * s2 - 2.0)
+    D = phase_D(alpha, a, params)
     amp = np.sqrt(np.where(D > 0, D, np.nan))
     return amp * np.exp(1j * (nu + nu0))
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 
-from .coeffs import ModelParams
-from .construct import ConstructResult, build_alpha, cascade_mask, gauss_curvature
-from .errors import ConfigError, InadmissibleC1, OutOfInterval, QuadratureFailure, StepFailure
+from .coeffs import ModelParams, t2_value
+from .construct import ConstructResult, build_alpha, build_lambda, cascade_mask, gauss_curvature
+from .errors import ConfigError, InadmissibleC1, OutOfInterval, QuadratureFailure
 from .fields import Grid, HarmonicInput, SurfaceFields
-from .profile import F_eval, Potential, _max_step as _pmax_step
+from .profile import F_eval, Potential, TwoSidedMarch, potential_from
 
 FAMILY_MODEL = ModelParams(rho=-3.0, b=1.0)
 
@@ -31,7 +31,7 @@ _POTENTIAL_MARGIN = 0.012  # relative margin the warp potential keeps off the ar
 
 def _check_c1(c1: float) -> float:
     c1 = float(c1)
-    if not (c1 < 0.0 or c1 > 9.0 / 8.0):
+    if not (np.isfinite(c1) and (c1 < 0.0 or c1 > 9.0 / 8.0)):
         raise InadmissibleC1(f"c1 = {c1} is not admissible: need c1 < 0 or c1 > 9/8")
     return c1
 
@@ -44,6 +44,8 @@ class FamilyParams:
     def __post_init__(self):
         _check_c1(self.c1)
         object.__setattr__(self, "c2", float(self.c2))
+        if not np.isfinite(self.c2):
+            raise ConfigError(f"c2 = {self.c2} must be finite")
 
 
 def valid_interval(c1: float) -> tuple[float, float]:
@@ -150,10 +152,7 @@ def family_ode_residual(t, c1: float):
     """How well the closed-form amplitude solves the profile ODE da/dt = t2/(abar+b)."""
     a = family_amplitude(t, c1)
     ab = np.conj(a)
-    t = np.asarray(t, dtype=np.float64)
-    cot = np.cos(t) / np.sin(t)
-    t2 = 2.0 * a * (ab - FAMILY_MODEL.b) * cot \
-        + 1.5 * FAMILY_MODEL.rho * np.sin(t) * np.cos(t)
+    t2 = t2_value(t, a, ab, FAMILY_MODEL)
     return family_amplitude_derivative(t, c1) - t2 / (ab + FAMILY_MODEL.b)
 
 
@@ -167,66 +166,9 @@ def family_potential(c1: float, tol: float = 1e-12) -> Potential:
     """
     lo, hi = valid_interval(c1)
     margin = _POTENTIAL_MARGIN * (hi - lo)
-    lo_m, hi_m = lo + margin, hi - margin
     tref = _t_ref(c1)
-
-    def rhs(t, y):
-        F = F_eval(t, family_amplitude(t, c1), params=FAMILY_MODEL)
-        return [-F * y[0], y[0]]
-
-    y0 = [1.0, tref]
-    step = _pmax_step(lo_m, hi_m)
-    down = solve_ivp(rhs, (tref, lo_m), y0, method="DOP853", dense_output=True,
-                     rtol=tol, atol=tol, max_step=step)
-    up = solve_ivp(rhs, (tref, hi_m), y0, method="DOP853", dense_output=True,
-                   rtol=tol, atol=tol, max_step=step)
-    if down.status != 0 or up.status != 0:
-        raise StepFailure("family potential integration failed")
-
-    from scipy.interpolate import PchipInterpolator
-    pot = Potential(alpha0=tref, K0=tref, Kprime0=1.0, alpha_range=(lo_m, hi_m),
-                    _down=down, _up=up)
-    grid = np.linspace(lo_m, hi_m, 4001)
-    pot._inv = PchipInterpolator(pot.K(grid), grid, extrapolate=False)
-    return pot
-
-
-class _XiDense:
-    """Dense phase integral over a t-window via the derivative ODE."""
-
-    def __init__(self, c1: float, window: tuple[float, float], tol: float):
-        tref = _t_ref(c1)
-        lo, hi = window
-
-        def rhs(t, y):
-            return [_xi_integrand(t, c1)]
-
-        self._down = self._up = None
-        self.tref = tref
-        step = _pmax_step(min(lo, tref), max(hi, tref))
-        if lo < tref:
-            self._down = solve_ivp(rhs, (tref, lo), [0.0], method="DOP853",
-                                   dense_output=True, rtol=tol, atol=tol,
-                                   max_step=step)
-            if self._down.status != 0:
-                raise QuadratureFailure("phase integral ODE failed (down sweep)")
-        if hi > tref:
-            self._up = solve_ivp(rhs, (tref, hi), [0.0], method="DOP853",
-                                 dense_output=True, rtol=tol, atol=tol,
-                                 max_step=step)
-            if self._up.status != 0:
-                raise QuadratureFailure("phase integral ODE failed (up sweep)")
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        flat = np.atleast_1d(t)
-        out = np.zeros(flat.shape)
-        below = flat <= self.tref
-        if below.any():
-            out[below] = self._down.sol(flat[below])[0] if self._down is not None else 0.0
-        if (~below).any():
-            out[~below] = self._up.sol(flat[~below])[0] if self._up is not None else 0.0
-        return out.reshape(t.shape) if t.shape else out[0]
+    return potential_from(lambda t: F_eval(t, family_amplitude(t, c1), params=FAMILY_MODEL),
+                          tref, (lo + margin, hi - margin), tref, 1.0, tol=tol)
 
 
 def family_surface(harmonic: HarmonicInput, grid: Grid, params: FamilyParams,
@@ -244,9 +186,12 @@ def family_surface(harmonic: HarmonicInput, grid: Grid, params: FamilyParams,
     f = harmonic.f(Z)
     alpha = build_alpha(f, pot)
     a = family_amplitude(alpha, params.c1)
-    lam = harmonic.fz(Z) / (pot.g(alpha) * (a + FAMILY_MODEL.b))
+    lam = build_lambda(alpha, a, harmonic.fz(Z), pot, FAMILY_MODEL)
 
-    xi = _XiDense(params.c1, (float(np.min(alpha)), float(np.max(alpha))), quad_tol)(alpha)
+    xi_march = TwoSidedMarch(lambda t, y: [_xi_integrand(t, params.c1)], _t_ref(params.c1),
+                             (float(np.min(alpha)), float(np.max(alpha))), [0.0], quad_tol,
+                             error=QuadratureFailure, what="phase integral ODE")
+    xi = xi_march(alpha)[0]
     s2 = np.sin(alpha) ** 2
     c = _prefactor(params.c1) * (8.0 - 9.0 * s2) * np.exp(1j * (xi + params.c2))
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
-from .coeffs import ModelParams
+from .coeffs import ModelParams, t2_value
 from .errors import ConfigError, GuardTripped, StepFailure
 
 AB_GUARD = 1e-3          # |a + b| floor; the ODE divides by (conj a + b)
@@ -26,17 +26,44 @@ _IM_TOL = 1e-12          # relative imaginary-part ceiling for F
 _DENSE_STEPS = 256       # max_step divisor for dense output
 
 
-def _max_step(lo: float, hi: float) -> float:
-    # Large solver steps leave visible interpolation wiggle in the dense
-    # output; downstream difference stencils amplify it by 1/h^2. Capping the
-    # step keeps the interpolant at machine accuracy.
-    return max((hi - lo) / _DENSE_STEPS, 1e-6)
+class TwoSidedMarch:
+    """Dense solution of y' = rhs(x, y) marched from an anchor toward both ends.
 
+    Each end of span that lies beyond the anchor gets its own DOP853 march;
+    a side with no extent holds y0. A failed step raises error; a terminal
+    event ends its side early, and reached records how far each side got.
+    Called on points of any shape, it returns the state rows stacked on a
+    new first axis, taking points at or below the anchor from the lower side.
+    """
 
-def _t2_value(alpha, a, abar, params: ModelParams):
-    cot = np.cos(alpha) / np.sin(alpha)
-    return 2.0 * a * (abar - params.b) * cot \
-        + 1.5 * params.rho * np.sin(alpha) * np.cos(alpha)
+    def __init__(self, rhs, anchor: float, span: tuple[float, float], y0, tol: float,
+                 *, error: type = StepFailure, what: str = "integrator", event=None):
+        self.anchor = anchor
+        self.y0 = np.asarray(y0, dtype=np.float64)
+        self._sides = [None, None]
+        reached = [anchor, anchor]
+        # Large solver steps leave visible interpolation wiggle in the dense
+        # output; downstream difference stencils amplify it by 1/h^2. Capping
+        # the step keeps the interpolant at machine accuracy.
+        step = max((max(span[1], anchor) - min(span[0], anchor)) / _DENSE_STEPS, 1e-6)
+        for k, end in enumerate(span):
+            if (end < anchor, end > anchor)[k]:
+                sol = solve_ivp(rhs, (anchor, end), y0, method="DOP853", dense_output=True,
+                                rtol=tol, atol=tol, max_step=step, events=event)
+                if sol.status == -1:
+                    raise error(f"{what} failed toward {end}: {sol.message}")
+                self._sides[k] = sol.sol
+                reached[k] = float(sol.t[-1])
+        self.reached = tuple(reached)
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty((self.y0.size,) + x.shape)
+        below = x <= self.anchor
+        for side, sel in zip(self._sides, (below, ~below)):
+            if sel.any():
+                out[:, sel] = side(x[sel]) if side is not None else self.y0[:, None]
+        return out
 
 
 def F_eval(alpha, a, abar=None, *, params: ModelParams):
@@ -77,27 +104,15 @@ class ProfileSolution:
     alpha_range: tuple[float, float]
     singular_alphas: list[float]
     tol: float
-    _down: object = field(repr=False, default=None)   # dense solution for alpha <= alpha0
-    _up: object = field(repr=False, default=None)     # dense solution for alpha >= alpha0
+    _march: TwoSidedMarch = field(repr=False, default=None)
 
     def a(self, alpha):
         alpha = np.asarray(alpha, dtype=np.float64)
         lo, hi = self.alpha_range
         if np.any(alpha < lo - 1e-12) or np.any(alpha > hi + 1e-12):
             raise ValueError("alpha outside the solved range")
-        flat = np.clip(np.atleast_1d(alpha), lo, hi)
-        out = np.empty(flat.shape, dtype=np.complex128)
-        below = flat <= self.alpha0
-        if below.any():
-            y = self._down.sol(flat[below]) if self._down is not None \
-                else np.tile([[self.a0.real], [self.a0.imag]], (1, int(below.sum())))
-            out[below] = y[0] + 1j * y[1]
-        above = ~below
-        if above.any():
-            y = self._up.sol(flat[above]) if self._up is not None \
-                else np.tile([[self.a0.real], [self.a0.imag]], (1, int(above.sum())))
-            out[above] = y[0] + 1j * y[1]
-        return out.reshape(alpha.shape) if alpha.shape else out[0]
+        y = self._march(np.clip(alpha, lo, hi))
+        return (y[0] + 1j * y[1])[()]
 
     def F(self, alpha):
         return F_eval(alpha, self.a(alpha), params=self.params)
@@ -127,38 +142,22 @@ def solve_profile(params: ModelParams, alpha0: float, a0: complex,
 
     def rhs(alpha, y):
         a = y[0] + 1j * y[1]
-        da = _t2_value(alpha, a, np.conj(a), params) / (np.conj(a) + params.b)
+        da = t2_value(alpha, a, np.conj(a), params) / (np.conj(a) + params.b)
         return [da.real, da.imag]
 
     def guard_event(alpha, y):
         return abs((y[0] + 1j * y[1]) + params.b) - AB_GUARD
     guard_event.terminal = True
 
-    y0 = [a0.real, a0.imag]
-    down = up = None
-    reached_lo, reached_hi = alpha0, alpha0
-    step = _max_step(lo, hi)
-    if lo < alpha0:
-        down = solve_ivp(rhs, (alpha0, lo), y0, method="DOP853", dense_output=True,
-                         rtol=tol, atol=tol, max_step=step, events=guard_event)
-        if down.status == -1:
-            raise StepFailure(f"integrator failed toward {lo}: {down.message}")
-        reached_lo = float(down.t[-1])
-    if hi > alpha0:
-        up = solve_ivp(rhs, (alpha0, hi), y0, method="DOP853", dense_output=True,
-                       rtol=tol, atol=tol, max_step=step, events=guard_event)
-        if up.status == -1:
-            raise StepFailure(f"integrator failed toward {hi}: {up.message}")
-        reached_hi = float(up.t[-1])
-
-    achieved = (reached_lo, reached_hi)
-    if reached_lo > lo + 1e-12 or reached_hi < hi - 1e-12:
+    march = TwoSidedMarch(rhs, alpha0, (lo, hi), [a0.real, a0.imag], tol, event=guard_event)
+    achieved = march.reached
+    if achieved[0] > lo + 1e-12 or achieved[1] < hi - 1e-12:
         raise GuardTripped("|a + b| guard tripped before covering the requested range",
                            achieved=achieved)
     return ProfileSolution(params=params, alpha0=float(alpha0), a0=a0,
                            alpha_range=(lo, hi),
                            singular_alphas=_singular_alphas_in(lo, hi),
-                           tol=tol, _down=down, _up=up)
+                           tol=tol, _march=march)
 
 
 @dataclass
@@ -169,24 +168,11 @@ class Potential:
     K0: float
     Kprime0: float
     alpha_range: tuple[float, float]
-    _down: object = field(repr=False, default=None)
-    _up: object = field(repr=False, default=None)
+    _march: TwoSidedMarch = field(repr=False, default=None)
     _inv: object = field(repr=False, default=None)
 
     def _eval(self, alpha, row):
-        alpha = np.asarray(alpha, dtype=np.float64)
-        flat = np.atleast_1d(alpha)
-        out = np.empty(flat.shape, dtype=np.float64)
-        below = flat <= self.alpha0
-        if below.any():
-            src = self._down if self._down is not None else None
-            out[below] = src.sol(flat[below])[row] if src is not None \
-                else (self.Kprime0 if row == 0 else self.K0)
-        if (~below).any():
-            src = self._up if self._up is not None else None
-            out[~below] = src.sol(flat[~below])[row] if src is not None \
-                else (self.Kprime0 if row == 0 else self.K0)
-        return out.reshape(alpha.shape) if alpha.shape else out[0]
+        return self._march(alpha)[row][()]
 
     def g(self, alpha):
         return self._eval(alpha, 0)
@@ -220,31 +206,24 @@ def build_potential(profile: ProfileSolution, K0: float = 0.0, Kprime0: float = 
     (it is an exponential integral scaled by Kprime0), so K is strictly
     monotone and invertible; psi is its inverse.
     """
+    return potential_from(profile.F, profile.alpha0, profile.alpha_range, K0, Kprime0,
+                          tol=tol, n_grid=n_grid)
+
+
+def potential_from(F, anchor: float, alpha_range: tuple[float, float], K0: float,
+                   Kprime0: float, tol: float = 1e-12, n_grid: int = 4001) -> Potential:
+    """Potential of the warp coefficient F (a callable of alpha) over alpha_range."""
     if Kprime0 == 0.0:
         raise ConfigError("Kprime0 must be nonzero: the potential must be strictly monotone")
-    lo, hi = profile.alpha_range
-    a0c = profile.alpha0
+    lo, hi = alpha_range
 
     def rhs(alpha, y):
-        F = profile.F(alpha)
-        return [-F * y[0], y[0]]
+        return [-F(alpha) * y[0], y[0]]
 
-    y0 = [Kprime0, K0]
-    down = up = None
-    step = _max_step(lo, hi)
-    if lo < a0c:
-        down = solve_ivp(rhs, (a0c, lo), y0, method="DOP853", dense_output=True,
-                         rtol=tol, atol=tol, max_step=step)
-        if down.status != 0:
-            raise StepFailure(f"potential integration failed toward {lo}: {down.message}")
-    if hi > a0c:
-        up = solve_ivp(rhs, (a0c, hi), y0, method="DOP853", dense_output=True,
-                       rtol=tol, atol=tol, max_step=step)
-        if up.status != 0:
-            raise StepFailure(f"potential integration failed toward {hi}: {up.message}")
-
-    pot = Potential(alpha0=a0c, K0=float(K0), Kprime0=float(Kprime0),
-                    alpha_range=(lo, hi), _down=down, _up=up)
+    march = TwoSidedMarch(rhs, anchor, (lo, hi), [Kprime0, K0], tol,
+                          what="potential integration")
+    pot = Potential(alpha0=anchor, K0=float(K0), Kprime0=float(Kprime0),
+                    alpha_range=(lo, hi), _march=march)
     grid = np.linspace(lo, hi, n_grid)
     kv = pot.K(grid)
     if Kprime0 < 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import CoeffCache, EvalPoint, SIN_GUARD, SING_GUARD
+from .coeffs import CoeffCache, EvalPoint, cascade_ok, omega1, phase_D
 from .errors import ConfigError
 from .fields import MASK_DOMAIN, MASK_SINGULAR, MASK_NUPATH, SurfaceFields
 from .profile import F_eval
@@ -116,22 +116,21 @@ def _prepare(fields: SurfaceFields, t9_mode: str) -> dict:
     hx, hy = g.hx, g.hy
     al, a, lam, c = fields.alpha, fields.a, fields.lam, fields.c
     mask = fields.mask
-    s = np.sin(al)
-    cascade_ok = (np.isfinite(al) & ((mask & MASK_SINGULAR) == 0)
-                  & (np.abs(s) > SIN_GUARD) & (np.abs(3.0 * s * s - 2.0) > SING_GUARD))
-    pt = EvalPoint(al[cascade_ok], a[cascade_ok], params=fields.params)
+    ok = cascade_ok(al) & ((mask & MASK_SINGULAR) == 0)
+    pt = EvalPoint(al[ok], a[ok], params=fields.params)
     caches = {m: CoeffCache(pt, t9_mode=m) for m in ("as_printed", "alternate")}
     primary = caches[t9_mode]
 
     def scatter(vals):
         out = np.full(al.shape, np.nan, dtype=np.complex128)
-        out[cascade_ok] = vals
+        out[ok] = vals
         return out
 
     t = {i: scatter(primary.get(i).value()) for i in (1, 2, 5, 6, 7, 8, 10)}
     t1b = scatter(primary.get(1, conjugated=True).value())
     t9 = {m: scatter(caches[m].get(9).value()) for m in caches}
 
+    s = np.sin(al)
     cot = np.cos(al) / s
     s2 = s * s
     b, rho = fields.params.b, fields.params.rho
@@ -141,10 +140,9 @@ def _prepare(fields: SurfaceFields, t9_mode: str) -> dict:
     # phase one-form density from point data alone (the construction's W);
     # defined wherever the amplitude is admissible, whether or not the phase
     # integration succeeded downstream
-    D = np.abs(a) ** 2 + E
-    w_ok = cascade_ok & ((mask & MASK_DOMAIN) == 0) & (D > 0)
-    a1_ode = -a * t[1] + (a + b) * t[2] / (np.conj(a) + b)
-    om1 = D * (2.0 * (a - b) * cot - t[1]) - np.conj(a) * a1_ode
+    D = phase_D(al, a, fields.params)
+    w_ok = ok & ((mask & MASK_DOMAIN) == 0) & (D > 0)
+    om1 = omega1(al, a, t[1], t[2], D, fields.params)
     return {
         "fields": fields, "hx": hx, "hy": hy, "alpha": al, "a": a, "lam": lam,
         "c": c, "cot": cot, "s2": s2, "b": b, "rho": rho, "E": E,

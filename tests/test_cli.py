@@ -1,9 +1,11 @@
 """End-to-end command line behaviour: exit codes, files on disk, determinism."""
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,8 @@ def test_complex_literal_grammar(text, value):
     assert parse_complex(text) == value
 
 
-@pytest.mark.parametrize("text", ["", "abc", "1+2", "2i+1", "1..2", "--3i"])
+@pytest.mark.parametrize("text", ["", "abc", "1+2", "2i+1", "1..2", "--3i",
+                                  "nan", "inf", "1e999i"])
 def test_complex_literal_rejects_garbage(text):
     with pytest.raises(ConfigError):
         parse_complex(text)
@@ -260,3 +263,47 @@ def test_module_entry_point_smoke():
     first = proc.stdout.splitlines()[0]
     assert first.startswith("t1 = ")
     assert parse_complex(first.split("=", 1)[1]) == pytest.approx(-26.0, rel=1e-12)
+
+
+# ---- byte identity against the benchmark references ----
+
+SURFACE_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "surfaces.json"
+
+
+def test_outputs_match_the_recorded_hashes(tmp_path, capsys):
+    # references recorded by perfbench/make_refs.py; this test only reads them
+    refs = json.loads(SURFACE_REFS.read_text())["41"]
+    cfg = tmp_path / "generic.json"
+    cfg.write_text(json.dumps(generic_config()))
+    runs = [(["construct", "--config", str(cfg)], 2, refs["construct"]),
+            (["family", "--c1", "2.0", "--tilt", "0.5"], 0, refs["family"]["c1=2,tilt=0.5"])]
+    for k, (argv, code, ref) in enumerate(runs):
+        out = tmp_path / str(k)
+        assert main(argv + ["--grid", "41", "41", "--out", str(out), "--quiet"]) == code
+        for name in ("fields.csv", "meta.json"):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == ref[name], name
+    capsys.readouterr()
+
+
+# ---- bad numeric arguments end in a clean exit ----
+
+PROFILE_ARGV = ["profile", "--rho", "-3", "--alpha0", "0.6", "--a0", "0.3+0.4i",
+                "--range", "0.4", "1.2"]
+
+
+@pytest.mark.parametrize("argv", [
+    PROFILE_ARGV + ["--samples", "-1"],
+    ["tcoef", "--i", "1", "--alpha", "nan", "--a", "0.4+0.2i"],
+    PROFILE_ARGV + ["--b", "-1"],
+    PROFILE_ARGV + ["--rho", "nan"],
+    ["family", "--c1", "inf"],
+    ["family", "--c1", "2", "--quad-tol", "0"],
+], ids=["samples", "tcoef-alpha", "profile-b", "profile-rho", "family-c1", "quad-tol"])
+def test_bad_numeric_arguments_exit_with_json(argv, tmp_path):
+    if argv[0] == "family":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-m", "pmcsurf", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode in (2, 3), proc.stderr
+    err = json.loads(proc.stderr)
+    assert isinstance(err, dict) and "error" in err

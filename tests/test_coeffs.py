@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from pmcsurf.coeffs import (CoeffCache, EvalPoint, ModelParams, check_guards,
-                            eval_t, phase_quadratic_roots, t4_skew_residual,
-                            t11_roots)
-from pmcsurf.errors import SingularPoint, UnresolvedFormula, ZeroDenominator
+                            eval_t, phase_quadratic_roots, t1_value, t2_value,
+                            t4_skew_residual, t11_roots)
+from pmcsurf.errors import ConfigError, SingularPoint, UnresolvedFormula, ZeroDenominator
 from pmcsurf.family4 import family_amplitude
 
 from conftest import MODEL, random_points, richardson_fd
@@ -185,7 +185,15 @@ def test_singularity_guards_reject_bad_points():
         CoeffCache(point(float(np.arcsin(np.sqrt(2.0 / 3.0))), 0.5 + 0.5j))
     with pytest.raises(SingularPoint):
         CoeffCache(point(1e-12, 0.5 + 0.5j))
+    with pytest.raises(SingularPoint):
+        check_guards(point(np.array([0.7, np.nan]), 0.5 + 0.5j))
     check_guards(point(0.7, 0.5 + 0.5j))   # clean point passes silently
+
+
+@pytest.mark.parametrize("rho,b", [(np.nan, 1.0), (-3.0, np.inf), (-3.0, 0.0), (-3.0, -1.0)])
+def test_model_parameters_are_validated_on_construction(rho, b):
+    with pytest.raises(ConfigError):
+        ModelParams(rho=rho, b=b)
 
 
 def test_flat_ambient_space_has_no_sixth_coefficient():
@@ -216,3 +224,15 @@ def test_invalid_ids_and_modes_rejected():
         CoeffCache(pt, t9_mode="sideways")
     with pytest.raises(ValueError):
         CoeffCache(pt, appendix_reconciliation="maybe")
+
+
+# ---- order-0 evaluators ----
+
+@pytest.mark.parametrize("conjugate_pair", [True, False])
+def test_order_zero_values_match_the_cascade(conjugate_pair):
+    pt = random_points(200, seed=11, conjugate_pair=conjugate_pair)
+    cache = CoeffCache(pt)
+    np.testing.assert_allclose(t1_value(pt.alpha, pt.a, MODEL), cache.get(1).value(),
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(t2_value(pt.alpha, pt.a, pt.abar, MODEL), cache.get(2).value(),
+                               rtol=1e-12, atol=0.0)

@@ -105,6 +105,7 @@ def test_cascade_singularity_strip_is_masked():
     assert mask[0, 1] == MASK_SINGULAR
     assert mask[1, 0] == MASK_SINGULAR
     assert mask[1, 1] == 0
+    assert cascade_mask(np.array([np.nan]))[0] == MASK_SINGULAR
 
 
 def test_curvature_two_ways(locus_pipeline):

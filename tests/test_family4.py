@@ -6,7 +6,7 @@ import pytest
 
 import pmcsurf.family4 as fam
 from pmcsurf.coeffs import ModelParams
-from pmcsurf.errors import InadmissibleC1, OutOfInterval, RangeMismatch
+from pmcsurf.errors import ConfigError, InadmissibleC1, OutOfInterval, RangeMismatch
 from pmcsurf.fields import Grid
 
 from conftest import build_family, family_harmonic, richardson_fd
@@ -21,12 +21,17 @@ def test_admissible_arc_pins():
     assert hi == pytest.approx(np.pi / 2.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("c1", [0.0, 0.5, 1.0, 9.0 / 8.0])
+@pytest.mark.parametrize("c1", [0.0, 0.5, 1.0, 9.0 / 8.0, np.inf, -np.inf, np.nan])
 def test_shape_parameter_gap_is_rejected(c1):
     with pytest.raises(InadmissibleC1):
         fam.valid_interval(c1)
     with pytest.raises(InadmissibleC1):
         fam.FamilyParams(c1=c1)
+
+
+def test_phase_offset_must_be_finite():
+    with pytest.raises(ConfigError):
+        fam.FamilyParams(c1=2.0, c2=np.inf)
 
 
 def test_amplitude_pin_at_pi_thirds(golden):

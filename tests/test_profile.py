@@ -6,7 +6,7 @@ import pytest
 
 from pmcsurf.coeffs import ModelParams
 from pmcsurf.errors import ConfigError, GuardTripped
-from pmcsurf.profile import F_eval, Potential, build_potential, solve_profile
+from pmcsurf.profile import F_eval, Potential, TwoSidedMarch, build_potential, solve_profile
 
 from conftest import MODEL, richardson_fd
 
@@ -159,3 +159,17 @@ def test_profile_ode_residual_by_differencing(generic_profile):
     t2 = 2.0 * a * (np.conj(a) - 1.0) * cot - 4.5 * np.sin(al) * np.cos(al)
     rhs = t2 / (np.conj(a) + 1.0)
     assert float(np.max(np.abs(lhs - rhs))) <= 1e-6
+
+
+@pytest.mark.parametrize("anchor", [0.0, 1.0])
+def test_march_from_an_anchor_at_one_end_of_the_range(anchor):
+    # y' = y with y(anchor) = 1; only the side toward the far end has extent
+    march = TwoSidedMarch(lambda x, y: y, anchor, (0.0, 1.0), [1.0], 1e-12)
+    assert march.reached == (0.0, 1.0)
+    x = np.linspace(0.0, 1.0, 41).reshape(1, 41)
+    y = march(x)
+    assert y.shape == (1, 1, 41)
+    np.testing.assert_allclose(y[0], np.exp(x - anchor), rtol=1e-10)
+    # the side without extent holds the initial state
+    beyond = -0.5 if anchor == 0.0 else 1.5
+    assert march(beyond)[0] == 1.0
