@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import math
 import os
 import re
 import sys
@@ -24,11 +23,11 @@ import numpy as np
 
 from . import construct as _construct
 from . import family4, verify as _verify
-from .coeffs import CoeffCache, EvalPoint, ModelParams, eval_t
+from .coeffs import T9_READINGS, CoeffCache, EvalPoint, ModelParams
 from .errors import ConfigError, PmcError
 from .fields import Grid, HarmonicInput, read_fields, write_fields, write_meta
 from .profile import build_potential, solve_profile
-from .verify import Thresholds, default_workers, verify_suite
+from .verify import Thresholds, verify_suite
 
 
 def parse_complex(text: str) -> complex:
@@ -53,11 +52,16 @@ def parse_complex(text: str) -> complex:
     return v
 
 
+def _finite(v) -> bool:
+    """A finite int or float, not bool; an int too big for a float fails, never raises."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def _number(kind, positive: bool = False):
     """argparse type: a finite number of the given kind, > 0 when positive."""
     def parse(text: str):
         v = kind(text)
-        if not math.isfinite(v) or (positive and not v > 0):
+        if not _finite(v) or (positive and not v > 0):
             raise argparse.ArgumentTypeError(
                 f"{text!r} is not a finite{' positive' if positive else ''} number")
         return v
@@ -89,7 +93,7 @@ def _num(d, key, context, default=None, required=False):
             raise ConfigError(f"missing {context}.{key}")
         return default
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    if not _finite(v):
         raise ConfigError(f"{context}.{key} must be a finite number")
     return float(v)
 
@@ -98,10 +102,9 @@ def _thresholds(th) -> Thresholds:
     _take(th, ("identity_tol", "order_band"), "config.thresholds")
     identity_tol = _num(th, "identity_tol", "config.thresholds", default=Thresholds.identity_tol)
     band = th.get("order_band", list(Thresholds.order_band))
-    if (not isinstance(band, list) or len(band) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in band)
+    if (not isinstance(band, list) or len(band) != 2 or not all(map(_finite, band))
             or not band[0] < band[1]):
-        raise ConfigError("config.thresholds.order_band must be [lo, hi] with lo < hi")
+        raise ConfigError("config.thresholds.order_band must be finite [lo, hi] with lo < hi")
     return Thresholds(identity_tol=identity_tol, order_band=(float(band[0]), float(band[1])))
 
 
@@ -163,9 +166,8 @@ class RunConfig:
             raise ConfigError("config.harmonic.coeffs must be a nonempty list of [re, im] pairs")
         coeffs = []
         for k, pair in enumerate(raw_coeffs):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)):
-                raise ConfigError(f"config.harmonic.coeffs[{k}] must be [re, im]")
+            if not isinstance(pair, list) or len(pair) != 2 or not all(map(_finite, pair)):
+                raise ConfigError(f"config.harmonic.coeffs[{k}] must be finite [re, im]")
             coeffs.append(complex(pair[0], pair[1]))
         harmonic = HarmonicInput(tuple(coeffs))
 
@@ -185,7 +187,7 @@ class RunConfig:
         thresholds = _thresholds(d.get("thresholds", {}))
 
         t9_mode = d.get("t9_mode", "as_printed")
-        if t9_mode not in ("as_printed", "alternate"):
+        if t9_mode not in T9_READINGS:
             raise ConfigError(f"config.t9_mode must be as_printed or alternate, got {t9_mode!r}")
         appendix = d.get("appendix_reconciliation", "assume")
         if appendix not in ("assume", "reject"):
@@ -274,20 +276,16 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _thresholds_for_verify(args, coarse_meta: dict):
+def _thresholds_for_verify(args, coarse_meta: dict) -> Thresholds:
     if args.config:
-        cfg = load_config(args.config)
-        return cfg.thresholds, cfg.t9_mode
-    cfg_d = coarse_meta.get("config", {})
-    return _thresholds(cfg_d.get("thresholds", {})), cfg_d.get("t9_mode", "as_printed")
+        return load_config(args.config).thresholds
+    return _thresholds(coarse_meta.get("config", {}).get("thresholds", {}))
 
 
 def cmd_verify(args) -> int:
     coarse = read_fields(args.dirs[0])
     fine = read_fields(args.dirs[1]) if len(args.dirs) > 1 else None
-    thresholds, t9_mode = _thresholds_for_verify(args, coarse.meta)
-    report = verify_suite(coarse, fine, thresholds=thresholds, t9_mode=t9_mode,
-                          max_workers=default_workers())
+    report = verify_suite(coarse, fine, thresholds=_thresholds_for_verify(args, coarse.meta))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "verify_report.json"), "w") as fh:
@@ -375,7 +373,7 @@ def cmd_tcoef(args) -> int:
         raise ConfigError("rho must be nonzero for t6 and above")
     cache = CoeffCache(point, t9_mode=args.t9_mode,
                        appendix_reconciliation=args.appendix_reconciliation)
-    jet = eval_t(args.i, point, order=max(1, args.order), branch=args.branch, cache=cache)
+    jet = cache.get(args.i, 1, branch=args.branch)
     print(f"t{args.i} = {fmt_complex(complex(jet.value()))}")
     for var, name in ((0, "alpha"), (1, "a"), (2, "abar")):
         print(f"d/d{name} = {fmt_complex(complex(jet.partial(var)))}")
@@ -448,10 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--abar", help="defaults to conj(a)")
     t.add_argument("--rho", type=FINITE, default=-3.0)
     t.add_argument("--b", type=FINITE, default=1.0)
-    t.add_argument("--order", type=int, default=1)
     t.add_argument("--branch", type=int, default=1, choices=(1, -1))
     t.add_argument("--t9-mode", default="as_printed", dest="t9_mode",
-                   choices=("as_printed", "alternate"))
+                   choices=T9_READINGS)
     t.add_argument("--appendix-reconciliation", default="assume",
                    dest="appendix_reconciliation", choices=("assume", "reject"))
     t.set_defaults(fn=cmd_tcoef)

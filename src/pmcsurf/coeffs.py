@@ -10,14 +10,15 @@ same cascade. Conjugated coefficients follow the swap rule
 implemented by a mirror evaluation at the swapped point plus an exponent
 permutation, never by assuming abar is the complex conjugate of a.
 
-Two readings of damaged source formulas are carried as flags:
+Two readings of damaged source formulas are carried:
 
 * t9_mode: the last term of t9 is "as_printed" (a partial of t6) or
-  "alternate" (the pattern-consistent partial of t7). Downstream residual
-  diagnostics select between them; this module asserts neither.
+  "alternate" (the pattern-consistent partial of t7). It is a memo key of t9
+  and of t11..t13 built on it, not a cascade flag, so one cascade serves both
+  readings. Residual diagnostics report both; this module asserts neither.
 * appendix_reconciliation: t10 contains a brace-damaged tail read as
   -t8*tbar8. "assume" proceeds with that reading, "reject" refuses to
-  evaluate t10..t13.
+  evaluate t10..t13; this one is a cascade flag.
 """
 from __future__ import annotations
 
@@ -32,11 +33,9 @@ SIN_GUARD = 1e-9        # |sin(alpha)| floor
 SING_GUARD = 1e-6       # |3 sin^2(alpha) - 2| floor
 T9_GUARD = 1e-12        # |t9| floor for the quadratic roots
 
-# base-jet order needed above the requested order, per coefficient
-DEPTH = {1: 0, 2: 0, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2, 8: 2,
-         9: 3, 10: 3, 11: 3, 12: 4, 13: 4}
-
 VALID_IDS = tuple(range(1, 14))
+T9_READINGS = ("as_printed", "alternate")
+READING_IDS = frozenset({9, 11, 12, 13})   # the coefficients that depend on the t9 reading
 
 
 @dataclass(frozen=True)
@@ -116,9 +115,8 @@ def omega1(alpha, a, t1, t2, D, params: ModelParams):
 class _Cascade:
     """Memoized jet evaluation of the cascade at one point batch."""
 
-    def __init__(self, point: EvalPoint, t9_mode: str, appendix: str):
+    def __init__(self, point: EvalPoint, appendix: str):
         self.point = point
-        self.t9_mode = t9_mode
         self.appendix = appendix
         self._memo: dict = {}
         self._mirror: _Cascade | None = None
@@ -127,7 +125,7 @@ class _Cascade:
         if self._mirror is None:
             swapped = EvalPoint(self.point.alpha, self.point.abar, self.point.a,
                                 params=self.point.params)
-            self._mirror = _Cascade(swapped, self.t9_mode, self.appendix)
+            self._mirror = _Cascade(swapped, self.appendix)
             self._mirror._mirror = self
         return self._mirror
 
@@ -159,7 +157,8 @@ class _Cascade:
 
     # ---- the cascade ----
 
-    def t(self, i: int, order: int, conj: bool = False, branch: int = +1) -> Jet:
+    def t(self, i: int, order: int, conj: bool = False, branch: int = +1,
+          reading: str | None = None) -> Jet:
         if i not in VALID_IDS:
             raise ValueError(f"coefficient id out of range: {i}")
         if i >= 10 and self.appendix == "reject":
@@ -167,13 +166,17 @@ class _Cascade:
                 "t10 carries an unreconciled source formula; evaluation disabled in reject mode")
         if i >= 6 and self.point.params.rho == 0:
             raise ZeroDenominator("rho = 0 makes t6 undefined")
-        key = (i, order, conj, branch if i >= 11 else 0)
+        key = (i, order, conj, branch if i >= 11 else 0, reading if i in READING_IDS else None)
         if key in self._memo:
             return self._memo[key]
         if conj:
-            out = self.mirror().t(i, order, False, branch).swap_vars()
+            out = self.mirror().t(i, order, False, branch, reading).swap_vars()
+        elif i == 9:
+            out = self._t9(order, reading)
+        elif i >= 11:
+            out = getattr(self, f"_t{i}")(order, branch, reading)
         else:
-            out = getattr(self, f"_t{i}")(order) if i < 11 else getattr(self, f"_t{i}")(order, branch)
+            out = getattr(self, f"_t{i}")(order)
         self._memo[key] = out
         return out
 
@@ -246,14 +249,14 @@ class _Cascade:
                 + (a * t1) * self.d(6, 1, m)
                 + t2b * self.d(6, 2, m))
 
-    def _t9(self, m):
+    def _t9(self, m, reading):
         _, _, ab = self.base(m)
         tr = self.trig(m)
         b = self.point.params.b
         t2 = self.t(2, m)
         t6, t7 = self.t(6, m), self.t(7, m)
         at1_bar = ab * self.t(1, m, conj=True)
-        last = self.d(6, 2, m) if self.t9_mode == "as_printed" else self.d(7, 2, m)
+        last = self.d(6, 2, m) if reading == "as_printed" else self.d(7, 2, m)
         core = (-((ab - b) * (t7 * tr["cot"])) + (ab + b) * self.d(7, 0, m)
                 + t2 * self.d(7, 1, m) + at1_bar * last)
         return t6 * core - t7 * self.t(8, m, conj=True)
@@ -276,59 +279,65 @@ class _Cascade:
                 + self.d(3, 1, m) - self.d(7, 2, m))
         return t6 * main - t8 * self.t(8, m, conj=True) - (t6 * t6) * tail
 
-    def _t11(self, m, branch):
-        t9 = self.t(9, m)
+    def _t11(self, m, branch, reading):
+        t9 = self.t(9, m, reading=reading)
         if np.any(np.abs(t9.value()) <= T9_GUARD):
             raise ZeroDenominator("|t9| below guard; quadratic roots undefined")
         t10 = self.t(10, m)
-        disc = t10 * t10 - 4.0 * (t9 * self.t(9, m, conj=True) * self.t(6, m))
+        disc = t10 * t10 - 4.0 * (t9 * self.t(9, m, conj=True, reading=reading) * self.t(6, m))
         root = jsqrt(disc)
         return (-t10 + float(branch) * root) * reciprocal(2.0 * t9)
 
-    def _t12(self, m, branch):
+    def _t12(self, m, branch, reading):
         _, a, _ = self.base(m)
         b = self.point.params.b
         t1 = self.t(1, m)
         t2b = self.t(2, m, conj=True)
         t6, t7, t8 = self.t(6, m), self.t(7, m), self.t(8, m)
-        t11 = self.t(11, m, branch=branch)
-        t11b = self.t(11, m, conj=True, branch=branch)
-        d_al = differentiate(self.t(11, m + 1, branch=branch), 0)
-        d_a = differentiate(self.t(11, m + 1, branch=branch), 1)
-        d_ab = differentiate(self.t(11, m + 1, branch=branch), 2)
+        t11 = self.t(11, m, branch=branch, reading=reading)
+        t11b = self.t(11, m, conj=True, branch=branch, reading=reading)
+        t11_up = self.t(11, m + 1, branch=branch, reading=reading)
+        d_al, d_a, d_ab = (differentiate(t11_up, var) for var in (0, 1, 2))
         return (t7 * t11 + t8 - t6 * d_a
                 - t11b * ((a + b) * d_al + (a * t1) * d_a + t2b * d_ab))
 
-    def _t13(self, m, branch):
+    def _t13(self, m, branch, reading):
         _, _, ab = self.base(m)
         tr = self.trig(m)
         b = self.point.params.b
         t2, t3 = self.t(2, m), self.t(3, m)
-        t11 = self.t(11, m, branch=branch)
-        t11b = self.t(11, m, conj=True, branch=branch)
+        t11 = self.t(11, m, branch=branch, reading=reading)
+        t11b = self.t(11, m, conj=True, branch=branch, reading=reading)
         at1_bar = ab * self.t(1, m, conj=True)
-        d_al = differentiate(self.t(11, m + 1, branch=branch), 0)
-        d_a = differentiate(self.t(11, m + 1, branch=branch), 1)
-        d_ab = differentiate(self.t(11, m + 1, branch=branch), 2)
+        t11_up = self.t(11, m + 1, branch=branch, reading=reading)
+        d_al, d_a, d_ab = (differentiate(t11_up, var) for var in (0, 1, 2))
         return (t3 + 3.0 * ((ab - b) * (t11 * tr["cot"]))
                 - ((ab + b) * d_al + t2 * d_a + t11b * d_ab + at1_bar * d_ab))
 
 
+def _check_t9_mode(t9_mode: str) -> str:
+    if t9_mode not in T9_READINGS:
+        raise ValueError(f"unknown t9_mode: {t9_mode!r}")
+    return t9_mode
+
+
 class CoeffCache:
-    """Reusable cascade bound to one point batch and one flag set."""
+    """Reusable cascade bound to one point batch, an appendix flag and a default t9 reading."""
 
     def __init__(self, point: EvalPoint, *, t9_mode: str = "as_printed",
                  appendix_reconciliation: str = "assume"):
-        if t9_mode not in ("as_printed", "alternate"):
-            raise ValueError(f"unknown t9_mode: {t9_mode!r}")
+        self.t9_mode = _check_t9_mode(t9_mode)
         if appendix_reconciliation not in ("assume", "reject"):
             raise ValueError(f"unknown appendix_reconciliation: {appendix_reconciliation!r}")
         check_guards(point)
         self.point = point
-        self._cascade = _Cascade(point, t9_mode, appendix_reconciliation)
+        self._cascade = _Cascade(point, appendix_reconciliation)
 
-    def get(self, i: int, order: int = 0, *, conjugated: bool = False, branch: int = +1) -> Jet:
-        return self._cascade.t(i, order, conjugated, branch)
+    def get(self, i: int, order: int = 0, *, conjugated: bool = False, branch: int = +1,
+            t9_mode: str | None = None) -> Jet:
+        """t9_mode=None reads t9 (and t11..t13) under this cache's reading."""
+        reading = self.t9_mode if t9_mode is None else _check_t9_mode(t9_mode)
+        return self._cascade.t(i, order, conjugated, branch, reading)
 
 
 def eval_t(i: int, point: EvalPoint, order: int = 0, *, conjugated: bool = False,

@@ -13,11 +13,11 @@ from __future__ import annotations
 import gc
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoeffCache, EvalPoint, cascade_ok, omega1, phase_D
+from .coeffs import T9_READINGS, CoeffCache, EvalPoint, cascade_ok, omega1, phase_D
 from .errors import ConfigError
 from .fields import MASK_DOMAIN, MASK_SINGULAR, MASK_NUPATH, SurfaceFields
 from .profile import F_eval
@@ -104,7 +104,7 @@ def dzdzbar(F, hx, hy):
 
 # ---- cascade values over a field grid ----
 
-def _prepare(fields: SurfaceFields, t9_mode: str) -> dict:
+def _prepare(fields: SurfaceFields) -> dict:
     """Everything the residual evaluators read, computed up front.
 
     All cascade values are materialized here so the worker threads touch only
@@ -118,17 +118,16 @@ def _prepare(fields: SurfaceFields, t9_mode: str) -> dict:
     mask = fields.mask
     ok = cascade_ok(al) & ((mask & MASK_SINGULAR) == 0)
     pt = EvalPoint(al[ok], a[ok], params=fields.params)
-    caches = {m: CoeffCache(pt, t9_mode=m) for m in ("as_printed", "alternate")}
-    primary = caches[t9_mode]
+    cache = CoeffCache(pt)
 
     def scatter(vals):
         out = np.full(al.shape, np.nan, dtype=np.complex128)
         out[ok] = vals
         return out
 
-    t = {i: scatter(primary.get(i).value()) for i in (1, 2, 5, 6, 7, 8, 10)}
-    t1b = scatter(primary.get(1, conjugated=True).value())
-    t9 = {m: scatter(caches[m].get(9).value()) for m in caches}
+    t = {i: scatter(cache.get(i).value()) for i in (1, 2, 5, 6, 7, 8, 10)}
+    t1b = scatter(cache.get(1, conjugated=True).value())
+    t9 = {m: scatter(cache.get(9, t9_mode=m).value()) for m in T9_READINGS}
 
     s = np.sin(al)
     cot = np.cos(al) / s
@@ -235,7 +234,6 @@ class VerifyReport:
     rows: list
     degraded: bool
     thresholds: Thresholds
-    meta: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -250,8 +248,7 @@ class VerifyReport:
                 "identity_tol": self.thresholds.identity_tol,
                 "order_band": list(self.thresholds.order_band),
                 "passed": self.passed,
-                "rows": [r.row() for r in self.rows],
-                **self.meta}
+                "rows": [r.row() for r in self.rows]}
 
     def table(self) -> str:
         lines = [f"{'equation':<22}{'kind':<14}{'max(h)':>12}{'max(h/2)':>12}{'order':>8}  status"]
@@ -276,13 +273,9 @@ def _check_pair(coarse: SurfaceFields, fine: SurfaceFields):
         raise ConfigError("grid pair was built with different model parameters")
 
 
-def _expand(t9_mode: str):
-    for eq in EQUATIONS:
-        if eq == "E2_13":
-            yield eq, "as_printed"
-            yield eq, "alternate"
-        else:
-            yield eq, None
+# one task per (equation, t9 reading); only E2_13 reads t9
+TASKS = tuple((eq, m) for eq in EQUATIONS
+              for m in (T9_READINGS if eq == "E2_13" else (None,)))
 
 
 def default_workers() -> int:
@@ -296,7 +289,7 @@ def default_workers() -> int:
 
 
 def verify_suite(coarse: SurfaceFields, fine: SurfaceFields | None = None,
-                 thresholds: Thresholds = Thresholds(), t9_mode: str = "as_printed",
+                 thresholds: Thresholds = Thresholds(),
                  max_workers: int | None = None) -> VerifyReport:
     """Evaluate every residual on one surface or a resolution pair.
 
@@ -307,13 +300,12 @@ def verify_suite(coarse: SurfaceFields, fine: SurfaceFields | None = None,
     gate; the t9-sensitive one is reported under both readings.
     """
     degraded = fine is None
-    prep_c = _prepare(coarse, t9_mode)
+    prep_c = _prepare(coarse)
     prep_f = None
     if not degraded:
         _check_pair(coarse, fine)
-        prep_f = _prepare(fine, t9_mode)
+        prep_f = _prepare(fine)
 
-    tasks = list(_expand(t9_mode))
     workers = max_workers or default_workers()
 
     def run(task):
@@ -327,9 +319,9 @@ def verify_suite(coarse: SurfaceFields, fine: SurfaceFields | None = None,
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
+            results = list(pool.map(run, TASKS))
     else:
-        results = [run(t) for t in tasks]
+        results = [run(t) for t in TASKS]
 
     lo_band, hi_band = thresholds.order_band
     rows = []
@@ -370,5 +362,4 @@ def verify_suite(coarse: SurfaceFields, fine: SurfaceFields | None = None,
     prep_c = prep_f = None
     gc.collect()
 
-    return VerifyReport(rows=rows, degraded=degraded, thresholds=thresholds,
-                        meta={"t9_mode": t9_mode})
+    return VerifyReport(rows=rows, degraded=degraded, thresholds=thresholds)

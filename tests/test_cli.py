@@ -165,6 +165,23 @@ def test_construct_rejects_flat_ambient_space(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+HUGE = int("9" * 400)   # an int with no float value
+
+
+@pytest.mark.parametrize("sections", [
+    {"nu0": HUGE},
+    {"harmonic": {"coeffs": [[HUGE, 0.0], [0.9, 0.0]]}},
+    {"harmonic": {"coeffs": [[float("nan"), 0.0], [0.9, 0.0]]}},
+    {"thresholds": {"order_band": [1.7, HUGE]}},
+], ids=["nu0-huge", "coeff-huge", "coeff-nan", "band-huge"])
+def test_construct_rejects_non_finite_config_numbers(sections, tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(generic_config(9, **sections)))
+    rc = main(["construct", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
 # ---- family subcommand ----
 
 def test_family_subcommand_writes_surface(tmp_path, capsys):
@@ -298,7 +315,9 @@ PROFILE_ARGV = ["profile", "--rho", "-3", "--alpha0", "0.6", "--a0", "0.3+0.4i",
     PROFILE_ARGV + ["--rho", "nan"],
     ["family", "--c1", "inf"],
     ["family", "--c1", "2", "--quad-tol", "0"],
-], ids=["samples", "tcoef-alpha", "profile-b", "profile-rho", "family-c1", "quad-tol"])
+    PROFILE_ARGV + ["--samples", "9" * 400],
+], ids=["samples", "tcoef-alpha", "profile-b", "profile-rho", "family-c1", "quad-tol",
+        "samples-huge"])
 def test_bad_numeric_arguments_exit_with_json(argv, tmp_path):
     if argv[0] == "family":
         argv = argv + ["--out", str(tmp_path / "out")]

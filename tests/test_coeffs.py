@@ -74,6 +74,28 @@ def test_conjugate_pair_consistency_of_every_coefficient():
             assert float(np.max(np.abs(w - np.conj(v)) / scale)) <= 1e-12, f"id {i}"
 
 
+@pytest.mark.parametrize("conjugate_pair", [True, False])
+def test_t9_reading_is_a_memo_key_of_one_cascade(conjugate_pair):
+    # one cascade asked for both readings must give, bit for bit, what a
+    # cascade built for each reading gives, and asking for one reading must
+    # not leak into the other's memo entries
+    pt = random_points(50, seed=5, conjugate_pair=conjugate_pair)
+    shared = CoeffCache(pt)
+    printed, alternate = CoeffCache(pt), CoeffCache(pt, t9_mode="alternate")
+    for i in range(1, 14):
+        for order in (0, 1):
+            for cj in (False, True):
+                for br in ((+1, -1) if i >= 11 else (+1,)):
+                    kw = dict(conjugated=cj, branch=br)
+                    got = shared.get(i, order, **kw, t9_mode="alternate").coeffs
+                    assert np.array_equal(got, alternate.get(i, order, **kw).coeffs), (i, order, kw)
+                    want = printed.get(i, order, **kw).coeffs
+                    assert np.array_equal(shared.get(i, order, **kw).coeffs, want), (i, order, kw)
+                    if i not in (9, 11, 12, 13):
+                        assert np.array_equal(got, want), (i, order, kw)
+    assert not np.array_equal(shared.get(9).coeffs, shared.get(9, t9_mode="alternate").coeffs)
+
+
 def test_swap_rule_off_the_conjugate_pair_locus():
     pt = random_points(100, seed=3, conjugate_pair=False)
     swapped = point(pt.alpha, pt.abar, pt.a)
@@ -222,6 +244,8 @@ def test_invalid_ids_and_modes_rejected():
         eval_t(0, pt)
     with pytest.raises(ValueError):
         CoeffCache(pt, t9_mode="sideways")
+    with pytest.raises(ValueError):
+        CoeffCache(pt).get(9, t9_mode="sideways")
     with pytest.raises(ValueError):
         CoeffCache(pt, appendix_reconciliation="maybe")
 

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pmcsurf import verify
 from pmcsurf.coeffs import ModelParams
 from pmcsurf.errors import ConfigError
 from pmcsurf.fields import Grid, MASK_DOMAIN, MASK_NUPATH, MASK_SINGULAR
@@ -135,6 +136,22 @@ def test_report_serialization_and_table(locus_pair):
     assert len(d["rows"]) == len(EQUATIONS) + 1   # one extra variant row
     text = rep.table()
     assert "pass" in text and "recorded" in text and "E2_13[alternate]" in text
+
+
+def test_one_coefficient_cache_per_grid(locus_pair, monkeypatch):
+    # both t9 readings come from the one cascade of each grid
+    built = []
+
+    class Counting(verify.CoeffCache):
+        def __init__(self, point, **kwargs):
+            built.append(point.alpha.size)
+            super().__init__(point, **kwargs)
+
+    monkeypatch.setattr(verify, "CoeffCache", Counting)
+    rep = verify_suite(*locus_pair, max_workers=1)
+    assert len(built) == 2
+    assert sorted(r.variant for r in rep.rows if r.equation == "E2_13") == ["alternate", "as_printed"]
+    assert "t9_mode" not in rep.to_dict()
 
 
 def test_worker_count_env_override(monkeypatch):
