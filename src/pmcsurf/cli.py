@@ -349,17 +349,9 @@ def cmd_profile(args) -> int:
     pot = build_potential(prof, K0=args.K0, Kprime0=args.Kprime0)
     alphas = np.linspace(prof.alpha_range[0], prof.alpha_range[1], args.samples)
     av = prof.a(alphas)
-    Fv = prof.F(alphas)
-    Kv = pot.K(alphas)
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    try:
-        out.write("alpha,a_re,a_im,F,K\n")
-        for k in range(len(alphas)):
-            out.write(",".join("%.17g" % v for v in
-                               (alphas[k], av[k].real, av[k].imag, Fv[k], Kv[k])) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    np.savetxt(args.out or sys.stdout,
+               np.column_stack([alphas, av.real, av.imag, prof.F(alphas), pot.K(alphas)]),
+               fmt="%.17g", delimiter=",", header="alpha,a_re,a_im,F,K", comments="")
     return 0
 
 

@@ -115,17 +115,18 @@ def omega1(alpha, a, t1, t2, D, params: ModelParams):
 class _Cascade:
     """Memoized jet evaluation of the cascade at one point batch."""
 
-    def __init__(self, point: EvalPoint, appendix: str):
+    def __init__(self, point: EvalPoint, appendix: str, trig: dict | None = None):
         self.point = point
         self.appendix = appendix
         self._memo: dict = {}
+        self._trig = {} if trig is None else trig   # order -> alpha jets; the mirror shares them
         self._mirror: _Cascade | None = None
 
     def mirror(self) -> "_Cascade":
         if self._mirror is None:
             swapped = EvalPoint(self.point.alpha, self.point.abar, self.point.a,
                                 params=self.point.params)
-            self._mirror = _Cascade(swapped, self.appendix)
+            self._mirror = _Cascade(swapped, self.appendix, self._trig)
             self._mirror._mirror = self
         return self._mirror
 
@@ -141,14 +142,13 @@ class _Cascade:
         return self._memo[key]
 
     def trig(self, order: int):
-        key = ("trig", order)
-        if key not in self._memo:
+        if order not in self._trig:
             al, _, _ = self.base(order)
             s = jsin(al)
             s2 = s * s
-            self._memo[key] = {"s": s, "s2": s2, "cot": jcot(al),
-                               "cos": jcos(al), "inv_s2": reciprocal(s2)}
-        return self._memo[key]
+            self._trig[order] = {"s": s, "s2": s2, "cot": jcot(al),
+                                 "cos": jcos(al), "inv_s2": reciprocal(s2)}
+        return self._trig[order]
 
     # ---- partials of a lower coefficient, read one order up ----
 
@@ -340,19 +340,27 @@ class CoeffCache:
         return self._cascade.t(i, order, conjugated, branch, reading)
 
 
+def _cache_for(point: EvalPoint, cache: CoeffCache | None, appendix: str | None) -> CoeffCache:
+    """The passed cache, or a new one; an explicit appendix flag must match the cache's."""
+    if cache is None:
+        return CoeffCache(point, appendix_reconciliation=appendix or "assume")
+    if appendix not in (None, cache._cascade.appendix):
+        raise ValueError(f"appendix_reconciliation={appendix!r} contradicts the passed cache")
+    return cache
+
+
 def eval_t(i: int, point: EvalPoint, order: int = 0, *, conjugated: bool = False,
-           branch: int = +1, t9_mode: str = "as_printed",
-           appendix_reconciliation: str = "assume",
+           branch: int = +1, t9_mode: str | None = None,
+           appendix_reconciliation: str | None = None,
            cache: CoeffCache | None = None) -> Jet:
     """Jet of the i-th cascade coefficient at the point, to the given order.
 
     conjugated=True returns the swap-rule conjugate coefficient. branch picks
     the quadratic-root sign for i in {11, 12, 13} and is ignored otherwise.
+    t9_mode=None reads t9 as the cache does (as_printed for a new cache).
     """
-    if cache is None:
-        cache = CoeffCache(point, t9_mode=t9_mode,
-                           appendix_reconciliation=appendix_reconciliation)
-    return cache.get(i, order, conjugated=conjugated, branch=branch)
+    cache = _cache_for(point, cache, appendix_reconciliation)
+    return cache.get(i, order, conjugated=conjugated, branch=branch, t9_mode=t9_mode)
 
 
 def t4_skew_residual(point: EvalPoint, cache: CoeffCache | None = None):
@@ -387,15 +395,13 @@ def phase_quadratic_roots(t9, t10, t6, t9bar=None):
     return (-t10 + root) / (2.0 * t9), (-t10 - root) / (2.0 * t9)
 
 
-def t11_roots(point: EvalPoint, *, t9_mode: str = "as_printed",
-              appendix_reconciliation: str = "assume",
+def t11_roots(point: EvalPoint, *, t9_mode: str | None = None,
+              appendix_reconciliation: str | None = None,
               cache: CoeffCache | None = None):
-    """Evaluate both quadratic-root branches of t11 at the point."""
-    if cache is None:
-        cache = CoeffCache(point, t9_mode=t9_mode,
-                           appendix_reconciliation=appendix_reconciliation)
-    t9 = cache.get(9).value()
+    """Evaluate both quadratic-root branches of t11 at the point (t9_mode as in eval_t)."""
+    cache = _cache_for(point, cache, appendix_reconciliation)
+    t9 = cache.get(9, t9_mode=t9_mode).value()
     if np.any(np.abs(t9) <= T9_GUARD):
         raise ZeroDenominator("|t9| below guard; quadratic roots undefined")
     return phase_quadratic_roots(t9, cache.get(10).value(), cache.get(6).value(),
-                                 t9bar=cache.get(9, conjugated=True).value())
+                                 t9bar=cache.get(9, conjugated=True, t9_mode=t9_mode).value())

@@ -8,9 +8,9 @@ verifier reconstructs everything from those two files alone.
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,10 +129,6 @@ class SurfaceFields:
     meta: dict = field(default_factory=dict)
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
-
-
 def write_fields(fields: SurfaceFields, directory: str) -> str:
     """Write fields.csv (deterministic byte layout) and return its path."""
     os.makedirs(directory, exist_ok=True)
@@ -140,15 +136,10 @@ def write_fields(fields: SurfaceFields, directory: str) -> str:
     X, Y = fields.grid.mesh()
     cols = (X, Y, fields.alpha, fields.a.real, fields.a.imag,
             fields.lam.real, fields.lam.imag, fields.nu,
-            fields.c.real, fields.c.imag, fields.K_formula, fields.K_metric)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        mask = fields.mask
-        for i in range(fields.grid.nx):
-            for j in range(fields.grid.ny):
-                row = [_fmt(col[i, j]) for col in cols]
-                row.append(str(int(mask[i, j])))
-                fh.write(",".join(row) + "\n")
+            fields.c.real, fields.c.imag, fields.K_formula, fields.K_metric, fields.mask)
+    np.savetxt(path, np.column_stack([c.ravel() for c in cols]),
+               fmt=["%.17g"] * (len(CSV_COLUMNS) - 1) + ["%d"], delimiter=",",
+               header=",".join(CSV_COLUMNS), comments="")
     return path
 
 
@@ -169,22 +160,30 @@ def read_fields(directory: str) -> SurfaceFields:
         raise ConfigError(f"missing fields.csv under {directory}")
     if not os.path.exists(meta_path):
         raise ConfigError(f"missing meta.json under {directory}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
     try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
         params = ModelParams(rho=float(meta["config"]["params"]["rho"]),
                              b=float(meta["config"]["params"]["b"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"meta.json lacks readable model params: {exc}") from None
 
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
-            raise ConfigError("fields.csv columns do not match the expected layout")
-        data = np.array([[float(v) for v in row] for row in reader], dtype=np.float64)
+    try:
+        with open(csv_path) as fh:
+            if fh.readline().rstrip("\r\n") != ",".join(CSV_COLUMNS):
+                raise ConfigError("fields.csv columns do not match the expected layout")
+            # comments=None: a '#' line is an error; a header-only file is "no rows", unwarned
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"fields.csv is malformed: {exc}") from None
     if data.size == 0:
         raise ConfigError("fields.csv holds no rows")
+    if data.shape[1] != len(CSV_COLUMNS):
+        raise ConfigError(f"fields.csv rows need {len(CSV_COLUMNS)} cells, got {data.shape[1]}")
+    if not np.isin(data[:, 12], range((MASK_SINGULAR | MASK_NUPATH | MASK_DOMAIN) + 1)).all():
+        raise ConfigError("fields.csv mask cells must be integers in 0..7")
 
     xs = data[:, 0]
     # rows are x-major: the leading run of constant x has length ny

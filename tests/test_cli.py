@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -302,6 +303,18 @@ def test_outputs_match_the_recorded_hashes(tmp_path, capsys):
     capsys.readouterr()
 
 
+# sha256 of the PROFILE_ARGV table at 41 samples, the same on stdout and under --out
+PROFILE_SHA256 = "1be0b88b691b7b2908ed8a4cce5bb96896e87c9105bc3448f21467bf4caa0073"
+
+
+def test_profile_table_bytes_are_pinned(tmp_path, capsys):
+    argv = PROFILE_ARGV + ["--samples", "41"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PROFILE_SHA256
+    assert main(argv + ["--out", str(tmp_path / "profile.csv")]) == 0
+    assert hashlib.sha256((tmp_path / "profile.csv").read_bytes()).hexdigest() == PROFILE_SHA256
+
+
 # ---- bad numeric arguments end in a clean exit ----
 
 PROFILE_ARGV = ["profile", "--rho", "-3", "--alpha0", "0.6", "--a0", "0.3+0.4i",
@@ -326,3 +339,43 @@ def test_bad_numeric_arguments_exit_with_json(argv, tmp_path):
     assert proc.returncode in (2, 3), proc.stderr
     err = json.loads(proc.stderr)
     assert isinstance(err, dict) and "error" in err
+
+
+# ---- a malformed field bundle ends in a clean exit ----
+
+@pytest.fixture(scope="module")
+def family_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bundle") / "family"
+    assert main(["family", "--c1", "2", "--grid", "9", "9", "--out", str(out), "--quiet"]) == 0
+    return out
+
+
+def _first_row(edit):
+    def apply(text):
+        header, row, rest = text.split("\n", 2)
+        return "\n".join([header, edit(row), rest])
+    return apply
+
+
+MALFORMED_BUNDLES = {
+    "non-numeric": ("fields.csv", _first_row(lambda row: "abc" + row[row.index(","):])),
+    "ragged-row": ("fields.csv", _first_row(lambda row: row[:row.rindex(",")])),
+    "empty-csv": ("fields.csv", lambda text: ""),
+    "meta-not-json": ("meta.json", lambda text: text[:len(text) // 2]),
+    "mask-257": ("fields.csv", _first_row(lambda row: row[:row.rindex(",") + 1] + "257")),
+    "header-only": ("fields.csv", lambda text: text.split("\n", 1)[0] + "\n"),
+    "hash-row": ("fields.csv", _first_row(lambda row: "#" + row)),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_BUNDLES))
+def test_malformed_field_bundle_exits_with_json(case, family_bundle, tmp_path):
+    name, edit = MALFORMED_BUNDLES[case]
+    bundle = tmp_path / "bundle"
+    shutil.copytree(family_bundle, bundle)
+    (bundle / name).write_text(edit((bundle / name).read_text()))
+    proc = subprocess.run([sys.executable, "-m", "pmcsurf", "verify", str(bundle)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads(proc.stderr)
+    assert isinstance(err, dict) and err["error"] == "ConfigError"

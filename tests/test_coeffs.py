@@ -4,11 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pmcsurf import coeffs
 from pmcsurf.coeffs import (CoeffCache, EvalPoint, ModelParams, check_guards,
                             eval_t, phase_quadratic_roots, t1_value, t2_value,
                             t4_skew_residual, t11_roots)
 from pmcsurf.errors import ConfigError, SingularPoint, UnresolvedFormula, ZeroDenominator
 from pmcsurf.family4 import family_amplitude
+from pmcsurf.jets import jsin
 
 from conftest import MODEL, random_points, richardson_fd
 
@@ -198,6 +200,38 @@ def test_amplitude_derivative_is_a_phase_quadratic_root_on_the_family():
     p1, p2 = t11_roots(pt, t9_mode="as_printed")
     dist_p = np.minimum(np.abs(p1 - a1), np.abs(p2 - a1)) / (1.0 + np.abs(a1))
     assert float(np.min(dist_p)) >= 1e-4
+
+
+def test_explicit_t9_reading_overrides_the_passed_cache():
+    pt = random_points(30, seed=41)
+    alternate = CoeffCache(pt, t9_mode="alternate")
+    for got, want in zip(t11_roots(pt, t9_mode="as_printed", cache=alternate),
+                         t11_roots(pt, t9_mode="as_printed")):
+        assert np.array_equal(got, want)
+    got = eval_t(9, pt, order=1, t9_mode="as_printed", cache=alternate)
+    assert np.array_equal(got.coeffs, eval_t(9, pt, order=1).coeffs)
+    # no reading named: the cache's own
+    got = eval_t(9, pt, order=1, cache=alternate)
+    assert np.array_equal(got.coeffs, eval_t(9, pt, order=1, t9_mode="alternate").coeffs)
+    eval_t(9, pt, appendix_reconciliation="assume", cache=alternate)
+    with pytest.raises(ValueError):
+        eval_t(9, pt, appendix_reconciliation="reject", cache=alternate)
+    with pytest.raises(ValueError):
+        t11_roots(pt, appendix_reconciliation="reject", cache=alternate)
+
+
+def test_swap_mirror_shares_the_trig_block(monkeypatch):
+    calls = []
+
+    def counting_jsin(al):
+        calls.append(al.order)
+        return jsin(al)
+
+    monkeypatch.setattr(coeffs, "jsin", counting_jsin)
+    cache = CoeffCache(random_points(5, seed=3, conjugate_pair=False))
+    cache.get(1, 2)
+    cache.get(1, 2, conjugated=True)
+    assert calls == [2]
 
 
 # ---- guards and modes ----

@@ -7,7 +7,7 @@ import pytest
 from pmcsurf.construct import GAUSS_STEP, cascade_mask, gauss_curvature
 from pmcsurf.errors import RangeMismatch
 from pmcsurf.fields import (Grid, HarmonicInput, MASK_DOMAIN, MASK_NUPATH,
-                            MASK_SINGULAR)
+                            MASK_SINGULAR, read_fields, write_fields, write_meta)
 from pmcsurf.verify import dz, dzbar
 
 from conftest import MODEL, build_generic
@@ -86,6 +86,26 @@ def test_off_locus_construction_masks_and_reports(generic_profile):
     dom = next(ev for ev in res.guard_events if ev["error"] == "NonpositiveDenominator")
     assert dom["nodes_inadmissible"] > 0
     assert 0.0 < dom["fraction_inadmissible"] < 1.0
+
+
+def test_field_bundle_round_trips_bitwise(generic_profile, tmp_path):
+    f = build_generic(21, generic_profile).fields
+    assert f.mask.any() and np.isnan(f.c).any()
+    write_fields(f, str(tmp_path))
+    write_meta({"config": {"params": {"rho": f.params.rho, "b": f.params.b}}}, str(tmp_path))
+    back = read_fields(str(tmp_path))
+    assert back.grid == f.grid and back.params == f.params
+    for name in ("alpha", "a", "lam", "nu", "c", "K_formula", "K_metric", "mask"):
+        x, y = getattr(f, name), getattr(back, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        if name == "mask":
+            assert np.array_equal(x, y)
+            continue
+        # complex columns compare as interleaved (re, im) floats; NaN equals NaN
+        x, y = np.ascontiguousarray(x).view(np.float64), np.ascontiguousarray(y).view(np.float64)
+        nan = np.isnan(x)
+        assert np.array_equal(nan, np.isnan(y)), name
+        assert np.array_equal(x[~nan].view(np.int64), y[~nan].view(np.int64)), name
 
 
 def test_harmonic_input_must_fit_the_warp_range(generic_profile):
