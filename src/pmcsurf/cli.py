@@ -349,9 +349,12 @@ def cmd_profile(args) -> int:
     pot = build_potential(prof, K0=args.K0, Kprime0=args.Kprime0)
     alphas = np.linspace(prof.alpha_range[0], prof.alpha_range[1], args.samples)
     av = prof.a(alphas)
-    np.savetxt(args.out or sys.stdout,
-               np.column_stack([alphas, av.real, av.imag, prof.F(alphas), pot.K(alphas)]),
-               fmt="%.17g", delimiter=",", header="alpha,a_re,a_im,F,K", comments="")
+    try:
+        np.savetxt(args.out or sys.stdout,
+                   np.column_stack([alphas, av.real, av.imag, prof.F(alphas), pot.K(alphas)]),
+                   fmt="%.17g", delimiter=",", header="alpha,a_re,a_im,F,K", comments="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write the profile table: {exc}") from None
     return 0
 
 

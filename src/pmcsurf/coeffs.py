@@ -22,12 +22,13 @@ Two readings of damaged source formulas are carried:
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, SingularPoint, UnresolvedFormula, ZeroDenominator
-from .jets import Jet, differentiate, jcos, jcot, jsin, jsqrt, reciprocal
+from .jets import Jet, differentiate, jcos, jsin, jsqrt, reciprocal
 
 SIN_GUARD = 1e-9        # |sin(alpha)| floor
 SING_GUARD = 1e-6       # |3 sin^2(alpha) - 2| floor
@@ -127,7 +128,8 @@ class _Cascade:
             swapped = EvalPoint(self.point.alpha, self.point.abar, self.point.a,
                                 params=self.point.params)
             self._mirror = _Cascade(swapped, self.appendix, self._trig)
-            self._mirror._mirror = self
+            # a weak way back: no reference cycle, so refcounting frees both
+            self._mirror._mirror = weakref.proxy(self)
         return self._mirror
 
     # ---- base jets and shared subexpressions ----
@@ -144,10 +146,10 @@ class _Cascade:
     def trig(self, order: int):
         if order not in self._trig:
             al, _, _ = self.base(order)
-            s = jsin(al)
+            s, cos = jsin(al), jcos(al)
             s2 = s * s
-            self._trig[order] = {"s": s, "s2": s2, "cot": jcot(al),
-                                 "cos": jcos(al), "inv_s2": reciprocal(s2)}
+            self._trig[order] = {"s": s, "s2": s2, "cot": cos * reciprocal(s),
+                                 "cos": cos, "inv_s2": reciprocal(s2)}
         return self._trig[order]
 
     # ---- partials of a lower coefficient, read one order up ----

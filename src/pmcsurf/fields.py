@@ -9,6 +9,7 @@ verifier reconstructs everything from those two files alone.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -26,6 +27,8 @@ MASK_SINGULAR = 1   # node too close to the cascade singularity sin^2(alpha) = 2
 MASK_NUPATH = 2     # two-path phase integration disagreed beyond 10 h^2
 MASK_DOMAIN = 4     # phase amplitude squared nonpositive: no admissible c there
 
+MAX_SIDE = 2049     # nodes per grid axis; the finest grid pair is 1025/2049
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -39,8 +42,13 @@ class Grid:
     ny: int
 
     def __post_init__(self):
-        if self.nx < 5 or self.ny < 5:
-            raise ConfigError("grid needs at least 5 nodes per axis for the stencils")
+        for n in (self.nx, self.ny):
+            if not isinstance(n, numbers.Integral):
+                raise ConfigError(f"grid sides must be integers, got {n!r}")
+            if n < 5:
+                raise ConfigError("grid needs at least 5 nodes per axis for the stencils")
+            if n > MAX_SIDE:
+                raise ConfigError(f"grid sides are capped at {MAX_SIDE} nodes")
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ConfigError("grid rectangle is degenerate")
 
@@ -156,10 +164,10 @@ def read_fields(directory: str) -> SurfaceFields:
     """Rebuild a SurfaceFields bundle from fields.csv + meta.json."""
     csv_path = os.path.join(directory, "fields.csv")
     meta_path = os.path.join(directory, "meta.json")
-    if not os.path.exists(csv_path):
-        raise ConfigError(f"missing fields.csv under {directory}")
-    if not os.path.exists(meta_path):
-        raise ConfigError(f"missing meta.json under {directory}")
+    if not os.path.isfile(csv_path):
+        raise ConfigError(f"missing fields.csv file under {directory}")
+    if not os.path.isfile(meta_path):
+        raise ConfigError(f"missing meta.json file under {directory}")
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)

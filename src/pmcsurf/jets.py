@@ -7,9 +7,10 @@ what the coefficient cascade requires: partials with respect to a are taken
 with abar held fixed.
 
 Coefficient slots may be numpy arrays of any shape, so a single cascade pass
-evaluates a whole grid of points at once. Multiplication is the Cauchy
-product driven by a precomputed index-triple table; elementary functions are
-Horner compositions with the nilpotent part.
+evaluates a whole batch of points at once. Multiplication is the Cauchy
+product driven by a precomputed index-triple table, summed slot by slot in
+table order; elementary functions are Horner compositions with the nilpotent
+part.
 """
 from __future__ import annotations
 
@@ -55,6 +56,28 @@ def _product_table(order: int):
             rows.append((n1, n2, idx[(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])]))
     arr = np.array(rows, dtype=np.int64)
     return arr[:, 0], arr[:, 1], arr[:, 2]
+
+
+@lru_cache(maxsize=None)
+def _product_passes(order: int):
+    """The product table as passes: pass j holds the j-th term, in table order,
+    of every output slot that has one, as (slots, slot1, slot2).
+
+    Pass 0 holds every slot in order, so it can start the output outright.
+    """
+    i1, i2, iout = _product_table(order)
+    perm = np.argsort(iout, kind="stable")
+    i1, i2, iout = i1[perm], i2[perm], iout[perm]
+    rank = np.arange(len(iout)) - np.searchsorted(iout, iout)
+    return tuple((iout[rank == j], i1[rank == j], i2[rank == j])
+                 for j in range(rank.max() + 1))
+
+
+def _align(c1: np.ndarray, c2: np.ndarray):
+    """Pad the shorter base shape with unit axes after the slot axis, so base
+    shapes broadcast as numpy broadcasts them."""
+    nd = max(c1.ndim, c2.ndim)
+    return tuple(c.reshape(c.shape[:1] + (1,) * (nd - c.ndim) + c.shape[1:]) for c in (c1, c2))
 
 
 @lru_cache(maxsize=None)
@@ -142,11 +165,14 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.order, self.coeffs * np.asarray(other, dtype=np.complex128))
         self._check(other)
-        i1, i2, iout = _product_table(self.order)
-        prod = self.coeffs[i1] * other.coeffs[i2]
-        shape = np.broadcast_shapes(self.coeffs.shape[1:], other.coeffs.shape[1:])
-        out = np.zeros((ncoeff(self.order),) + shape, dtype=np.complex128)
-        np.add.at(out, iout, prod)
+        c1, c2 = _align(self.coeffs, other.coeffs)
+        (_, f1, f2), *rest = _product_passes(self.order)
+        out = c1[f1] * c2[f2]
+        # each slot sums its terms in table order onto +0.0, so an all-zero
+        # sum is +0.0 whatever the signs of its zero terms
+        out += 0.0
+        for slots, j1, j2 in rest:
+            out[slots] += c1[j1] * c2[j2]
         return Jet(self.order, out)
 
     __rmul__ = __mul__

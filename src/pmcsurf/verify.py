@@ -10,7 +10,6 @@ always computed and reported but never gate the outcome.
 """
 from __future__ import annotations
 
-import gc
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ IDENTITY_CLASS = frozenset({"E2_6_ricci"})
 EXPERIMENTAL = frozenset({"E2_12", "E2_13"})
 
 MARGIN = 2           # frame nodes excluded from every statistic
+CHUNK = 2048         # evaluable nodes per cascade chunk: bounds the jets alive per worker
 ZERO_FLOOR = 1e-11   # residual pairs below this are degenerate-exact; no order is defined
 
 # Mask bits that invalidate each equation's inputs. A node leaves a statistic
@@ -104,30 +104,55 @@ def dzdzbar(F, hx, hy):
 
 # ---- cascade values over a field grid ----
 
-def _prepare(fields: SurfaceFields) -> dict:
+T_IDS = (1, 2, 5, 6, 7, 8, 10)   # the coefficients the residuals read, besides conj t1 and t9
+
+
+def _cascade_values(point: EvalPoint) -> list:
+    """The T_IDS values, conj t1 and t9 under each reading at one chunk of points."""
+    cache = CoeffCache(point)
+    return ([cache.get(i).value() for i in T_IDS]
+            + [cache.get(1, conjugated=True).value()]
+            + [cache.get(9, t9_mode=m).value() for m in T9_READINGS])
+
+
+def _prepare(fields: SurfaceFields, workers: int = 1) -> dict:
     """Everything the residual evaluators read, computed up front.
 
-    All cascade values are materialized here so the worker threads touch only
-    immutable arrays. Cascade evaluation runs on every node that clears the
-    singularity guards and is not singularity-masked; phase-stage mask bits do
-    not block it, since the angle and Hopf columns stay valid there.
+    Cascade evaluation runs on every node that clears the singularity guards
+    and is not singularity-masked; phase-stage mask bits do not block it,
+    since the angle and Hopf columns stay valid there. The evaluable nodes go
+    through the cascade in chunks of CHUNK, on a pool of `workers` threads
+    when there is more than one; each chunk's jets are freed when it ends,
+    and the values are joined in node order, so the result does not depend
+    on the chunking or the thread count.
     """
     g = fields.grid
     hx, hy = g.hx, g.hy
     al, a, lam, c = fields.alpha, fields.a, fields.lam, fields.c
     mask = fields.mask
     ok = cascade_ok(al) & ((mask & MASK_SINGULAR) == 0)
-    pt = EvalPoint(al[ok], a[ok], params=fields.params)
-    cache = CoeffCache(pt)
+    al_ok, a_ok = al[ok], a[ok]
 
-    def scatter(vals):
+    def chunk(k):
+        return _cascade_values(EvalPoint(al_ok[k:k + CHUNK], a_ok[k:k + CHUNK],
+                                         params=fields.params))
+
+    starts = range(0, max(al_ok.size, 1), CHUNK)   # one empty chunk when nothing is evaluable
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(chunk, starts))
+    else:
+        parts = [chunk(k) for k in starts]
+
+    def scatter(*vals):
         out = np.full(al.shape, np.nan, dtype=np.complex128)
-        out[ok] = vals
+        out[ok] = np.concatenate(vals)
         return out
 
-    t = {i: scatter(cache.get(i).value()) for i in (1, 2, 5, 6, 7, 8, 10)}
-    t1b = scatter(cache.get(1, conjugated=True).value())
-    t9 = {m: scatter(cache.get(9, t9_mode=m).value()) for m in T9_READINGS}
+    cols = [scatter(*vals) for vals in zip(*parts)]
+    t = dict(zip(T_IDS, cols))
+    t1b = cols[len(T_IDS)]
+    t9 = dict(zip(T9_READINGS, cols[len(T_IDS) + 1:]))
 
     s = np.sin(al)
     cot = np.cos(al) / s
@@ -300,13 +325,11 @@ def verify_suite(coarse: SurfaceFields, fine: SurfaceFields | None = None,
     gate; the t9-sensitive one is reported under both readings.
     """
     degraded = fine is None
-    prep_c = _prepare(coarse)
-    prep_f = None
     if not degraded:
         _check_pair(coarse, fine)
-        prep_f = _prepare(fine)
-
     workers = max_workers or default_workers()
+    prep_c = _prepare(coarse, workers)
+    prep_f = None if degraded else _prepare(fine, workers)
 
     def run(task):
         eq, variant = task
@@ -317,15 +340,9 @@ def verify_suite(coarse: SurfaceFields, fine: SurfaceFields | None = None,
             mf = _max_stat(_residual(eq, prep_f, variant), prep_f["mask"], rel)
         return eq, variant, mc, mf
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, TASKS))
-    else:
-        results = [run(t) for t in TASKS]
-
     lo_band, hi_band = thresholds.order_band
     rows = []
-    for eq, variant, mc, mf in results:
+    for eq, variant, mc, mf in map(run, TASKS):
         kind = ("experimental" if eq in EXPERIMENTAL
                 else "identity" if eq in IDENTITY_CLASS else "stencil")
         rep = EquationReport(equation=eq, kind=kind, max_coarse=mc, max_fine=mf,
@@ -355,11 +372,4 @@ def verify_suite(coarse: SurfaceFields, fine: SurfaceFields | None = None,
                     and (mc > ZERO_FLOOR or mf > ZERO_FLOOR):
                 rep.order = float(np.log(mc / mf) / np.log(coarse.grid.h / fine.grid.h))
         rows.append(rep)
-
-    # the prepared tables run to gigabytes at working resolution and the jet
-    # cascade leaves reference cycles; reclaim before returning so back-to-back
-    # suite runs do not stack transient peaks
-    prep_c = prep_f = None
-    gc.collect()
-
     return VerifyReport(rows=rows, degraded=degraded, thresholds=thresholds)

@@ -14,10 +14,10 @@ import pytest
 from pmcsurf.cli import fmt_complex, main, parse_complex
 from pmcsurf.errors import ConfigError
 from pmcsurf.family4 import family_amplitude
-from pmcsurf.fields import HarmonicInput, read_fields
+from pmcsurf.fields import MAX_SIDE, HarmonicInput, read_fields
 from pmcsurf.profile import build_potential, solve_profile
 
-from conftest import MODEL, generic_config
+from conftest import GENERIC_CONFIG, MODEL, generic_config
 
 
 @pytest.mark.parametrize("text,value", [
@@ -174,7 +174,9 @@ HUGE = int("9" * 400)   # an int with no float value
     {"harmonic": {"coeffs": [[HUGE, 0.0], [0.9, 0.0]]}},
     {"harmonic": {"coeffs": [[float("nan"), 0.0], [0.9, 0.0]]}},
     {"thresholds": {"order_band": [1.7, HUGE]}},
-], ids=["nu0-huge", "coeff-huge", "coeff-nan", "band-huge"])
+    {"grid": {**GENERIC_CONFIG["grid"], "nx": HUGE}},
+    {"grid": {**GENERIC_CONFIG["grid"], "nx": MAX_SIDE + 1}},
+], ids=["nu0-huge", "coeff-huge", "coeff-nan", "band-huge", "grid-nx-huge", "grid-nx-over-cap"])
 def test_construct_rejects_non_finite_config_numbers(sections, tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(generic_config(9, **sections)))
@@ -329,8 +331,9 @@ PROFILE_ARGV = ["profile", "--rho", "-3", "--alpha0", "0.6", "--a0", "0.3+0.4i",
     ["family", "--c1", "inf"],
     ["family", "--c1", "2", "--quad-tol", "0"],
     PROFILE_ARGV + ["--samples", "9" * 400],
+    ["family", "--c1", "2", "--grid", "5", "9" * 400],
 ], ids=["samples", "tcoef-alpha", "profile-b", "profile-rho", "family-c1", "quad-tol",
-        "samples-huge"])
+        "samples-huge", "grid-huge"])
 def test_bad_numeric_arguments_exit_with_json(argv, tmp_path):
     if argv[0] == "family":
         argv = argv + ["--out", str(tmp_path / "out")]
@@ -339,6 +342,16 @@ def test_bad_numeric_arguments_exit_with_json(argv, tmp_path):
     assert proc.returncode in (2, 3), proc.stderr
     err = json.loads(proc.stderr)
     assert isinstance(err, dict) and "error" in err
+
+
+def test_profile_out_in_a_missing_directory_exits_with_json(tmp_path):
+    out = tmp_path / "missing_dir" / "t.csv"
+    proc = subprocess.run([sys.executable, "-m", "pmcsurf", *PROFILE_ARGV, "--samples", "5",
+                           "--out", str(out)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ConfigError" and "missing_dir" in err["message"]
+    assert not out.parent.exists()
 
 
 # ---- a malformed field bundle ends in a clean exit ----
@@ -365,6 +378,8 @@ MALFORMED_BUNDLES = {
     "mask-257": ("fields.csv", _first_row(lambda row: row[:row.rindex(",") + 1] + "257")),
     "header-only": ("fields.csv", lambda text: text.split("\n", 1)[0] + "\n"),
     "hash-row": ("fields.csv", _first_row(lambda row: "#" + row)),
+    "csv-is-dir": ("fields.csv", None),
+    "meta-is-dir": ("meta.json", None),
 }
 
 
@@ -373,7 +388,11 @@ def test_malformed_field_bundle_exits_with_json(case, family_bundle, tmp_path):
     name, edit = MALFORMED_BUNDLES[case]
     bundle = tmp_path / "bundle"
     shutil.copytree(family_bundle, bundle)
-    (bundle / name).write_text(edit((bundle / name).read_text()))
+    if edit is None:   # a directory where the file belongs
+        (bundle / name).unlink()
+        (bundle / name).mkdir()
+    else:
+        (bundle / name).write_text(edit((bundle / name).read_text()))
     proc = subprocess.run([sys.executable, "-m", "pmcsurf", "verify", str(bundle)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3, proc.stderr

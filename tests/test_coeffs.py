@@ -4,13 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pmcsurf import coeffs
+from pmcsurf import coeffs, jets
 from pmcsurf.coeffs import (CoeffCache, EvalPoint, ModelParams, check_guards,
                             eval_t, phase_quadratic_roots, t1_value, t2_value,
                             t4_skew_residual, t11_roots)
 from pmcsurf.errors import ConfigError, SingularPoint, UnresolvedFormula, ZeroDenominator
 from pmcsurf.family4 import family_amplitude
-from pmcsurf.jets import jsin
+from pmcsurf.jets import Jet, jcos, jcot, jsin
 
 from conftest import MODEL, random_points, richardson_fd
 
@@ -221,17 +221,26 @@ def test_explicit_t9_reading_overrides_the_passed_cache():
 
 
 def test_swap_mirror_shares_the_trig_block(monkeypatch):
-    calls = []
+    calls = {"sin": [], "cos": []}
 
-    def counting_jsin(al):
-        calls.append(al.order)
-        return jsin(al)
+    def counting(name, fn):
+        def wrapped(al):
+            calls[name].append(al.order)
+            return fn(al)
+        return wrapped
 
-    monkeypatch.setattr(coeffs, "jsin", counting_jsin)
+    monkeypatch.setattr(coeffs, "jsin", counting("sin", jsin))
+    # jets.jcos too, so a cotangent built by jets.jcot would count as well
+    for owner in (coeffs, jets):
+        monkeypatch.setattr(owner, "jcos", counting("cos", jcos))
     cache = CoeffCache(random_points(5, seed=3, conjugate_pair=False))
     cache.get(1, 2)
     cache.get(1, 2, conjugated=True)
-    assert calls == [2]
+    assert calls == {"sin": [2], "cos": [2]}
+    # the cotangent from the block's own sin and cos is jcot's, bit for bit
+    al = Jet.variable(0, cache.point.alpha, 2)
+    tr = cache._cascade.trig(2)
+    assert tr["cot"].coeffs.tobytes() == jcot(al).coeffs.tobytes()
 
 
 # ---- guards and modes ----

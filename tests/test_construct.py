@@ -5,12 +5,25 @@ import numpy as np
 import pytest
 
 from pmcsurf.construct import GAUSS_STEP, cascade_mask, gauss_curvature
-from pmcsurf.errors import RangeMismatch
-from pmcsurf.fields import (Grid, HarmonicInput, MASK_DOMAIN, MASK_NUPATH,
+from pmcsurf.errors import ConfigError, RangeMismatch
+from pmcsurf.fields import (MAX_SIDE, Grid, HarmonicInput, MASK_DOMAIN, MASK_NUPATH,
                             MASK_SINGULAR, read_fields, write_fields, write_meta)
 from pmcsurf.verify import dz, dzbar
 
 from conftest import MODEL, build_generic
+
+
+@pytest.mark.parametrize("side", [4, MAX_SIDE + 1, int("9" * 400), 9.0, "9", None])
+def test_grid_sides_are_bounded_integers(side):
+    with pytest.raises(ConfigError):
+        Grid(0.0, 1.0, 0.0, 1.0, 9, side)
+    with pytest.raises(ConfigError):
+        Grid(0.0, 1.0, 0.0, 1.0, side, 9)
+
+
+def test_grid_sides_up_to_the_cap_are_legal():
+    for side in (5, 641, MAX_SIDE, np.int64(9)):
+        assert Grid(0.0, 1.0, 0.0, 1.0, side, side).nx == side
 
 
 def test_locus_construction_is_guard_clean(locus_pipeline):

@@ -1,12 +1,14 @@
 """Truncated three-variable Taylor arithmetic."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pmcsurf.jets import (Jet, compose, differentiate, exponent_table, jcos, jcot,
-                          jsin, jsqrt, ncoeff, reciprocal)
+from pmcsurf.jets import (Jet, _product_table, compose, differentiate, exponent_table, jcos,
+                          jcot, jsin, jsqrt, ncoeff, reciprocal)
 
 from conftest import richardson_fd
 
@@ -49,6 +51,43 @@ def jets(draw, order=3):
     re = draw(st.lists(finite, min_size=n, max_size=n))
     im = draw(st.lists(finite, min_size=n, max_size=n))
     return Jet(order, np.array(re) + 1j * np.array(im))
+
+
+def naive_product(j1: Jet, j2: Jet) -> np.ndarray:
+    """The Cauchy product summed term by term, in table order, onto zeros."""
+    i1, i2, iout = _product_table(j1.order)
+    base = np.broadcast_shapes(j1.coeffs.shape[1:], j2.coeffs.shape[1:])
+    out = np.zeros((ncoeff(j1.order),) + base, dtype=np.complex128)
+    for n1, n2, s in zip(i1, i2, iout):
+        # length-1 slices keep numpy's array arithmetic (scalar arithmetic rounds differently)
+        out[s:s + 1] += j1.coeffs[n1:n1 + 1] * j2.coeffs[n2:n2 + 1]
+    return out
+
+
+def awkward_jet(rng, order, base=()):
+    """Random slots with exact zeros of both signs, so all-zero sums occur."""
+    shape = (ncoeff(order),) + base
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    c[rng.random(shape) < 0.3] = 0.0
+    c.real[rng.random(shape) < 0.2] = -0.0
+    c.imag[rng.random(shape) < 0.2] = -0.0
+    return Jet(order, c)
+
+
+@pytest.mark.parametrize("order", range(6))
+def test_product_kernel_matches_in_order_accumulation_bitwise(order):
+    assert len(_product_table(order)[0]) == math.comb(order + 6, 6)
+    rng = np.random.default_rng(order)
+    pairs = [(awkward_jet(rng, order, (5,)), awkward_jet(rng, order, (5,))),
+             (awkward_jet(rng, order), awkward_jet(rng, order)),
+             (awkward_jet(rng, order), awkward_jet(rng, order, (5,))),
+             (awkward_jet(rng, order, (5,)), awkward_jet(rng, order)),
+             (awkward_jet(rng, order, (3, 1)), awkward_jet(rng, order, (4,)))]
+    for j1, j2 in pairs:
+        got = (j1 * j2).coeffs
+        want = naive_product(j1, j2)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @given(jets(), jets())
@@ -187,7 +226,6 @@ def test_array_valued_slots_evaluate_whole_batches():
 
 
 def test_compose_against_exp_series():
-    import math
     j = Jet.variable(0, 0.3, order=3) * 2.0
     series = [np.exp(0.6) / math.factorial(k) for k in range(4)]
     out = compose(series, j)

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from pmcsurf import verify
-from pmcsurf.coeffs import ModelParams
+from pmcsurf.coeffs import ModelParams, cascade_ok
 from pmcsurf.errors import ConfigError
 from pmcsurf.fields import Grid, MASK_DOMAIN, MASK_NUPATH, MASK_SINGULAR
 from pmcsurf.verify import (EQUATIONS, EXPERIMENTAL, IDENTITY_CLASS, MARGIN,
@@ -138,20 +140,73 @@ def test_report_serialization_and_table(locus_pair):
     assert "pass" in text and "recorded" in text and "E2_13[alternate]" in text
 
 
+def _chunk_sizes(fields):
+    ok = cascade_ok(fields.alpha) & ((fields.mask & MASK_SINGULAR) == 0)
+    n = int(np.count_nonzero(ok))
+    return [min(verify.CHUNK, n - k) for k in range(0, n, verify.CHUNK)]
+
+
 def test_one_coefficient_cache_per_grid(locus_pair, monkeypatch):
-    # both t9 readings come from the one cascade of each grid
+    # one cache per chunk of each grid's evaluable nodes; both t9 readings come from it
     built = []
 
     class Counting(verify.CoeffCache):
         def __init__(self, point, **kwargs):
-            built.append(point.alpha.size)
+            built.append((point.alpha.size, kwargs))
             super().__init__(point, **kwargs)
 
     monkeypatch.setattr(verify, "CoeffCache", Counting)
     rep = verify_suite(*locus_pair, max_workers=1)
-    assert len(built) == 2
+    sizes = [_chunk_sizes(f) for f in locus_pair]
+    assert len(sizes[1]) > 1                      # the fine grid spans several chunks
+    assert [n for n, _ in built] == sizes[0] + sizes[1]
+    assert all(kwargs == {} for _, kwargs in built)
     assert sorted(r.variant for r in rep.rows if r.equation == "E2_13") == ["alternate", "as_printed"]
     assert "t9_mode" not in rep.to_dict()
+
+
+def _same_bits(x, y) -> bool:
+    """Bitwise equality; NaN equals NaN of the same payload."""
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(_same_bits(x[k], y[k]) for k in x)
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    return x is y or x == y
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunked_preparation_matches_one_chunk_bitwise(locus_pair, monkeypatch, workers):
+    fields = locus_pair[1]
+    monkeypatch.setattr(verify, "CHUNK", fields.alpha.size)
+    whole = verify._prepare(fields)
+    monkeypatch.setattr(verify, "CHUNK", 7)
+    chunked = verify._prepare(fields, workers)
+    assert whole.keys() == chunked.keys()
+    for key in whole:
+        assert _same_bits(whole[key], chunked[key]), key
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunk_cascades_are_freed_without_the_collector(locus_pair, monkeypatch, workers):
+    # the swap mirror points back weakly, so refcounting alone frees a chunk's jets
+    alive = []
+
+    class Recording(verify.CoeffCache):
+        def __init__(self, point, **kwargs):
+            super().__init__(point, **kwargs)
+            alive.extend(weakref.ref(c) for c in (self._cascade, self._cascade.mirror()))
+
+    monkeypatch.setattr(verify, "CoeffCache", Recording)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        verify._prepare(locus_pair[1], workers)   # no gc.collect() to hide a cycle
+        assert len(alive) > 2 and all(ref() is None for ref in alive)
+        verify_suite(*locus_pair, max_workers=workers)
+        assert all(ref() is None for ref in alive)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_worker_count_env_override(monkeypatch):
@@ -170,4 +225,5 @@ def test_serial_execution_matches_threaded(locus_pair):
     for r1, r2 in zip(rep1.rows, rep2.rows):
         assert r1.equation == r2.equation and r1.variant == r2.variant
         assert r1.max_coarse == r2.max_coarse
+        assert r1.max_fine == r2.max_fine
         assert r1.order == r2.order
