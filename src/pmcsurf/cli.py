@@ -229,17 +229,26 @@ def load_config(path: str, grid_override=None) -> RunConfig:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # bad JSON, or an integer literal past Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if grid_override is not None and isinstance(data, dict) and isinstance(data.get("grid"), dict):
         data = {**data, "grid": {**data["grid"], "nx": grid_override[0], "ny": grid_override[1]}}
     return RunConfig.from_dict(data)
 
 
+def _out_dir(path: str) -> None:
+    """Create the --out directory up front; a path that cannot be one is a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path} cannot be a directory: {exc.strerror or exc}") from None
+
+
 # ---- subcommands ----
 
 def cmd_construct(args) -> int:
     cfg = load_config(args.config, grid_override=args.grid)
+    _out_dir(args.out)
     prof = solve_profile(cfg.params, cfg.alpha0, cfg.a0, cfg.alpha_range,
                          tol=cfg.profile_tol)
     pot = build_potential(prof, K0=cfg.K0, Kprime0=cfg.Kprime0)
@@ -285,9 +294,11 @@ def _thresholds_for_verify(args, coarse_meta: dict) -> Thresholds:
 def cmd_verify(args) -> int:
     coarse = read_fields(args.dirs[0])
     fine = read_fields(args.dirs[1]) if len(args.dirs) > 1 else None
-    report = verify_suite(coarse, fine, thresholds=_thresholds_for_verify(args, coarse.meta))
+    thresholds = _thresholds_for_verify(args, coarse.meta)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _out_dir(args.out)
+    report = verify_suite(coarse, fine, thresholds=thresholds)
+    if args.out:
         with open(os.path.join(args.out, "verify_report.json"), "w") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -309,6 +320,7 @@ def cmd_family(args) -> int:
                 nx=args.grid[0], ny=args.grid[1])
     harmonic = HarmonicInput.affine_window(window[0], window[1],
                                            rect=rect, tilt=args.tilt)
+    _out_dir(args.out)
     result = family4.family_surface(harmonic, grid, params, quad_tol=args.quad_tol)
     meta = {
         "command": "family",

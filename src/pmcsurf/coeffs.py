@@ -114,7 +114,12 @@ def omega1(alpha, a, t1, t2, D, params: ModelParams):
 
 
 class _Cascade:
-    """Memoized jet evaluation of the cascade at one point batch."""
+    """Memoized jet evaluation of the cascade at one point batch.
+
+    scripts/gen_cascade.py runs these same formulas on sympy symbols by
+    overriding base, trig, d and mirror, so a formula may reach the point
+    only through those, self.point.params and reciprocal.
+    """
 
     def __init__(self, point: EvalPoint, appendix: str, trig: dict | None = None):
         self.point = point

@@ -11,13 +11,13 @@ always computed and reported but never gate the outcome.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import T9_READINGS, CoeffCache, EvalPoint, cascade_ok, omega1, phase_D
-from .errors import ConfigError
+from ._cascade_gen import T_IDS, cascade_values
+from .coeffs import T9_READINGS, CoeffCache, EvalPoint, ModelParams, cascade_ok, omega1, phase_D
+from .errors import ConfigError, ZeroDenominator
 from .fields import MASK_DOMAIN, MASK_SINGULAR, MASK_NUPATH, SurfaceFields
 from .profile import F_eval
 
@@ -42,7 +42,7 @@ IDENTITY_CLASS = frozenset({"E2_6_ricci"})
 EXPERIMENTAL = frozenset({"E2_12", "E2_13"})
 
 MARGIN = 2           # frame nodes excluded from every statistic
-CHUNK = 2048         # evaluable nodes per cascade chunk: bounds the jets alive per worker
+CHUNK = 2048         # evaluable nodes per cascade chunk: bounds the cascade's live temporaries
 ZERO_FLOOR = 1e-11   # residual pairs below this are degenerate-exact; no order is defined
 
 # Mask bits that invalidate each equation's inputs. A node leaves a statistic
@@ -104,27 +104,32 @@ def dzdzbar(F, hx, hy):
 
 # ---- cascade values over a field grid ----
 
-T_IDS = (1, 2, 5, 6, 7, 8, 10)   # the coefficients the residuals read, besides conj t1 and t9
+def _cascade_values(alpha, a, params: ModelParams) -> list:
+    """t1, t2, conj t1, the T_IDS values and t9 under each reading at one chunk of points.
+
+    The values built on partials come from the straight-line function that
+    scripts/gen_cascade.py derives from coeffs.py's cascade. t1, t2 and
+    conj t1 need no partials and are read from the jet cascade at order 0,
+    which costs a few percent: OMEGA_CLOSED's phase density multiplies a
+    one-ulp change in t1 about a hundredfold, which moves its order on the
+    c1 = -1 family by 2e-3.
+    """
+    if params.rho == 0:
+        raise ZeroDenominator("rho = 0 makes t6 undefined")
+    cache = CoeffCache(EvalPoint(alpha, a, params=params))
+    return ([cache.get(1).value(), cache.get(2).value(), cache.get(1, conjugated=True).value()]
+            + list(cascade_values(alpha, a, np.conj(a), params.rho, params.b)))
 
 
-def _cascade_values(point: EvalPoint) -> list:
-    """The T_IDS values, conj t1 and t9 under each reading at one chunk of points."""
-    cache = CoeffCache(point)
-    return ([cache.get(i).value() for i in T_IDS]
-            + [cache.get(1, conjugated=True).value()]
-            + [cache.get(9, t9_mode=m).value() for m in T9_READINGS])
-
-
-def _prepare(fields: SurfaceFields, workers: int = 1) -> dict:
+def _prepare(fields: SurfaceFields) -> dict:
     """Everything the residual evaluators read, computed up front.
 
     Cascade evaluation runs on every node that clears the singularity guards
     and is not singularity-masked; phase-stage mask bits do not block it,
     since the angle and Hopf columns stay valid there. The evaluable nodes go
-    through the cascade in chunks of CHUNK, on a pool of `workers` threads
-    when there is more than one; each chunk's jets are freed when it ends,
-    and the values are joined in node order, so the result does not depend
-    on the chunking or the thread count.
+    through the cascade in chunks of CHUNK, which bounds its temporaries, and
+    the values are joined in node order; the cascade is nodewise, so the
+    result does not depend on the chunking.
     """
     g = fields.grid
     hx, hy = g.hx, g.hy
@@ -132,27 +137,18 @@ def _prepare(fields: SurfaceFields, workers: int = 1) -> dict:
     mask = fields.mask
     ok = cascade_ok(al) & ((mask & MASK_SINGULAR) == 0)
     al_ok, a_ok = al[ok], a[ok]
-
-    def chunk(k):
-        return _cascade_values(EvalPoint(al_ok[k:k + CHUNK], a_ok[k:k + CHUNK],
-                                         params=fields.params))
-
     starts = range(0, max(al_ok.size, 1), CHUNK)   # one empty chunk when nothing is evaluable
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk, starts))
-    else:
-        parts = [chunk(k) for k in starts]
+    parts = [_cascade_values(al_ok[k:k + CHUNK], a_ok[k:k + CHUNK], fields.params)
+             for k in starts]
 
     def scatter(*vals):
         out = np.full(al.shape, np.nan, dtype=np.complex128)
         out[ok] = np.concatenate(vals)
         return out
 
-    cols = [scatter(*vals) for vals in zip(*parts)]
-    t = dict(zip(T_IDS, cols))
-    t1b = cols[len(T_IDS)]
-    t9 = dict(zip(T9_READINGS, cols[len(T_IDS) + 1:]))
+    t1, t2, t1b, *cols = [scatter(*vals) for vals in zip(*parts)]
+    t = {1: t1, 2: t2, **dict(zip(T_IDS, cols))}
+    t9 = dict(zip(T9_READINGS, cols[len(T_IDS):]))
 
     s = np.sin(al)
     cot = np.cos(al) / s
@@ -304,6 +300,11 @@ TASKS = tuple((eq, m) for eq in EQUATIONS
 
 
 def default_workers() -> int:
+    """The thread count PMC_THREADS asks for, else the CPU count.
+
+    Nothing in pmcsurf reads it any more (verification is single-threaded);
+    it is kept for callers that label runs with it, such as perfbench.
+    """
     env = os.environ.get("PMC_THREADS", "")
     if env.strip():
         try:
@@ -314,8 +315,7 @@ def default_workers() -> int:
 
 
 def verify_suite(coarse: SurfaceFields, fine: SurfaceFields | None = None,
-                 thresholds: Thresholds = Thresholds(),
-                 max_workers: int | None = None) -> VerifyReport:
+                 thresholds: Thresholds = Thresholds()) -> VerifyReport:
     """Evaluate every residual on one surface or a resolution pair.
 
     With a pair, stencil-class equations are judged by convergence order
@@ -327,9 +327,8 @@ def verify_suite(coarse: SurfaceFields, fine: SurfaceFields | None = None,
     degraded = fine is None
     if not degraded:
         _check_pair(coarse, fine)
-    workers = max_workers or default_workers()
-    prep_c = _prepare(coarse, workers)
-    prep_f = None if degraded else _prepare(fine, workers)
+    prep_c = _prepare(coarse)
+    prep_f = None if degraded else _prepare(fine)
 
     def run(task):
         eq, variant = task

@@ -176,10 +176,13 @@ HUGE = int("9" * 400)   # an int with no float value
     {"thresholds": {"order_band": [1.7, HUGE]}},
     {"grid": {**GENERIC_CONFIG["grid"], "nx": HUGE}},
     {"grid": {**GENERIC_CONFIG["grid"], "nx": MAX_SIDE + 1}},
-], ids=["nu0-huge", "coeff-huge", "coeff-nan", "band-huge", "grid-nx-huge", "grid-nx-over-cap"])
+    {"nu0": "<5000 nines>"},   # past Python's 4300-digit limit on reading an int
+], ids=["nu0-huge", "coeff-huge", "coeff-nan", "band-huge", "grid-nx-huge", "grid-nx-over-cap",
+        "nu0-5000-digits"])
 def test_construct_rejects_non_finite_config_numbers(sections, tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps(generic_config(9, **sections)))
+    text = json.dumps(generic_config(9, **sections))
+    cfg_path.write_text(text.replace('"<5000 nines>"', "9" * 5000))
     rc = main(["construct", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
@@ -354,6 +357,26 @@ def test_profile_out_in_a_missing_directory_exits_with_json(tmp_path):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["family", "--c1", "2", "--grid", "9", "9"],
+    ["construct", "--config", "CONFIG"],
+    ["verify", "BUNDLE"],
+], ids=["family", "construct", "verify"])
+def test_out_naming_an_existing_file_exits_with_json(argv, family_bundle, tmp_path):
+    cfg = tmp_path / "generic.json"
+    cfg.write_text(json.dumps(generic_config(9)))
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    paths = {"CONFIG": str(cfg), "BUNDLE": str(family_bundle)}
+    argv = [paths.get(arg, arg) for arg in argv]
+    proc = subprocess.run([sys.executable, "-m", "pmcsurf", *argv, "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ConfigError" and "taken" in err["message"]
+    assert out.read_text() == "not a directory\n"
+
+
 # ---- a malformed field bundle ends in a clean exit ----
 
 @pytest.fixture(scope="module")
@@ -398,3 +421,22 @@ def test_malformed_field_bundle_exits_with_json(case, family_bundle, tmp_path):
     assert proc.returncode == 3, proc.stderr
     err = json.loads(proc.stderr)
     assert isinstance(err, dict) and err["error"] == "ConfigError"
+
+
+def test_flat_ambient_space_in_a_bundle_exits_with_zero_denominator(tmp_path):
+    # a bundle may claim rho = 0; verify stops at t6 as the jet cascade did
+    dirs = []
+    for n in (9, 17):
+        out = tmp_path / f"fam{n}"
+        assert main(["family", "--c1", "2", "--grid", str(n), str(n), "--out", str(out),
+                     "--quiet"]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        meta["config"]["params"]["rho"] = 0
+        (out / "meta.json").write_text(json.dumps(meta))
+        dirs.append(str(out))
+    proc = subprocess.run([sys.executable, "-m", "pmcsurf", "verify", *dirs],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ZeroDenominator"
+    assert err["message"] == "rho = 0 makes t6 undefined"

@@ -1,15 +1,21 @@
 """Coefficient cascade: pins, symmetries, derivative wiring, guard behavior."""
 from __future__ import annotations
 
+import gc
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pmcsurf import coeffs, jets
+from pmcsurf import _cascade_gen, coeffs, jets
 from pmcsurf.coeffs import (CoeffCache, EvalPoint, ModelParams, check_guards,
                             eval_t, phase_quadratic_roots, t1_value, t2_value,
                             t4_skew_residual, t11_roots)
 from pmcsurf.errors import ConfigError, SingularPoint, UnresolvedFormula, ZeroDenominator
-from pmcsurf.family4 import family_amplitude
+from pmcsurf.family4 import family_amplitude, valid_interval
 from pmcsurf.jets import Jet, jcos, jcot, jsin
 
 from conftest import MODEL, random_points, richardson_fd
@@ -303,3 +309,71 @@ def test_order_zero_values_match_the_cascade(conjugate_pair):
                                rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(t2_value(pt.alpha, pt.a, pt.abar, MODEL), cache.get(2).value(),
                                rtol=1e-12, atol=0.0)
+
+
+# ---- the generated straight-line cascade the verifier reads ----
+
+def _arc_points(params: ModelParams, conjugate_pair: bool, n: int = 300, seed: int = 0):
+    """Points on the family amplitude arcs of c1 = 2, 3 and -1, over the window
+    (0.08-0.33 of each arc) that family surfaces use.
+
+    t10 and t9 "alternate" are long sums that cancel: at generic points both
+    the jets and the generated code lose digits alike (up to ~2e-8 relative,
+    each against a 60-digit reference), so the oracle compares them where the
+    verifier evaluates them and the cascade is well conditioned.
+    """
+    rng = np.random.default_rng(seed)
+    alpha, a = [], []
+    for c1 in (2.0, 3.0, -1.0):
+        lo, hi = valid_interval(c1)
+        t = rng.uniform(lo + 0.08 * (hi - lo), lo + 0.33 * (hi - lo), n)
+        alpha.append(t)
+        a.append(family_amplitude(t, c1))
+    alpha, a = np.concatenate(alpha), np.concatenate(a)
+    abar = np.conj(a)
+    if not conjugate_pair:
+        abar = abar + 0.1 * (rng.uniform(-1.0, 1.0, a.size) + 1j * rng.uniform(-1.0, 1.0, a.size))
+    return EvalPoint(alpha, a, abar, params=params)
+
+
+@pytest.mark.parametrize("params", [MODEL, ModelParams(rho=-1.5, b=0.5)], ids=["model", "other"])
+@pytest.mark.parametrize("conjugate_pair", [True, False], ids=["pair", "off-pair"])
+def test_generated_cascade_matches_the_jet_cascade(params, conjugate_pair):
+    pt = _arc_points(params, conjugate_pair)
+    cache = CoeffCache(pt)
+    want = ([cache.get(i).value() for i in _cascade_gen.T_IDS]
+            + [cache.get(9, t9_mode=m).value() for m in coeffs.T9_READINGS])
+    got = _cascade_gen.cascade_values(pt.alpha, pt.a, pt.abar, params.rho, params.b)
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g.shape == w.shape
+        assert np.all(np.abs(g - w) <= 1e-12 * (1.0 + np.abs(w))), k
+    # the two t9 readings differ, so each output is checked against its own reading
+    assert not np.allclose(want[-1], want[-2])
+
+
+def test_generated_cascade_module_is_up_to_date():
+    sympy = pytest.importorskip("sympy")
+    if sympy.__version__ != _cascade_gen.SYMPY_VERSION:
+        pytest.skip(f"module written by sympy {_cascade_gen.SYMPY_VERSION}, "
+                    f"sympy {sympy.__version__} installed")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "gen_cascade.py"
+    proc = subprocess.run([sys.executable, str(script), "--check"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
+
+
+def test_cache_and_its_mirror_are_freed_without_the_collector():
+    # the swap mirror points back weakly, so refcounting alone frees a cache's jets
+    enabled = gc.isenabled()
+    gc.disable()   # no collection to hide a reference cycle
+    try:
+        cache = CoeffCache(random_points(16, seed=5, conjugate_pair=False))
+        cache.get(9, conjugated=True)
+        refs = [weakref.ref(c) for c in (cache._cascade, cache._cascade.mirror())]
+        assert all(ref() is not None for ref in refs)
+        del cache
+        assert all(ref() is None for ref in refs)
+    finally:
+        if enabled:
+            gc.enable()

@@ -2,8 +2,6 @@
 from __future__ import annotations
 
 import dataclasses
-import gc
-import weakref
 
 import numpy as np
 import pytest
@@ -146,21 +144,29 @@ def _chunk_sizes(fields):
     return [min(verify.CHUNK, n - k) for k in range(0, n, verify.CHUNK)]
 
 
-def test_one_coefficient_cache_per_grid(locus_pair, monkeypatch):
-    # one cache per chunk of each grid's evaluable nodes; both t9 readings come from it
-    built = []
+def test_one_generated_call_per_chunk_and_jets_only_at_order_zero(locus_pair, monkeypatch):
+    # per chunk of each grid's evaluable nodes: one call of the generated
+    # straight-line cascade, and t1, t2, conj t1 from the jets at order 0
+    calls, jets = [], []
+    generated = verify.cascade_values
 
-    class Counting(verify.CoeffCache):
-        def __init__(self, point, **kwargs):
-            built.append((point.alpha.size, kwargs))
-            super().__init__(point, **kwargs)
+    def counting(alpha, *args):
+        calls.append(alpha.size)
+        return generated(alpha, *args)
 
-    monkeypatch.setattr(verify, "CoeffCache", Counting)
-    rep = verify_suite(*locus_pair, max_workers=1)
+    class Recording(verify.CoeffCache):
+        def get(self, i, order=0, **kwargs):
+            jets.append((self.point.alpha.size, i, order, kwargs))
+            return super().get(i, order, **kwargs)
+
+    monkeypatch.setattr(verify, "cascade_values", counting)
+    monkeypatch.setattr(verify, "CoeffCache", Recording)
+    rep = verify_suite(*locus_pair)
     sizes = [_chunk_sizes(f) for f in locus_pair]
     assert len(sizes[1]) > 1                      # the fine grid spans several chunks
-    assert [n for n, _ in built] == sizes[0] + sizes[1]
-    assert all(kwargs == {} for _, kwargs in built)
+    assert calls == sizes[0] + sizes[1]
+    assert jets == [(n, i, 0, kw) for n in calls
+                    for i, kw in ((1, {}), (2, {}), (1, {"conjugated": True}))]
     assert sorted(r.variant for r in rep.rows if r.equation == "E2_13") == ["alternate", "as_printed"]
     assert "t9_mode" not in rep.to_dict()
 
@@ -174,39 +180,15 @@ def _same_bits(x, y) -> bool:
     return x is y or x == y
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_chunked_preparation_matches_one_chunk_bitwise(locus_pair, monkeypatch, workers):
+def test_chunked_preparation_matches_one_chunk_bitwise(locus_pair, monkeypatch):
     fields = locus_pair[1]
     monkeypatch.setattr(verify, "CHUNK", fields.alpha.size)
     whole = verify._prepare(fields)
     monkeypatch.setattr(verify, "CHUNK", 7)
-    chunked = verify._prepare(fields, workers)
+    chunked = verify._prepare(fields)
     assert whole.keys() == chunked.keys()
     for key in whole:
         assert _same_bits(whole[key], chunked[key]), key
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_chunk_cascades_are_freed_without_the_collector(locus_pair, monkeypatch, workers):
-    # the swap mirror points back weakly, so refcounting alone frees a chunk's jets
-    alive = []
-
-    class Recording(verify.CoeffCache):
-        def __init__(self, point, **kwargs):
-            super().__init__(point, **kwargs)
-            alive.extend(weakref.ref(c) for c in (self._cascade, self._cascade.mirror()))
-
-    monkeypatch.setattr(verify, "CoeffCache", Recording)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        verify._prepare(locus_pair[1], workers)   # no gc.collect() to hide a cycle
-        assert len(alive) > 2 and all(ref() is None for ref in alive)
-        verify_suite(*locus_pair, max_workers=workers)
-        assert all(ref() is None for ref in alive)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def test_worker_count_env_override(monkeypatch):
@@ -219,11 +201,12 @@ def test_worker_count_env_override(monkeypatch):
     assert default_workers() >= 1
 
 
-def test_serial_execution_matches_threaded(locus_pair):
-    rep1 = verify_suite(*locus_pair, max_workers=1)
-    rep2 = verify_suite(*locus_pair, max_workers=4)
+def test_repeated_verify_runs_match_bitwise(locus_pair):
+    rep1, rep2 = verify_suite(*locus_pair), verify_suite(*locus_pair)
+    assert len(rep1.rows) == len(rep2.rows)
     for r1, r2 in zip(rep1.rows, rep2.rows):
         assert r1.equation == r2.equation and r1.variant == r2.variant
-        assert r1.max_coarse == r2.max_coarse
-        assert r1.max_fine == r2.max_fine
-        assert r1.order == r2.order
+        assert r1.passed == r2.passed and r1.note == r2.note
+        for x, y in ((r1.max_coarse, r2.max_coarse), (r1.max_fine, r2.max_fine),
+                     (r1.order, r2.order)):
+            assert (x is None and y is None) or np.float64(x).tobytes() == np.float64(y).tobytes()
