@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -144,10 +146,10 @@ def _chunk_sizes(fields):
     return [min(verify.CHUNK, n - k) for k in range(0, n, verify.CHUNK)]
 
 
-def test_one_generated_call_per_chunk_and_jets_only_at_order_zero(locus_pair, monkeypatch):
+def test_one_coefficient_cache_per_grid(locus_pair, monkeypatch):
     # per chunk of each grid's evaluable nodes: one call of the generated
-    # straight-line cascade, and t1, t2, conj t1 from the jets at order 0
-    calls, jets = [], []
+    # straight-line cascade, and one cache giving t1, t2, conj t1 from the jets at order 0
+    calls, built, jets = [], [], []
     generated = verify.cascade_values
 
     def counting(alpha, *args):
@@ -155,6 +157,10 @@ def test_one_generated_call_per_chunk_and_jets_only_at_order_zero(locus_pair, mo
         return generated(alpha, *args)
 
     class Recording(verify.CoeffCache):
+        def __init__(self, point, **kwargs):
+            built.append((point.alpha.size, kwargs))
+            super().__init__(point, **kwargs)
+
         def get(self, i, order=0, **kwargs):
             jets.append((self.point.alpha.size, i, order, kwargs))
             return super().get(i, order, **kwargs)
@@ -165,6 +171,7 @@ def test_one_generated_call_per_chunk_and_jets_only_at_order_zero(locus_pair, mo
     sizes = [_chunk_sizes(f) for f in locus_pair]
     assert len(sizes[1]) > 1                      # the fine grid spans several chunks
     assert calls == sizes[0] + sizes[1]
+    assert built == [(n, {}) for n in calls]
     assert jets == [(n, i, 0, kw) for n in calls
                     for i, kw in ((1, {}), (2, {}), (1, {"conjugated": True}))]
     assert sorted(r.variant for r in rep.rows if r.equation == "E2_13") == ["alternate", "as_printed"]
@@ -180,8 +187,9 @@ def _same_bits(x, y) -> bool:
     return x is y or x == y
 
 
-def test_chunked_preparation_matches_one_chunk_bitwise(locus_pair, monkeypatch):
-    fields = locus_pair[1]
+@pytest.mark.parametrize("grid", [1, 2])
+def test_chunked_preparation_matches_one_chunk_bitwise(locus_pair, monkeypatch, grid):
+    fields = locus_pair[grid - 1]
     monkeypatch.setattr(verify, "CHUNK", fields.alpha.size)
     whole = verify._prepare(fields)
     monkeypatch.setattr(verify, "CHUNK", 7)
@@ -189,6 +197,31 @@ def test_chunked_preparation_matches_one_chunk_bitwise(locus_pair, monkeypatch):
     assert whole.keys() == chunked.keys()
     for key in whole:
         assert _same_bits(whole[key], chunked[key]), key
+
+
+@pytest.mark.parametrize("grid", [1, 2])
+def test_chunk_cascades_are_freed_without_the_collector(locus_pair, monkeypatch, grid):
+    # the swap mirror points back weakly, so refcounting alone frees a chunk's jets
+    alive = []
+
+    class Recording(verify.CoeffCache):
+        def __init__(self, point, **kwargs):
+            super().__init__(point, **kwargs)
+            alive.extend(weakref.ref(c) for c in (self._cascade, self._cascade.mirror()))
+
+    monkeypatch.setattr(verify, "CoeffCache", Recording)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fields = locus_pair[grid - 1]
+        verify._prepare(fields)   # no gc.collect() to hide a cycle
+        assert len(alive) == 2 * len(_chunk_sizes(fields))   # a cache and its mirror per chunk
+        assert all(ref() is None for ref in alive)
+        verify_suite(*locus_pair)
+        assert all(ref() is None for ref in alive)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_worker_count_env_override(monkeypatch):
