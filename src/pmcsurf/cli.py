@@ -352,10 +352,15 @@ def _default_family_window(c1: float) -> tuple:
     return (lo + 0.08 * length, lo + 0.33 * length)
 
 
+MAX_SAMPLES = 1_000_000   # profile table rows; the table and its evaluation stay near 100 MB
+
+
 def cmd_profile(args) -> int:
     params = ModelParams(rho=args.rho, b=args.b)
     if params.rho == 0.0:
         raise ConfigError("rho must be nonzero")
+    if args.samples > MAX_SAMPLES:
+        raise ConfigError(f"--samples is capped at {MAX_SAMPLES}")
     prof = solve_profile(params, args.alpha0, parse_complex(args.a0),
                          tuple(args.range), tol=args.tol)
     pot = build_potential(prof, K0=args.K0, Kprime0=args.Kprime0)

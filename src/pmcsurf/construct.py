@@ -17,7 +17,7 @@ from scipy.integrate import cumulative_simpson
 
 from .coeffs import ModelParams, cascade_ok, omega1, phase_D, t1_value, t2_value
 from .errors import NonpositiveDenominator, PathInconsistency, RangeMismatch
-from .fields import (MASK_DOMAIN, MASK_NUPATH, MASK_SINGULAR, Grid,
+from .fields import (GAUSS_STEP, MASK_DOMAIN, MASK_NUPATH, MASK_SINGULAR, Grid,
                      HarmonicInput, SurfaceFields)
 from .profile import Potential, ProfileSolution
 
@@ -150,9 +150,6 @@ def build_c(alpha, a, nu, nu0: float, params: ModelParams):
     D = phase_D(alpha, a, params)
     amp = np.sqrt(np.where(D > 0, D, np.nan))
     return amp * np.exp(1j * (nu + nu0))
-
-
-GAUSS_STEP = 3   # Laplacian stencil spacing in nodes; see note below
 
 
 def gauss_curvature(alpha, a, lam, params: ModelParams, grid: Grid):

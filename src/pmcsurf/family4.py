@@ -12,6 +12,7 @@ input ranges directly over the t-arc.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,8 @@ def _radicand(s2, c1):
 def family_amplitude(t, c1: float):
     """Closed-form amplitude a(t) along the arc."""
     c1 = _check_c1(c1)
-    t = np.asarray(t, dtype=np.float64)
+    if np.ndim(t) != 0:
+        t = np.asarray(t, dtype=np.float64)
     s2 = np.sin(t) ** 2
     rt = np.sqrt(_radicand(s2, c1))
     num = -4.0 + (9.0 + 4.0 * c1) * s2 - 9.0 * c1 * s2 * s2 + 1j * rt
@@ -156,19 +158,33 @@ def family_ode_residual(t, c1: float):
     return family_amplitude_derivative(t, c1) - t2 / (ab + FAMILY_MODEL.b)
 
 
+# Both ODE builds below are pure functions of their float arguments, so each
+# is memoised per process: a resolution pair of one family builds each once.
+# A cache hit returns the very object a miss built, so outputs keep every bit.
+_MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def family_potential(c1: float, tol: float = 1e-12) -> Potential:
     """Warp potential from the family's angle ODE, anchored at the arc midpoint.
 
     Normalization K(t_ref) = t_ref, g(t_ref) = 1 makes the warp a
     near-identity correction, so harmonic inputs range directly over the
     t-arc. The potential stops a small relative margin short of the arc ends,
-    where the warp coefficient blows up.
+    where the warp coefficient blows up. Memoised per (c1, tol).
     """
     lo, hi = valid_interval(c1)
     margin = _POTENTIAL_MARGIN * (hi - lo)
     tref = _t_ref(c1)
     return potential_from(lambda t: F_eval(t, family_amplitude(t, c1), params=FAMILY_MODEL),
                           tref, (lo + margin, hi - margin), tref, 1.0, tol=tol)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _phase_march(c1: float, lo: float, hi: float, quad_tol: float) -> TwoSidedMarch:
+    """Phase integral xi over [lo, hi] as an ODE, anchored xi(t_ref) = 0; memoised."""
+    return TwoSidedMarch(lambda t, y: [_xi_integrand(t, c1)], _t_ref(c1), (lo, hi), [0.0],
+                         quad_tol, error=QuadratureFailure, what="phase integral ODE")
 
 
 def family_surface(harmonic: HarmonicInput, grid: Grid, params: FamilyParams,
@@ -188,9 +204,7 @@ def family_surface(harmonic: HarmonicInput, grid: Grid, params: FamilyParams,
     a = family_amplitude(alpha, params.c1)
     lam = build_lambda(alpha, a, harmonic.fz(Z), pot, FAMILY_MODEL)
 
-    xi_march = TwoSidedMarch(lambda t, y: [_xi_integrand(t, params.c1)], _t_ref(params.c1),
-                             (float(np.min(alpha)), float(np.max(alpha))), [0.0], quad_tol,
-                             error=QuadratureFailure, what="phase integral ODE")
+    xi_march = _phase_march(params.c1, float(np.min(alpha)), float(np.max(alpha)), quad_tol)
     xi = xi_march(alpha)[0]
     s2 = np.sin(alpha) ** 2
     c = _prefactor(params.c1) * (8.0 - 9.0 * s2) * np.exp(1j * (xi + params.c2))

@@ -9,8 +9,10 @@ verifier reconstructs everything from those two files alone.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,6 +30,7 @@ MASK_NUPATH = 2     # two-path phase integration disagreed beyond 10 h^2
 MASK_DOMAIN = 4     # phase amplitude squared nonpositive: no admissible c there
 
 MAX_SIDE = 2049     # nodes per grid axis; the finest grid pair is 1025/2049
+GAUSS_STEP = 3      # Laplacian stencil spacing in nodes; see construct.gauss_curvature
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,12 @@ class Grid:
                 raise ConfigError(f"grid sides are capped at {MAX_SIDE} nodes")
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ConfigError("grid rectangle is degenerate")
+        # the stencils divide by h^2 and by (GAUSS_STEP h)^2; a square that
+        # underflows or overflows turns every difference into NaN or inf
+        for h in (self.hx, self.hy):
+            wide = GAUSS_STEP * h
+            if not (h * h >= sys.float_info.min and math.isfinite(wide * wide)):
+                raise ConfigError(f"grid spacing {h!r} squares outside the normal floats")
 
     @property
     def hx(self) -> float:

@@ -30,10 +30,11 @@ class TwoSidedMarch:
     """Dense solution of y' = rhs(x, y) marched from an anchor toward both ends.
 
     Each end of span that lies beyond the anchor gets its own DOP853 march;
-    a side with no extent holds y0. A failed step raises error; a terminal
-    event ends its side early, and reached records how far each side got.
-    Called on points of any shape, it returns the state rows stacked on a
-    new first axis, taking points at or below the anchor from the lower side.
+    a side with no extent holds y0. A failed step, or a non-finite slope at
+    the anchor, raises error; a terminal event ends its side early, and
+    reached records how far each side got. Called on points of any shape, it
+    returns the state rows stacked on a new first axis, taking points at or
+    below the anchor from the lower side.
     """
 
     def __init__(self, rhs, anchor: float, span: tuple[float, float], y0, tol: float,
@@ -46,17 +47,25 @@ class TwoSidedMarch:
         # output; downstream difference stencils amplify it by 1/h^2. Capping
         # the step keeps the interpolant at machine accuracy.
         step = max((max(span[1], anchor) - min(span[0], anchor)) / _DENSE_STEPS, 1e-6)
-        for k, end in enumerate(span):
-            if (end < anchor, end > anchor)[k]:
-                sol = solve_ivp(rhs, (anchor, end), y0, method="DOP853", dense_output=True,
-                                rtol=tol, atol=tol, max_step=step, events=event)
-                if sol.status == -1:
-                    raise error(f"{what} failed toward {end}: {sol.message}")
-                self._sides[k] = sol.sol
-                reached[k] = float(sol.t[-1])
+        marched = [(k, end) for k, end in enumerate(span) if (end < anchor, end > anchor)[k]]
+        # DOP853 would pick a NaN first step from a non-finite slope and never leave it
+        with np.errstate(all="ignore"):
+            finite = not marched or np.isfinite(rhs(anchor, self.y0)).all()
+        if not finite:
+            raise error(f"{what} has a non-finite slope at its anchor {anchor}")
+        for k, end in marched:
+            sol = solve_ivp(rhs, (anchor, end), y0, method="DOP853", dense_output=True,
+                            rtol=tol, atol=tol, max_step=step, events=event)
+            if sol.status == -1:
+                raise error(f"{what} failed toward {end}: {sol.message}")
+            self._sides[k] = sol.sol
+            reached[k] = float(sol.t[-1])
         self.reached = tuple(reached)
 
     def __call__(self, x) -> np.ndarray:
+        if np.ndim(x) == 0:   # one point: the ODE right-hand sides call this per stage
+            side = self._sides[not x <= self.anchor]
+            return side(x) if side is not None else self.y0.copy()
         x = np.asarray(x, dtype=np.float64)
         out = np.empty((self.y0.size,) + x.shape)
         below = x <= self.anchor
@@ -68,15 +77,17 @@ class TwoSidedMarch:
 
 def F_eval(alpha, a, abar=None, *, params: ModelParams):
     """Warp coefficient F(alpha) evaluated from profile data; real by construction."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    a = np.asarray(a, dtype=np.complex128)
+    scalar = np.ndim(alpha) == 0 and np.ndim(a) == 0
+    if not scalar:
+        alpha = np.asarray(alpha, dtype=np.float64)
+        a = np.asarray(a, dtype=np.complex128)
     ab = np.conj(a) if abar is None else np.asarray(abar, dtype=np.complex128)
     b, rho = params.b, params.rho
     s = np.sin(alpha)
     cot = np.cos(alpha) / s
     F = ((a - b) * (ab - b) + 1.5 * rho * s * s) * cot / ((a + b) * (ab + b))
-    scale = 1.0 + np.abs(F)
-    if np.any(np.abs(F.imag) > _IM_TOL * scale):
+    off = abs(F.imag) > _IM_TOL * (1.0 + abs(F))
+    if off if scalar else off.any():
         raise ArithmeticError("F acquired an imaginary part beyond tolerance")
     return F.real
 
@@ -107,11 +118,17 @@ class ProfileSolution:
     _march: TwoSidedMarch = field(repr=False, default=None)
 
     def a(self, alpha):
-        alpha = np.asarray(alpha, dtype=np.float64)
         lo, hi = self.alpha_range
-        if np.any(alpha < lo - 1e-12) or np.any(alpha > hi + 1e-12):
+        if np.ndim(alpha) == 0:   # one point: the potential ODE's right-hand side
+            outside = alpha < lo - 1e-12 or alpha > hi + 1e-12
+            alpha = min(max(alpha, lo), hi)
+        else:
+            alpha = np.asarray(alpha, dtype=np.float64)
+            outside = np.any(alpha < lo - 1e-12) or np.any(alpha > hi + 1e-12)
+            alpha = np.clip(alpha, lo, hi)
+        if outside:
             raise ValueError("alpha outside the solved range")
-        y = self._march(np.clip(alpha, lo, hi))
+        y = self._march(alpha)
         return (y[0] + 1j * y[1])[()]
 
     def F(self, alpha):
@@ -160,7 +177,7 @@ def solve_profile(params: ModelParams, alpha0: float, a0: complex,
                            tol=tol, _march=march)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Potential:
     """Strictly monotone potential K with derivative g, plus the inverse warp psi."""
 
@@ -168,8 +185,9 @@ class Potential:
     K0: float
     Kprime0: float
     alpha_range: tuple[float, float]
-    _march: TwoSidedMarch = field(repr=False, default=None)
-    _inv: object = field(repr=False, default=None)
+    t_range: tuple[float, float]          # K over alpha_range, ascending
+    _march: TwoSidedMarch = field(repr=False)
+    _inv: PchipInterpolator = field(repr=False)
 
     def _eval(self, alpha, row):
         return self._march(alpha)[row][()]
@@ -180,12 +198,6 @@ class Potential:
     def K(self, alpha):
         return self._eval(alpha, 1)
 
-    @property
-    def t_range(self) -> tuple[float, float]:
-        lo, hi = self.alpha_range
-        k = (self.K(lo), self.K(hi))
-        return (min(k), max(k))
-
     def psi(self, t):
         """Inverse of K: monotone cubic interpolation plus one Newton polish."""
         t = np.asarray(t, dtype=np.float64)
@@ -193,7 +205,8 @@ class Potential:
         if np.any(t < tlo - 1e-10) or np.any(t > thi + 1e-10):
             raise ValueError("warp input outside the potential range")
         alpha = self._inv(np.clip(t, tlo, thi))
-        alpha = alpha - (self.K(alpha) - t) / self.g(alpha)
+        g, K = self._march(alpha)
+        alpha = alpha - (K - t) / g
         lo, hi = self.alpha_range
         return np.clip(alpha, lo, hi)
 
@@ -222,11 +235,18 @@ def potential_from(F, anchor: float, alpha_range: tuple[float, float], K0: float
 
     march = TwoSidedMarch(rhs, anchor, (lo, hi), [Kprime0, K0], tol,
                           what="potential integration")
-    pot = Potential(alpha0=anchor, K0=float(K0), Kprime0=float(Kprime0),
-                    alpha_range=(lo, hi), _march=march)
     grid = np.linspace(lo, hi, n_grid)
-    kv = pot.K(grid)
+    kv = march(grid)[1]
     if Kprime0 < 0:
         grid, kv = grid[::-1], kv[::-1]
-    pot._inv = PchipInterpolator(kv, grid, extrapolate=False)
-    return pot
+    if not (np.isfinite(kv).all() and (np.diff(kv) > 0).all()):
+        raise StepFailure(f"potential over [{lo}, {hi}] cannot be inverted: "
+                          "K is not finite and strictly monotone in floats")
+    try:
+        with np.errstate(all="ignore"):
+            inv = PchipInterpolator(kv, grid, extrapolate=False)
+    except ValueError as exc:   # knots so close that the slope estimates overflow
+        raise StepFailure(f"potential over [{lo}, {hi}] cannot be inverted: {exc}") from None
+    k = (march(lo)[1], march(hi)[1])
+    return Potential(alpha0=anchor, K0=float(K0), Kprime0=float(Kprime0), alpha_range=(lo, hi),
+                     t_range=(min(k), max(k)), _march=march, _inv=inv)

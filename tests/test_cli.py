@@ -217,6 +217,30 @@ def test_family_rejects_window_outside_arc(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("side", [1e300, 1e-300])
+def test_grid_spacings_must_square_to_normal_floats(side, tmp_path, capsys):
+    # the stencils divide by h^2 and (GAUSS_STEP h)^2: overflow used to raise
+    # OverflowError, underflow gave a NaN metric curvature at every node
+    rect = ["0", repr(side), "0", repr(side)]
+    assert main(["family", "--c1", "2", "--grid", "9", "9", "--rect", *rect,
+                 "--out", str(tmp_path / "fam"), "--quiet"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    cfg = generic_config(9)
+    cfg["grid"].update(x1=side, y1=side)
+    cfg_path = tmp_path / "rect.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["construct", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_a_small_rectangle_still_builds(tmp_path):
+    out = tmp_path / "fam"
+    assert main(["family", "--c1", "2", "--grid", "9", "9", "--rect", "0", "1e-3", "0", "1e-3",
+                 "--out", str(out), "--quiet"]) == 0
+    k = read_fields(str(out)).K_metric
+    assert np.isfinite(k[3:-3, 3:-3]).all()   # the GAUSS_STEP interior
+
+
 # ---- profile subcommand ----
 
 def test_profile_table_layout(tmp_path):
@@ -335,8 +359,9 @@ PROFILE_ARGV = ["profile", "--rho", "-3", "--alpha0", "0.6", "--a0", "0.3+0.4i",
     ["family", "--c1", "2", "--quad-tol", "0"],
     PROFILE_ARGV + ["--samples", "9" * 400],
     ["family", "--c1", "2", "--grid", "5", "9" * 400],
+    PROFILE_ARGV + ["--samples", "1000000000000"],
 ], ids=["samples", "tcoef-alpha", "profile-b", "profile-rho", "family-c1", "quad-tol",
-        "samples-huge", "grid-huge"])
+        "samples-huge", "grid-huge", "samples-over-cap"])
 def test_bad_numeric_arguments_exit_with_json(argv, tmp_path):
     if argv[0] == "family":
         argv = argv + ["--out", str(tmp_path / "out")]
@@ -345,6 +370,23 @@ def test_bad_numeric_arguments_exit_with_json(argv, tmp_path):
     assert proc.returncode in (2, 3), proc.stderr
     err = json.loads(proc.stderr)
     assert isinstance(err, dict) and "error" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--b", "1e300"],
+    ["--a0", "1e300+1e300i"],
+    ["--K0", "1e308"],
+    ["--Kprime0", "1e-308"],
+    ["--range", "0.6", "0.6000000000000001"],
+], ids=["nan-slope-potential", "nan-slope-profile", "K-flat-in-floats", "K-steps-subnormal",
+        "range-one-ulp"])
+def test_profile_march_failures_exit_2_with_json(extra):
+    # a NaN slope at the anchor used to hang DOP853; a potential table that
+    # cannot be inverted used to end in a PchipInterpolator traceback
+    proc = subprocess.run([sys.executable, "-m", "pmcsurf", *PROFILE_ARGV, "--samples", "3",
+                           *extra], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stderr)["error"] == "StepFailure"
 
 
 def test_profile_out_in_a_missing_directory_exits_with_json(tmp_path):
@@ -393,6 +435,13 @@ def _first_row(edit):
     return apply
 
 
+def _scale_xy(row, factor):
+    if not row:
+        return row
+    x, y, rest = row.split(",", 2)
+    return f"{float(x) * factor!r},{float(y) * factor!r},{rest}"
+
+
 MALFORMED_BUNDLES = {
     "non-numeric": ("fields.csv", _first_row(lambda row: "abc" + row[row.index(","):])),
     "ragged-row": ("fields.csv", _first_row(lambda row: row[:row.rindex(",")])),
@@ -401,6 +450,8 @@ MALFORMED_BUNDLES = {
     "mask-257": ("fields.csv", _first_row(lambda row: row[:row.rindex(",") + 1] + "257")),
     "header-only": ("fields.csv", lambda text: text.split("\n", 1)[0] + "\n"),
     "hash-row": ("fields.csv", _first_row(lambda row: "#" + row)),
+    "rect-1e-300": ("fields.csv", lambda text: "\n".join(
+        [text.split("\n", 1)[0]] + [_scale_xy(row, 1e-300) for row in text.split("\n")[1:]])),
     "csv-is-dir": ("fields.csv", None),
     "meta-is-dir": ("meta.json", None),
 }

@@ -1,13 +1,16 @@
 """Explicit two-parameter family: closed forms, arc admissibility, phase line."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import pmcsurf.family4 as fam
+from pmcsurf import profile
 from pmcsurf.coeffs import ModelParams
-from pmcsurf.errors import ConfigError, InadmissibleC1, OutOfInterval, RangeMismatch
-from pmcsurf.fields import Grid
+from pmcsurf.errors import ConfigError, InadmissibleC1, OutOfInterval, RangeMismatch, StepFailure
+from pmcsurf.fields import Grid, SurfaceFields
 
 from conftest import build_family, family_harmonic, richardson_fd
 
@@ -141,3 +144,72 @@ def test_surface_window_must_fit_the_warp():
     with pytest.raises(RangeMismatch):
         fam.family_surface(harm, Grid(0.0, 1.0, 0.0, 1.0, 9, 9),
                            fam.FamilyParams(c1=2.0))
+
+
+# ---- per-process memo of the warp potential and the phase march ----
+
+MEMOS = (fam.family_potential, fam._phase_march)
+
+
+def _clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def test_a_resolution_pair_builds_each_march_once(monkeypatch):
+    built = []
+    init = profile.TwoSidedMarch.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("what", "integrator"))
+        init(self, *args, **kwargs)
+
+    _clear_memos()
+    monkeypatch.setattr(profile.TwoSidedMarch, "__init__", counted)
+    build_family(21)
+    build_family(41)
+    assert sorted(built) == ["phase integral ODE", "potential integration"]
+
+
+@pytest.mark.parametrize("c1", [2.0, -1.0])
+def test_memoised_builds_keep_every_bit(c1):
+    cold = {}
+    for n in (21, 41):
+        _clear_memos()
+        cold[n] = build_family(n, c1=c1).fields
+    for n in (21, 41):   # both memos now hit: the pair shares its alpha extremes
+        warm = build_family(n, c1=c1).fields
+        for field in dataclasses.fields(SurfaceFields):
+            value = getattr(warm, field.name)
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == getattr(cold[n], field.name).tobytes(), field.name
+    assert fam.family_potential.cache_info().hits >= 2
+    assert fam._phase_march.cache_info().hits >= 2
+
+
+def test_memos_are_bounded():
+    for memo in MEMOS:
+        assert memo.cache_info().maxsize == fam._MEMO_SIZE
+
+
+def test_memoised_potential_rejects_assignment():
+    pot = fam.family_potential(2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pot.t_range = (0.0, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pot._inv = None
+    assert fam.family_potential(2.0) is pot
+
+
+def test_failed_potential_build_is_not_memoised(monkeypatch):
+    _clear_memos()
+
+    def fail(*args, **kwargs):
+        raise StepFailure("potential integration failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fam, "potential_from", fail)
+        with pytest.raises(StepFailure):
+            fam.family_potential(3.0)
+    assert fam.family_potential.cache_info().currsize == 0
+    assert np.isfinite(fam.family_potential(3.0).t_range).all()

@@ -1,12 +1,16 @@
 """Amplitude ODE and warp potential."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from pmcsurf.coeffs import ModelParams
-from pmcsurf.errors import ConfigError, GuardTripped
-from pmcsurf.profile import F_eval, Potential, TwoSidedMarch, build_potential, solve_profile
+from pmcsurf.errors import ConfigError, GuardTripped, StepFailure
+from pmcsurf.family4 import FAMILY_MODEL, family_amplitude, family_potential
+from pmcsurf.profile import (F_eval, Potential, TwoSidedMarch, build_potential, potential_from,
+                             solve_profile)
 
 from conftest import MODEL, richardson_fd
 
@@ -173,3 +177,48 @@ def test_march_from_an_anchor_at_one_end_of_the_range(anchor):
     # the side without extent holds the initial state
     beyond = -0.5 if anchor == 0.0 else 1.5
     assert march(beyond)[0] == 1.0
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values).tobytes()
+
+
+def test_march_scalar_path_matches_the_array_path_bitwise(generic_profile):
+    # the ODE right-hand sides evaluate one point per stage on the scalar path
+    prof, pot = generic_profile
+    for march in (prof._march, pot._march):
+        for x in np.linspace(0.35, 1.25, 701).tolist() + [0.6]:
+            assert _bits(march(x)) == _bits(march(np.array([x]))[:, 0]), x
+
+
+# sha256 of the warp coefficient evaluated one float at a time at 701 points,
+# the values the potential ODE consumes. numpy's complex product on arrays
+# differs from its scalar product in the last bits, so a length-1 array is no
+# oracle for these bits.
+F_SCALAR_SHA256 = {
+    "generic": "f6353e90f16773295aa935d5b0e9bc5a52f10589661fcdf4cb66132b84f26d64",
+    2.0: "e6d0e4d12cecba9e6f382c89605f90c3d74fa1481f49dba1c5c919df8242f3ef",
+    -1.0: "d4acf732967fdd07860430ad198f3676d5b4f80d2c246e5b48b19641732c678b",
+}
+
+
+def test_warp_coefficient_scalar_path_keeps_its_bits(generic_profile):
+    prof, _ = generic_profile
+    values = {"generic": [prof.F(x) for x in np.linspace(0.4, 1.2, 701).tolist()]}
+    for c1 in (2.0, -1.0):
+        lo, hi = family_potential(c1).alpha_range
+        values[c1] = [F_eval(t, family_amplitude(t, c1), params=FAMILY_MODEL)
+                      for t in np.linspace(lo, hi, 701).tolist()]
+    for key, vals in values.items():
+        digest = hashlib.sha256(_bits(np.array(vals, dtype=np.float64))).hexdigest()
+        assert digest == F_SCALAR_SHA256[key], key
+
+
+@pytest.mark.parametrize("K0,Kprime0,span", [
+    (1e308, 1.0, (0.4, 1.2)),                     # K + increment rounds back to K
+    (0.0, 1e-308, (0.4, 1.2)),                    # increments subnormal, slopes overflow
+    (0.0, 1.0, (0.6, 0.6000000000000001)),        # one ulp of range, repeated knots
+])
+def test_potential_that_cannot_be_inverted_raises_step_failure(K0, Kprime0, span):
+    with pytest.raises(StepFailure, match="cannot be inverted"):
+        potential_from(lambda alpha: 0.0, 0.6, span, K0, Kprime0)
