@@ -23,6 +23,7 @@ import numpy as np
 
 from . import construct as _construct
 from . import family4, verify as _verify
+from ._g17 import csv_chunks
 from .coeffs import T9_READINGS, CoeffCache, EvalPoint, ModelParams
 from .errors import ConfigError, PmcError
 from .fields import Grid, HarmonicInput, read_fields, write_fields, write_meta
@@ -366,10 +367,14 @@ def cmd_profile(args) -> int:
     pot = build_potential(prof, K0=args.K0, Kprime0=args.Kprime0)
     alphas = np.linspace(prof.alpha_range[0], prof.alpha_range[1], args.samples)
     av = prof.a(alphas)
+    table = csv_chunks("alpha,a_re,a_im,F,K",
+                       [alphas, av.real, av.imag, prof.F(alphas), pot.K(alphas)], args.samples)
     try:
-        np.savetxt(args.out or sys.stdout,
-                   np.column_stack([alphas, av.real, av.imag, prof.F(alphas), pot.K(alphas)]),
-                   fmt="%.17g", delimiter=",", header="alpha,a_re,a_im,F,K", comments="")
+        if args.out:
+            with open(args.out, "wb") as fh:
+                fh.writelines(table)
+        else:
+            sys.stdout.writelines(chunk.decode("ascii") for chunk in table)
     except OSError as exc:
         raise ConfigError(f"cannot write the profile table: {exc}") from None
     return 0

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._g17 import csv_chunks
 from .coeffs import ModelParams
 from .errors import ConfigError
 
@@ -147,16 +148,23 @@ class SurfaceFields:
 
 
 def write_fields(fields: SurfaceFields, directory: str) -> str:
-    """Write fields.csv (deterministic byte layout) and return its path."""
+    """Write fields.csv ('%.17g' text, the mask as an integer) and return its path.
+
+    Rows are x-major; each grid axis is formatted once, and the rows go out
+    in blocks, so memory stays bounded by the block, not the grid.
+    """
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, "fields.csv")
-    X, Y = fields.grid.mesh()
-    cols = (X, Y, fields.alpha, fields.a.real, fields.a.imag,
-            fields.lam.real, fields.lam.imag, fields.nu,
-            fields.c.real, fields.c.imag, fields.K_formula, fields.K_metric, fields.mask)
-    np.savetxt(path, np.column_stack([c.ravel() for c in cols]),
-               fmt=["%.17g"] * (len(CSV_COLUMNS) - 1) + ["%d"], delimiter=",",
-               header=",".join(CSV_COLUMNS), comments="")
+    x, y = fields.grid.axes()
+    ix, iy = np.divmod(np.arange(x.size * y.size), y.size)
+    # reshape, not ravel: the real and imaginary parts stay views
+    cols = [(x, ix), (y, iy)] + [f.reshape(-1) for f in (
+        fields.alpha, fields.a.real, fields.a.imag, fields.lam.real, fields.lam.imag,
+        fields.nu, fields.c.real, fields.c.imag, fields.K_formula, fields.K_metric)]
+    # the uint8 mask indexes its 256 values; an integer prints the same under %.17g and %d
+    cols.append((np.arange(256.0), fields.mask.reshape(-1)))
+    with open(path, "wb") as fh:
+        fh.writelines(csv_chunks(",".join(CSV_COLUMNS), cols, x.size * y.size))
     return path
 
 

@@ -1,15 +1,20 @@
 """End-to-end command line behaviour: exit codes, files on disk, determinism."""
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import shutil
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pmcsurf.cli import fmt_complex, main, parse_complex
 from pmcsurf.errors import ConfigError
@@ -417,6 +422,86 @@ def test_out_naming_an_existing_file_exits_with_json(argv, family_bundle, tmp_pa
     err = json.loads(proc.stderr)
     assert err["error"] == "ConfigError" and "taken" in err["message"]
     assert out.read_text() == "not a directory\n"
+
+
+# ---- fuzzed argv ends in a clean exit ----
+
+# nan, inf, zero, negative, huge and minimal values; single-valued options
+# take the --flag=value form, so that argparse reads -1e-300 as a number
+EXTREME = ["nan", "inf", "-inf", "0", "-0", "-1e-300", "1e20", "1e300",
+           "1.7976931348623157e308", "2.2250738585072014e-308", "5e-324"]
+EXTREME_SIDE = ["4", "0", "-3", "nan", "1e3", "9" * 30]
+
+
+def fuzz(draw, plausible, extreme=EXTREME):
+    """One draw in four is extreme, so that most runs get past the parser."""
+    return draw(st.sampled_from(extreme if draw(st.integers(0, 3)) == 3 else plausible))
+
+
+def fuzz_grid(draw):
+    return ["--grid", *(fuzz(draw, ["5", "6", "7", "8", "9"], EXTREME_SIDE) for _ in range(2))]
+
+
+@st.composite
+def family_argv(draw):
+    argv = ["family", f"--c1={fuzz(draw, ['-1', '-0.5', '1.5', '2', '3'])}", *fuzz_grid(draw)]
+    if draw(st.booleans()):
+        argv += ["--rect", *fuzz(draw, [("0", "1", "0", "1"), ("-0.5", "0.25", "0", "2"),
+                                        ("0", "1e20", "0", "1")],
+                                 [tuple(draw(st.sampled_from(EXTREME)) for _ in range(4))])]
+    if draw(st.integers(0, 3)) == 3:      # the arc depends on c1: nearly every window fails
+        argv += ["--window", *(draw(st.sampled_from(EXTREME + ["0.5", "1.2"])) for _ in range(2))]
+    if draw(st.booleans()):
+        argv.append(f"--tilt={fuzz(draw, ['0', '0.5', '1.2'])}")
+    if draw(st.booleans()):
+        argv.append(f"--quad-tol={fuzz(draw, ['1e-10', '1e-6'])}")
+    return argv
+
+
+@st.composite
+def construct_argv(draw):
+    return ["construct", *fuzz_grid(draw)]
+
+
+@contextlib.contextmanager
+def time_budget(seconds: float):
+    def expire(signum, frame):
+        raise TimeoutError(f"the run took longer than {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="module")
+def generic_config_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "generic.json"
+    path.write_text(json.dumps(GENERIC_CONFIG))
+    return str(path)
+
+
+@settings(max_examples=30)
+@example(argv=["family", "--c1=2", "--grid", "5", "5", "--rect", "0", "1e20", "0", "1"])
+@given(argv=st.one_of(family_argv(), construct_argv()))
+def test_fuzzed_argv_ends_in_a_clean_exit(argv, generic_config_path):
+    if argv[0] == "construct":
+        argv = argv + ["--config", generic_config_path]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        with time_budget(30), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--out", out, "--quiet"])
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        if code:
+            payload = json.loads(err.getvalue())    # exactly one JSON object
+            assert isinstance(payload, dict) and "error" in payload, argv
+        if code == 0:
+            # e.g. --rect 0 1e20 0 1 prints x through the formatter's slow path
+            back = read_fields(out)
+            assert back.grid.nx == int(argv[argv.index("--grid") + 1])
 
 
 # ---- a malformed field bundle ends in a clean exit ----

@@ -1,0 +1,119 @@
+"""The fields.csv text: the vectorised '%.17g' formatter against Python's own
+conversion, and write_fields against np.savetxt, byte for byte."""
+from __future__ import annotations
+
+import math
+from decimal import Decimal
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from pmcsurf._g17 import BLOCK_ROWS, g17_cells
+from pmcsurf.coeffs import ModelParams
+from pmcsurf.fields import CSV_COLUMNS, MASK_DOMAIN, Grid, SurfaceFields, write_fields
+
+
+def printed(values) -> list[bytes]:
+    return [bytes(cell).replace(b"\0", b"") for cell in g17_cells(values)]
+
+
+def assert_prints_like_python(values) -> None:
+    values = np.asarray(values, dtype=np.float64)
+    got = printed(values)
+    bad = [(v, b"%.17g" % v, g) for v, g in zip(values.tolist(), got) if g != b"%.17g" % v]
+    assert not bad, f"{len(bad)} mismatches, first {bad[:3]}"
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=64))
+def test_formatter_matches_python_on_any_floats(values):
+    assert_prints_like_python(values)
+
+
+def test_formatter_matches_python_on_random_bit_patterns():
+    rng = np.random.default_rng(20191023)
+    assert_prints_like_python(np.frombuffer(rng.bytes(8 * 10**5), np.float64))
+
+
+def test_formatter_rounds_exact_ties_to_even():
+    # n / 2^j with an 18-digit expansion ending in 5 sits exactly halfway
+    # between two 17-digit decimals
+    rng = np.random.default_rng(3)
+    ties = [1 + 2**-17, 1 + 3 * 2**-17]
+    for digits_before in range(-3, 16):
+        j = 18 - digits_before
+        lo, hi = 10.0 ** (digits_before - 1) * 2**j, min(10.0 ** digits_before * 2**j, 2**53)
+        n = rng.integers(int(lo) // 2, int(hi) // 2, 300) * 2 + 1
+        ties += [float(v) / 2**j for v in n if float(v) / 2**j >= 10.0 ** (digits_before - 1)]
+    ties = [t for t in ties if len(Decimal(t).as_tuple().digits) == 18]
+    assert len(ties) > 1000
+    assert_prints_like_python(ties + [-t for t in ties])
+
+
+def ulp_neighbours(values, steps: int) -> np.ndarray:
+    """values and the doubles up to steps ulps either side of them."""
+    out, below, above = [values], values, values
+    for _ in range(steps):
+        below, above = np.nextafter(below, 0), np.nextafter(above, np.inf)
+        out += [below, above]
+    return np.concatenate(out)
+
+
+def test_formatter_at_powers_of_ten_and_window_edges():
+    assert printed([1e-07]) == [b"9.9999999999999995e-08"]
+    tens = ulp_neighbours(np.array([float(f"1e{j}") for j in range(-15, 19)]), 1)
+    # the exact window holds decimal exponents -11..16; %g turns to exponents below 1e-4
+    edges = ulp_neighbours(np.array([1e-12, 1e-11, 1e-5, 1e-4, 1.0, 1e16, 1e17]), 4)
+    values = np.concatenate([tens, edges])
+    assert_prints_like_python(np.concatenate([values, -values]))
+
+
+def test_formatter_signed_zero_and_signed_nan():
+    negative_nan = np.array([0xFFF8000000000000], np.uint64).view(np.float64)[0]
+    assert math.isnan(negative_nan) and math.copysign(1.0, negative_nan) < 0
+    assert_prints_like_python([0.0, -0.0, negative_nan, np.nan, np.inf, -np.inf, 5e-324, -5e-324])
+
+
+# ---- write_fields against the np.savetxt layout it replaced ----
+
+def savetxt_reference(fields: SurfaceFields, path) -> None:
+    X, Y = fields.grid.mesh()
+    cols = (X, Y, fields.alpha, fields.a.real, fields.a.imag, fields.lam.real,
+            fields.lam.imag, fields.nu, fields.c.real, fields.c.imag, fields.K_formula,
+            fields.K_metric, fields.mask)
+    np.savetxt(path, np.column_stack([c.ravel() for c in cols]),
+               fmt=["%.17g"] * (len(CSV_COLUMNS) - 1) + ["%d"], delimiter=",",
+               header=",".join(CSV_COLUMNS), comments="")
+
+
+def synthetic_fields(nx: int, ny: int, seed: int = 0) -> SurfaceFields:
+    """Values across many decades, NaN rows on the domain-masked nodes, slow-path cells."""
+    rng = np.random.default_rng(seed)
+
+    def field():
+        return rng.standard_normal((nx, ny)) * 10.0 ** rng.integers(-14, 19, (nx, ny))
+
+    mask = (np.arange(nx * ny) % 8).astype(np.uint8).reshape(nx, ny)   # every mask value
+    f = SurfaceFields(grid=Grid(-2.5, 1e20, 0.0, 1e-3, nx, ny),
+                      params=ModelParams(rho=-3.0, b=1.0),
+                      alpha=field(), a=field() + 1j * field(), lam=field() + 1j * field(),
+                      nu=field(), c=field() + 1j * field(), K_formula=field(),
+                      K_metric=field(), mask=mask)
+    for name in ("alpha", "a", "lam", "nu", "c", "K_formula", "K_metric"):
+        getattr(f, name)[(mask & MASK_DOMAIN) != 0] = np.nan
+    f.alpha[0, 0], f.nu[0, 1], f.K_metric[0, 2] = -0.0, 1e-300, 1e20
+    f.a[0, 3], f.c[0, 4] = complex(-1e20, 1e-300), complex(5e-324, -0.0)
+    return f
+
+
+@pytest.mark.parametrize("nx,ny", [(5, 5), (7, 9), (2 * BLOCK_ROWS // 37 + 1, 37)],
+                         ids=["5x5", "7x9", "crosses-blocks"])
+def test_write_fields_matches_savetxt_bytes(nx, ny, tmp_path):
+    fields = synthetic_fields(nx, ny)
+    if nx * ny > BLOCK_ROWS:
+        assert nx * ny % BLOCK_ROWS
+    write_fields(fields, str(tmp_path / "new"))
+    savetxt_reference(fields, tmp_path / "reference.csv")
+    assert ((tmp_path / "new" / "fields.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
