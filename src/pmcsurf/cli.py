@@ -400,6 +400,11 @@ def cmd_tcoef(args) -> int:
 # ---- parser ----
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponents and would take -1e-3 for an option
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+
     def error(self, message):
         raise ConfigError(message)
 

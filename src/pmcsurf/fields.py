@@ -177,8 +177,32 @@ def write_meta(meta: dict, directory: str) -> str:
     return path
 
 
+# rows per np.loadtxt call: the reader holds the bundle plus one block, and
+# the first block, longer than MAX_SIDE, holds the whole y axis
+_READ_BLOCK = 4096
+
+
+def _count_rows(path: str) -> int:
+    """Non-empty lines of a text file, as np.loadtxt reads it in text mode:
+    CR, LF and CRLF each end a line, and empty lines are skipped."""
+    rows, after_end = 0, True
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            end = np.frombuffer(chunk, np.uint8)
+            end = (end == 10) | (end == 13)
+            # a line starts at each byte that is no line end but follows one
+            rows += (after_end and not end[0]) + int(np.count_nonzero(end[:-1] > end[1:]))
+            after_end = bool(end[-1])
+    return rows
+
+
 def read_fields(directory: str) -> SurfaceFields:
-    """Rebuild a SurfaceFields bundle from fields.csv + meta.json."""
+    """Rebuild a SurfaceFields bundle from fields.csv + meta.json.
+
+    The rows are parsed block by block straight into the bundle's own arrays,
+    each complex pair into the real and imaginary parts of one array, so every
+    cell reads back bit for bit; the x and y columns yield only the axes.
+    """
     csv_path = os.path.join(directory, "fields.csv")
     meta_path = os.path.join(directory, "meta.json")
     if not os.path.isfile(csv_path):
@@ -194,49 +218,60 @@ def read_fields(directory: str) -> SurfaceFields:
         raise ConfigError(f"meta.json lacks readable model params: {exc}") from None
 
     try:
-        with open(csv_path) as fh:
+        with open(csv_path) as fh, warnings.catch_warnings():
+            # max_rows counts rows, not lines; loadtxt warns when it skips an empty line
+            warnings.simplefilter("ignore", UserWarning)
             if fh.readline().rstrip("\r\n") != ",".join(CSV_COLUMNS):
                 raise ConfigError("fields.csv columns do not match the expected layout")
-            # comments=None: a '#' line is an error; a header-only file is "no rows", unwarned
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            n = _count_rows(csv_path) - 1   # the header is the first line
+            if n <= 0:
+                raise ConfigError("fields.csv holds no rows")
+            out = {"alpha": np.empty(n), "a": np.empty(n, np.complex128),
+                   "lam": np.empty(n, np.complex128), "nu": np.empty(n),
+                   "c": np.empty(n, np.complex128), "K_formula": np.empty(n),
+                   "K_metric": np.empty(n), "mask": np.empty(n, np.uint8)}
+            # the destination of each CSV column after x and y
+            into = (out["alpha"], out["a"].real, out["a"].imag, out["lam"].real,
+                    out["lam"].imag, out["nu"], out["c"].real, out["c"].imag,
+                    out["K_formula"], out["K_metric"], out["mask"])
+            x_ax = []
+            masks = range((MASK_SINGULAR | MASK_NUPATH | MASK_DOMAIN) + 1)
+            for r0 in range(0, n, _READ_BLOCK):
+                rows = min(_READ_BLOCK, n - r0)
+                # comments=None: a '#' line is an error
+                block = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=rows)
+                if block.shape[1] != len(CSV_COLUMNS):
+                    raise ConfigError(f"fields.csv rows need {len(CSV_COLUMNS)} cells, "
+                                      f"got {block.shape[1]}")
+                if block.shape[0] != rows:
+                    raise ConfigError("fields.csv changed while it was read")
+                if not np.isin(block[:, 12], masks).all():
+                    raise ConfigError("fields.csv mask cells must be integers in 0..7")
+                for k, dst in enumerate(into, start=2):
+                    dst[r0:r0 + rows] = block[:, k]
+                xs = block[:, 0]
+                if r0 == 0:   # rows are x-major: the leading run of constant x is the y axis
+                    if not math.isfinite(xs[0]):
+                        raise ConfigError("grid axes are not uniformly increasing")
+                    run = np.flatnonzero(xs != xs[0])
+                    if not run.size and rows < n:
+                        raise ConfigError(f"grid sides are capped at {MAX_SIDE} nodes")
+                    ny = int(run[0]) if run.size else rows
+                    y_ax = block[:ny, 1].copy()
+                x_ax.append(xs[-r0 % ny::ny].copy())   # the x of rows 0, ny, 2 ny, ...
+                del block, xs   # free this block before the next one is parsed
     except ValueError as exc:
         raise ConfigError(f"fields.csv is malformed: {exc}") from None
-    if data.size == 0:
-        raise ConfigError("fields.csv holds no rows")
-    if data.shape[1] != len(CSV_COLUMNS):
-        raise ConfigError(f"fields.csv rows need {len(CSV_COLUMNS)} cells, got {data.shape[1]}")
-    if not np.isin(data[:, 12], range((MASK_SINGULAR | MASK_NUPATH | MASK_DOMAIN) + 1)).all():
-        raise ConfigError("fields.csv mask cells must be integers in 0..7")
-
-    xs = data[:, 0]
-    # rows are x-major: the leading run of constant x has length ny
-    ny = int(np.argmax(xs != xs[0])) or len(xs)
-    if len(xs) % ny:
+    if n % ny:
         raise ConfigError("fields.csv row count is not a full grid")
-    nx = len(xs) // ny
-
-    def col(k):
-        return data[:, k].reshape(nx, ny)
-
-    x_ax = col(0)[:, 0]
-    y_ax = col(1)[0, :]
+    nx = n // ny
+    x_ax = np.concatenate(x_ax)
     for ax in (x_ax, y_ax):
         d = np.diff(ax)
-        if len(d) and (np.any(d <= 0) or np.ptp(d) > 1e-9 * max(abs(ax[0]), abs(ax[-1]), 1.0)):
+        if not np.isfinite(ax).all() or (len(d) and (
+                np.any(d <= 0) or np.ptp(d) > 1e-9 * max(abs(ax[0]), abs(ax[-1]), 1.0))):
             raise ConfigError("grid axes are not uniformly increasing")
     grid = Grid(x0=float(x_ax[0]), x1=float(x_ax[-1]), y0=float(y_ax[0]), y1=float(y_ax[-1]),
                 nx=nx, ny=ny)
-    return SurfaceFields(
-        grid=grid, params=params,
-        alpha=col(2),
-        a=col(3) + 1j * col(4),
-        lam=col(5) + 1j * col(6),
-        nu=col(7),
-        c=col(8) + 1j * col(9),
-        K_formula=col(10),
-        K_metric=col(11),
-        mask=col(12).astype(np.uint8),
-        meta=meta,
-    )
+    return SurfaceFields(grid=grid, params=params, meta=meta,
+                         **{name: v.reshape(nx, ny) for name, v in out.items()})

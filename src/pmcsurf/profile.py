@@ -24,6 +24,7 @@ from .errors import ConfigError, GuardTripped, StepFailure
 AB_GUARD = 1e-3          # |a + b| floor; the ODE divides by (conj a + b)
 _IM_TOL = 1e-12          # relative imaginary-part ceiling for F
 _DENSE_STEPS = 256       # max_step divisor for dense output
+MIN_TOL = float(100 * np.finfo(float).eps)   # DOP853 lifts a smaller rtol to this, with a warning
 
 
 class TwoSidedMarch:
@@ -39,6 +40,8 @@ class TwoSidedMarch:
 
     def __init__(self, rhs, anchor: float, span: tuple[float, float], y0, tol: float,
                  *, error: type = StepFailure, what: str = "integrator", event=None):
+        if not tol >= MIN_TOL:
+            raise ConfigError(f"{what} tolerance {tol!r} is below DOP853's floor {MIN_TOL!r}")
         self.anchor = anchor
         self.y0 = np.asarray(y0, dtype=np.float64)
         self._sides = [None, None]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pmcsurf.cli import fmt_complex, main, parse_complex
+from pmcsurf.cli import build_parser, fmt_complex, main, parse_complex
 from pmcsurf.errors import ConfigError
 from pmcsurf.family4 import family_amplitude
 from pmcsurf.fields import MAX_SIDE, HarmonicInput, read_fields
@@ -422,6 +422,49 @@ def test_out_naming_an_existing_file_exits_with_json(argv, family_bundle, tmp_pa
     err = json.loads(proc.stderr)
     assert err["error"] == "ConfigError" and "taken" in err["message"]
     assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--c1", "-1e-3"],
+    ["family", "--c1", "2", "--rect", "-1e-3", "1", "0", "1"],
+    ["family", "--c1", "2", "--rect", "-1E+3", "1", "-.5e-2", "1"],
+    ["family", "--c1", "-1E+3"],
+    ["family", "--c1", "2", "--tilt", "-.5e-2"],
+    ["family", "--c1", "2", "--window", "-1e-3", "1"],
+], ids=["c1", "rect", "rect-capital-E", "c1-inadmissible", "tilt", "window"])
+def test_negative_numbers_in_exponent_notation_are_values(argv, tmp_path, capsys):
+    # argparse's own negative-number pattern took -1e-3 for an option string
+    args = build_parser().parse_args(argv + ["--out", str(tmp_path)])
+    numbers = [float(a) for a in argv if a[0] == "-" and a[1:2] in ".0123456789"]
+    assert set(numbers) <= {args.c1, args.tilt, *(args.rect or ()), *(args.window or ())}
+    code = main(argv + ["--grid", "5", "5", "--out", str(tmp_path / "out"), "--quiet"])
+    assert code in (0, 2, 3)
+    if code:
+        err = json.loads(capsys.readouterr().err)
+        assert "argument" not in err["message"], err
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--c1", "2", "--grid", "5", "5", "--quad-tol", "5e-324"],
+    ["family", "--c1", "2", "--grid", "5", "5", "--quad-tol", "2e-14"],
+    PROFILE_ARGV + ["--samples", "3", "--tol", "1e-15"],
+    ["construct", "--config", "TINY_TOL"],
+], ids=["quad-tol-subnormal", "quad-tol-under-100-eps", "profile-tol", "config-profile-tol"])
+def test_march_tolerance_below_the_solver_floor_exits_3(argv, tmp_path):
+    # DOP853 lifts an rtol below 100 eps with a warning, so the tolerance
+    # recorded in meta.json was not the one used
+    if argv[0] == "construct":
+        cfg = tmp_path / "tiny_tol.json"
+        cfg.write_text(json.dumps(generic_config(9, profile={**GENERIC_CONFIG["profile"],
+                                                             "tol": 1e-20})))
+        argv = [str(cfg) if arg == "TINY_TOL" else arg for arg in argv]
+    if argv[0] != "profile":
+        argv += ["--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-m", "pmcsurf", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads(proc.stderr)   # one JSON object and no solver warning
+    assert err["error"] == "ConfigError" and "floor" in err["message"]
 
 
 # ---- fuzzed argv ends in a clean exit ----

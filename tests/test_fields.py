@@ -1,8 +1,11 @@
 """The fields.csv text: the vectorised '%.17g' formatter against Python's own
-conversion, and write_fields against np.savetxt, byte for byte."""
+conversion, write_fields against np.savetxt, byte for byte, and read_fields
+against the written bits."""
 from __future__ import annotations
 
 import math
+import tracemalloc
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -10,8 +13,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pmcsurf._g17 import BLOCK_ROWS, g17_cells
+from pmcsurf import fields as fields_module
 from pmcsurf.coeffs import ModelParams
-from pmcsurf.fields import CSV_COLUMNS, MASK_DOMAIN, Grid, SurfaceFields, write_fields
+from pmcsurf.errors import ConfigError
+from pmcsurf.fields import (_READ_BLOCK as READ_BLOCK, CSV_COLUMNS, MASK_DOMAIN, Grid,
+                            SurfaceFields, read_fields, write_fields, write_meta)
 
 
 def printed(values) -> list[bytes]:
@@ -117,3 +123,135 @@ def test_write_fields_matches_savetxt_bytes(nx, ny, tmp_path):
     savetxt_reference(fields, tmp_path / "reference.csv")
     assert ((tmp_path / "new" / "fields.csv").read_bytes()
             == (tmp_path / "reference.csv").read_bytes())
+
+
+# ---- read_fields: blocks parsed into the bundle's own arrays ----
+
+FIELD_NAMES = ("alpha", "a", "lam", "nu", "c", "K_formula", "K_metric", "mask")
+
+
+def same_bits(x, y) -> bool:
+    """Bitwise equality of two arrays of one dtype, any NaN equal to any NaN."""
+    if x.shape != y.shape or x.dtype != y.dtype:
+        return False
+    if x.dtype.kind == "c":
+        return same_bits(x.real, y.real) and same_bits(x.imag, y.imag)
+    if x.dtype.kind != "f":
+        return bool(np.array_equal(x, y))
+    nan = np.isnan(x)
+    return bool(np.array_equal(nan, np.isnan(y))
+                and np.array_equal(x[~nan].view(np.int64), y[~nan].view(np.int64)))
+
+
+def assert_same_bundle(got: SurfaceFields, want: SurfaceFields) -> None:
+    assert got.grid == want.grid
+    for name in FIELD_NAMES:
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+
+
+def written(fields: SurfaceFields, directory) -> str:
+    write_fields(fields, str(directory))
+    write_meta({"config": {"params": {"rho": fields.params.rho, "b": fields.params.b}}},
+               str(directory))
+    return str(directory)
+
+
+@pytest.fixture(params=[40, READ_BLOCK], ids=["block-40", "block-default"])
+def read_block(request, monkeypatch):
+    """Blocks of 40 rows hold the y axis of every grid below, and split the rest
+    of the grid mid-column."""
+    monkeypatch.setattr(fields_module, "_READ_BLOCK", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("nx,ny", [(5, 5), (9, 13), (2 * READ_BLOCK // 37 + 1, 37)],
+                         ids=["5x5", "9x13", "crosses-blocks"])
+def test_read_fields_returns_the_written_bits(nx, ny, read_block, tmp_path):
+    want = synthetic_fields(nx, ny, seed=nx)
+    want.grid = Grid(-2.5, 3.0, 0.0, 1e-3, nx, ny)
+    assert_same_bundle(read_fields(written(want, tmp_path)), want)
+
+
+def test_complex_cells_round_trip_bit_for_bit(tmp_path):
+    # a + 1j * b read (1, nan) as (nan, nan), lost the sign of a zero real part
+    # beside a non-negative imaginary one and of a zero imaginary part, and
+    # warned on an infinite imaginary part
+    want = synthetic_fields(9, 9)
+    want.grid = Grid(0.0, 1.0, 0.0, 1.0, 9, 9)
+    inf, nan = math.inf, math.nan
+    cells = [complex(1.0, nan), complex(-0.0, 0.0), complex(-0.0, 2.5), complex(3.0, -0.0),
+             complex(-0.0, -0.0), complex(1.0, inf), complex(-inf, -inf), complex(nan, -0.0),
+             complex(nan, 1.0), complex(0.0, -inf)]
+    for name in ("a", "lam", "c"):
+        getattr(want, name).reshape(-1)[9:9 + len(cells)] = cells
+    directory = written(want, tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = read_fields(directory)
+    assert_same_bundle(got, want)
+    assert math.copysign(1.0, got.a[1, 1].real) < 0 and math.copysign(1.0, got.c[1, 3].imag) < 0
+
+
+def line_end_variants(clean: bytes) -> dict:
+    rows = clean.split(b"\n")
+    assert rows[-1] == b""
+    return {
+        "crlf": clean.replace(b"\n", b"\r\n"),
+        "lone-cr": clean.replace(b"\n", b"\r"),
+        "no-final-newline": clean[:-1],
+        "blank-lines-inside": b"\n".join(r + b"\n" * (k % 3 == 1) for k, r in enumerate(rows)),
+        "trailing-blank-lines": clean + b"\n\n\r\n",
+    }
+
+
+@pytest.mark.parametrize("variant", list(line_end_variants(b"h\n")))
+def test_line_end_variants_read_like_the_clean_file(variant, read_block, tmp_path):
+    want = synthetic_fields(9, 9)
+    want.grid = Grid(0.0, 1.0, 0.0, 1.0, 9, 9)
+    directory = written(want, tmp_path)
+    clean = read_fields(directory)
+    csv = tmp_path / "fields.csv"
+    csv.write_bytes(line_end_variants(csv.read_bytes())[variant])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = read_fields(directory)
+    assert_same_bundle(got, clean)
+
+
+def test_read_bundle_owns_its_arrays_and_holds_one_block(tmp_path):
+    n = 149   # 22201 rows: six blocks
+    want = synthetic_fields(n, n)
+    want.grid = Grid(0.0, 1.0, 0.0, 1.0, n, n)
+    directory = written(want, tmp_path)
+    tracemalloc.start()
+    try:
+        got = read_fields(directory)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = [getattr(got, name) for name in FIELD_NAMES]
+    for arr in arrays:
+        assert arr.base is None or arr.base.nbytes <= arr.nbytes
+    block = READ_BLOCK * len(CSV_COLUMNS) * 8
+    assert peak - sum(arr.nbytes for arr in arrays) <= 2 * block
+
+
+def csv_rows(xy) -> bytes:
+    """fields.csv text whose rows hold the given (x, y) and zeros elsewhere."""
+    zeros = ",0" * (len(CSV_COLUMNS) - 2)
+    return "".join([",".join(CSV_COLUMNS) + "\n"]
+                   + [f"{x!r},{y!r}{zeros}\n" for x, y in xy]).encode()
+
+
+@pytest.mark.parametrize("xy,message", [
+    ([(math.nan, 0.0)] + [(1.0, float(j)) for j in range(5)], "uniformly increasing"),
+    ([(math.nan if i // 5 == 2 else float(i // 5), float(i % 5)) for i in range(25)],
+     "uniformly increasing"),
+    ([(0.0, float(j)) for j in range(READ_BLOCK + 1)], "capped"),
+], ids=["first-x-nan", "inner-x-nan", "one-column-past-a-block"])
+def test_malformed_axes_are_config_errors(xy, message, tmp_path):
+    # a NaN inside an axis passed the spacing check, whose comparisons it fails
+    written(synthetic_fields(5, 5), tmp_path)
+    (tmp_path / "fields.csv").write_bytes(csv_rows(xy))
+    with pytest.raises(ConfigError, match=message):
+        read_fields(str(tmp_path))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from pmcsurf.coeffs import ModelParams
 from pmcsurf.errors import ConfigError, GuardTripped, StepFailure
 from pmcsurf.family4 import FAMILY_MODEL, family_amplitude, family_potential
-from pmcsurf.profile import (F_eval, Potential, TwoSidedMarch, build_potential, potential_from,
-                             solve_profile)
+from pmcsurf.profile import (MIN_TOL, F_eval, Potential, TwoSidedMarch, build_potential,
+                             potential_from, solve_profile)
 
 from conftest import MODEL, richardson_fd
 
@@ -177,6 +178,19 @@ def test_march_from_an_anchor_at_one_end_of_the_range(anchor):
     # the side without extent holds the initial state
     beyond = -0.5 if anchor == 0.0 else 1.5
     assert march(beyond)[0] == 1.0
+
+
+@pytest.mark.parametrize("tol", [MIN_TOL / 2, 5e-324, 0.0, float("nan")])
+def test_march_rejects_a_tolerance_below_the_solver_floor(tol):
+    with pytest.raises(ConfigError, match="floor"):
+        TwoSidedMarch(lambda x, y: y, 0.0, (0.0, 1.0), [1.0], tol)
+
+
+def test_march_at_the_solver_floor_runs_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        march = TwoSidedMarch(lambda x, y: y, 0.0, (0.0, 1.0), [1.0], MIN_TOL)
+    np.testing.assert_allclose(march(1.0)[0], np.e, rtol=1e-12)
 
 
 def _bits(values) -> bytes:
