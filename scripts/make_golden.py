@@ -22,12 +22,14 @@ from __future__ import annotations
 import json
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+import pmcsurf.profile
 from pmcsurf.coeffs import ModelParams
 from pmcsurf.construct import construct_surface
 from pmcsurf.fields import Grid, HarmonicInput
@@ -121,7 +123,9 @@ def alpha_field():
 
     def run(tol, n_grid):
         prof = solve_profile(params, ALPHA0, A0, ALPHA_RANGE, tol=tol)
-        pot = build_potential(prof, K0=0.0, Kprime0=1.0, n_grid=n_grid)
+        # the inverse-warp table size is a module constant; the rerun doubles it
+        with mock.patch.object(pmcsurf.profile, "_POTENTIAL_GRID", n_grid):
+            pot = build_potential(prof, K0=0.0, Kprime0=1.0)
         tlo, thi = pot.t_range
         span = thi - tlo
         harm = HarmonicInput.affine_window(tlo + 0.1 * span, thi - 0.1 * span,

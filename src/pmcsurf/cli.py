@@ -238,7 +238,8 @@ def load_config(path: str, grid_override=None) -> RunConfig:
 
 
 def _out_dir(path: str) -> None:
-    """Create the --out directory up front; a path that cannot be one is a ConfigError."""
+    """Create the --out directory once the result is ready to write; a path
+    that cannot be one is a ConfigError, and a rejected run leaves none behind."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
@@ -249,7 +250,6 @@ def _out_dir(path: str) -> None:
 
 def cmd_construct(args) -> int:
     cfg = load_config(args.config, grid_override=args.grid)
-    _out_dir(args.out)
     prof = solve_profile(cfg.params, cfg.alpha0, cfg.a0, cfg.alpha_range,
                          tol=cfg.profile_tol)
     pot = build_potential(prof, K0=cfg.K0, Kprime0=cfg.Kprime0)
@@ -269,6 +269,7 @@ def cmd_construct(args) -> int:
         "guard_events": result.guard_events,
         "nu": result.nu_info,
     }
+    _out_dir(args.out)
     write_fields(result.fields, args.out)
     write_meta(meta, args.out)
     if result.guard_events:
@@ -296,10 +297,9 @@ def cmd_verify(args) -> int:
     coarse = read_fields(args.dirs[0])
     fine = read_fields(args.dirs[1]) if len(args.dirs) > 1 else None
     thresholds = _thresholds_for_verify(args, coarse.meta)
-    if args.out:
-        _out_dir(args.out)
     report = verify_suite(coarse, fine, thresholds=thresholds)
     if args.out:
+        _out_dir(args.out)
         with open(os.path.join(args.out, "verify_report.json"), "w") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -321,7 +321,6 @@ def cmd_family(args) -> int:
                 nx=args.grid[0], ny=args.grid[1])
     harmonic = HarmonicInput.affine_window(window[0], window[1],
                                            rect=rect, tilt=args.tilt)
-    _out_dir(args.out)
     result = family4.family_surface(harmonic, grid, params, quad_tol=args.quad_tol)
     meta = {
         "command": "family",
@@ -339,6 +338,7 @@ def cmd_family(args) -> int:
         "nu": result.nu_info,
         "guard_events": result.guard_events,
     }
+    _out_dir(args.out)
     write_fields(result.fields, args.out)
     write_meta(meta, args.out)
     if not args.quiet:

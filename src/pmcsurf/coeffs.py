@@ -13,9 +13,11 @@ permutation, never by assuming abar is the complex conjugate of a.
 Two readings of damaged source formulas are carried:
 
 * t9_mode: the last term of t9 is "as_printed" (a partial of t6) or
-  "alternate" (the pattern-consistent partial of t7). It is a memo key of t9
-  and of t11..t13 built on it, not a cascade flag, so one cascade serves both
-  readings. Residual diagnostics report both; this module asserts neither.
+  "alternate" (the pattern-consistent partial of t7). Inside the internal
+  _Cascade it is a memo key of t9 and of t11..t13 built on it, not a cascade
+  flag, so one cascade serves both readings (scripts/gen_cascade.py asks it
+  for both). A CoeffCache reads one, fixed when it is built. Residual
+  diagnostics report both; this module asserts neither.
 * appendix_reconciliation: t10 contains a brace-damaged tail read as
   -t8*tbar8. "assume" proceeds with that reading, "reject" refuses to
   evaluate t10..t13; this one is a cascade flag.
@@ -322,52 +324,33 @@ class _Cascade:
                 - ((ab + b) * d_al + t2 * d_a + t11b * d_ab + at1_bar * d_ab))
 
 
-def _check_t9_mode(t9_mode: str) -> str:
-    if t9_mode not in T9_READINGS:
-        raise ValueError(f"unknown t9_mode: {t9_mode!r}")
-    return t9_mode
-
-
 class CoeffCache:
-    """Reusable cascade bound to one point batch, an appendix flag and a default t9 reading."""
+    """Reusable cascade bound to one point batch, an appendix flag and one t9 reading."""
 
     def __init__(self, point: EvalPoint, *, t9_mode: str = "as_printed",
                  appendix_reconciliation: str = "assume"):
-        self.t9_mode = _check_t9_mode(t9_mode)
+        if t9_mode not in T9_READINGS:
+            raise ValueError(f"unknown t9_mode: {t9_mode!r}")
         if appendix_reconciliation not in ("assume", "reject"):
             raise ValueError(f"unknown appendix_reconciliation: {appendix_reconciliation!r}")
         check_guards(point)
         self.point = point
+        self.t9_mode = t9_mode
         self._cascade = _Cascade(point, appendix_reconciliation)
 
-    def get(self, i: int, order: int = 0, *, conjugated: bool = False, branch: int = +1,
-            t9_mode: str | None = None) -> Jet:
-        """t9_mode=None reads t9 (and t11..t13) under this cache's reading."""
-        reading = self.t9_mode if t9_mode is None else _check_t9_mode(t9_mode)
-        return self._cascade.t(i, order, conjugated, branch, reading)
-
-
-def _cache_for(point: EvalPoint, cache: CoeffCache | None, appendix: str | None) -> CoeffCache:
-    """The passed cache, or a new one; an explicit appendix flag must match the cache's."""
-    if cache is None:
-        return CoeffCache(point, appendix_reconciliation=appendix or "assume")
-    if appendix not in (None, cache._cascade.appendix):
-        raise ValueError(f"appendix_reconciliation={appendix!r} contradicts the passed cache")
-    return cache
+    def get(self, i: int, order: int = 0, *, conjugated: bool = False, branch: int = +1) -> Jet:
+        """t9 (and t11..t13) are read under this cache's reading."""
+        return self._cascade.t(i, order, conjugated, branch, self.t9_mode)
 
 
 def eval_t(i: int, point: EvalPoint, order: int = 0, *, conjugated: bool = False,
-           branch: int = +1, t9_mode: str | None = None,
-           appendix_reconciliation: str | None = None,
-           cache: CoeffCache | None = None) -> Jet:
-    """Jet of the i-th cascade coefficient at the point, to the given order.
+           branch: int = +1, t9_mode: str = "as_printed") -> Jet:
+    """Jet of the i-th cascade coefficient at the point, to the given order, from a fresh cache.
 
     conjugated=True returns the swap-rule conjugate coefficient. branch picks
     the quadratic-root sign for i in {11, 12, 13} and is ignored otherwise.
-    t9_mode=None reads t9 as the cache does (as_printed for a new cache).
     """
-    cache = _cache_for(point, cache, appendix_reconciliation)
-    return cache.get(i, order, conjugated=conjugated, branch=branch, t9_mode=t9_mode)
+    return CoeffCache(point, t9_mode=t9_mode).get(i, order, conjugated=conjugated, branch=branch)
 
 
 def t4_skew_residual(point: EvalPoint, cache: CoeffCache | None = None):
@@ -402,13 +385,10 @@ def phase_quadratic_roots(t9, t10, t6, t9bar=None):
     return (-t10 + root) / (2.0 * t9), (-t10 - root) / (2.0 * t9)
 
 
-def t11_roots(point: EvalPoint, *, t9_mode: str | None = None,
-              appendix_reconciliation: str | None = None,
-              cache: CoeffCache | None = None):
-    """Evaluate both quadratic-root branches of t11 at the point (t9_mode as in eval_t)."""
-    cache = _cache_for(point, cache, appendix_reconciliation)
-    t9 = cache.get(9, t9_mode=t9_mode).value()
+def t11_roots(cache: CoeffCache):
+    """Both quadratic-root branches of t11 at the cache's points, under its t9 reading."""
+    t9 = cache.get(9).value()
     if np.any(np.abs(t9) <= T9_GUARD):
         raise ZeroDenominator("|t9| below guard; quadratic roots undefined")
     return phase_quadratic_roots(t9, cache.get(10).value(), cache.get(6).value(),
-                                 t9bar=cache.get(9, conjugated=True, t9_mode=t9_mode).value())
+                                 t9bar=cache.get(9, conjugated=True).value())

@@ -48,16 +48,15 @@ def build_lambda(alpha, a, fz, potential: Potential, params: ModelParams):
     return fz / (potential.g(alpha) * (a + params.b))
 
 
-def omega_W(alpha, a, lam, params: ModelParams, mask=None):
+def omega_W(alpha, a, lam, params: ModelParams, mask):
     """Density W of the phase one-form Im(W dz), from point data only.
 
-    W = omega1 * lambda / D, with omega1 and D as in coeffs.omega1 and phase_D.
+    W = omega1 * lambda / D, with omega1 and D as in coeffs.omega1 and phase_D,
+    on the nodes with a finite angle and no mask bit; NaN elsewhere.
     The continuum form is closed precisely on compatible profiles; the
     verifier checks Re dW/dzbar -> 0 at second order.
     """
-    valid = np.isfinite(alpha)
-    if mask is not None:
-        valid &= mask == 0
+    valid = np.isfinite(alpha) & (mask == 0)
     D = phase_D(alpha, a, params)
     bad = valid & ~(D > 0)
     if bad.any():

@@ -96,4 +96,4 @@ class OutOfInterval(GuardError):
 
 
 class QuadratureFailure(GuardError):
-    """Adaptive quadrature for the phase integral did not converge."""
+    """The phase integral's ODE march failed."""

@@ -16,7 +16,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .coeffs import ModelParams, t2_value
 from .construct import ConstructResult, build_alpha, build_lambda, cascade_mask, gauss_curvature
@@ -119,25 +118,18 @@ def _guarded(t, c1) -> np.ndarray:
     return t
 
 
-# quadrature results memoized per (c1, quad_tol); dict ops are atomic, so
-# concurrent readers at worst duplicate a computation
-_xi_tables: dict = {}
-_XI_TABLE_CAP = 4096
-
-
 def xi_of_t(t: float, params: FamilyParams, quad_tol: float = 1e-10) -> float:
-    """Phase integral by adaptive quadrature, anchored xi(midpoint) = c2."""
+    """Phase integral along the memoised phase march, anchored xi(midpoint) = c2."""
     t = float(_guarded(t, params.c1))
-    table = _xi_tables.setdefault((params.c1, quad_tol), {})
-    val = table.get(t)
-    if val is None:
-        val, err = quad(_xi_integrand, _t_ref(params.c1), t, args=(params.c1,),
-                        epsabs=quad_tol, epsrel=quad_tol, limit=200)
-        if not np.isfinite(val) or err > max(10.0 * quad_tol, 1e-8 * (1.0 + abs(val))):
-            raise QuadratureFailure(f"phase quadrature error estimate {err:.3g} at t = {t}")
-        if len(table) < _XI_TABLE_CAP:
-            table[t] = val
-    return params.c2 + val
+    t_ref = _t_ref(params.c1)
+    march = _phase_march(params.c1, min(t, t_ref), max(t, t_ref), quad_tol)
+    return params.c2 + float(march(t)[0])
+
+
+def _family_c(t, xi, c1: float):
+    """The entry c = prefactor (8 - 9 sin^2 t) e^{i xi} at angle t and full phase xi."""
+    s2 = np.sin(t) ** 2
+    return _prefactor(c1) * (8.0 - 9.0 * s2) * np.exp(1j * xi)
 
 
 def family_state(t, params: FamilyParams, quad_tol: float = 1e-10):
@@ -145,9 +137,7 @@ def family_state(t, params: FamilyParams, quad_tol: float = 1e-10):
     t = float(_guarded(t, params.c1))
     a = complex(family_amplitude(t, params.c1))
     xi = xi_of_t(t, params, quad_tol)
-    s2 = np.sin(t) ** 2
-    c = _prefactor(params.c1) * (8.0 - 9.0 * s2) * np.exp(1j * xi)
-    return a, xi, complex(c)
+    return a, xi, complex(_family_c(t, xi, params.c1))
 
 
 def family_ode_residual(t, c1: float):
@@ -165,19 +155,19 @@ _MEMO_SIZE = 8
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def family_potential(c1: float, tol: float = 1e-12) -> Potential:
+def family_potential(c1: float) -> Potential:
     """Warp potential from the family's angle ODE, anchored at the arc midpoint.
 
     Normalization K(t_ref) = t_ref, g(t_ref) = 1 makes the warp a
     near-identity correction, so harmonic inputs range directly over the
     t-arc. The potential stops a small relative margin short of the arc ends,
-    where the warp coefficient blows up. Memoised per (c1, tol).
+    where the warp coefficient blows up. Memoised per c1.
     """
     lo, hi = valid_interval(c1)
     margin = _POTENTIAL_MARGIN * (hi - lo)
     tref = _t_ref(c1)
     return potential_from(lambda t: F_eval(t, family_amplitude(t, c1), params=FAMILY_MODEL),
-                          tref, (lo + margin, hi - margin), tref, 1.0, tol=tol)
+                          tref, (lo + margin, hi - margin), tref, 1.0)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -206,8 +196,7 @@ def family_surface(harmonic: HarmonicInput, grid: Grid, params: FamilyParams,
 
     xi_march = _phase_march(params.c1, float(np.min(alpha)), float(np.max(alpha)), quad_tol)
     xi = xi_march(alpha)[0]
-    s2 = np.sin(alpha) ** 2
-    c = _prefactor(params.c1) * (8.0 - 9.0 * s2) * np.exp(1j * (xi + params.c2))
+    c = _family_c(alpha, xi + params.c2, params.c1)
 
     mask = cascade_mask(alpha)
     K_formula, K_metric = gauss_curvature(alpha, a, lam, FAMILY_MODEL, grid)

@@ -273,18 +273,10 @@ def jcot(jet: Jet) -> Jet:
     return jcos(jet) * reciprocal(jsin(jet))
 
 
-def jsqrt(jet: Jet, reference=None) -> Jet:
-    """Square root with a principal branch and an optional continuity snap.
-
-    reference, when given, is an array of prior root values; the sign of the
-    principal root is flipped wherever the flipped root is closer to it.
-    """
+def jsqrt(jet: Jet) -> Jet:
+    """Square root on the principal branch."""
     v = jet.value()
     r0 = np.sqrt(v.astype(np.complex128))
-    if reference is not None:
-        ref = np.asarray(reference)
-        flip = np.abs(-r0 - ref) < np.abs(r0 - ref)
-        r0 = np.where(flip, -r0, r0)
     # binomial series: c_k = c_{k-1} * (1/2 - (k-1)) / (k v)
     series = [r0]
     for k in range(1, jet.order + 1):

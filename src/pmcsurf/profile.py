@@ -25,6 +25,8 @@ AB_GUARD = 1e-3          # |a + b| floor; the ODE divides by (conj a + b)
 _IM_TOL = 1e-12          # relative imaginary-part ceiling for F
 _DENSE_STEPS = 256       # max_step divisor for dense output
 MIN_TOL = float(100 * np.finfo(float).eps)   # DOP853 lifts a smaller rtol to this, with a warning
+_POTENTIAL_TOL = 1e-12   # potential march tolerance
+_POTENTIAL_GRID = 4001   # knots of the inverse-warp table
 
 
 class TwoSidedMarch:
@@ -214,20 +216,18 @@ class Potential:
         return np.clip(alpha, lo, hi)
 
 
-def build_potential(profile: ProfileSolution, K0: float = 0.0, Kprime0: float = 1.0,
-                    tol: float = 1e-12, n_grid: int = 4001) -> Potential:
+def build_potential(profile: ProfileSolution, K0: float = 0.0, Kprime0: float = 1.0) -> Potential:
     """Integrate g' = -F g, K' = g across the profile's range.
 
     Normalized by K(alpha0) = K0 and g(alpha0) = Kprime0. g never vanishes
     (it is an exponential integral scaled by Kprime0), so K is strictly
     monotone and invertible; psi is its inverse.
     """
-    return potential_from(profile.F, profile.alpha0, profile.alpha_range, K0, Kprime0,
-                          tol=tol, n_grid=n_grid)
+    return potential_from(profile.F, profile.alpha0, profile.alpha_range, K0, Kprime0)
 
 
 def potential_from(F, anchor: float, alpha_range: tuple[float, float], K0: float,
-                   Kprime0: float, tol: float = 1e-12, n_grid: int = 4001) -> Potential:
+                   Kprime0: float) -> Potential:
     """Potential of the warp coefficient F (a callable of alpha) over alpha_range."""
     if Kprime0 == 0.0:
         raise ConfigError("Kprime0 must be nonzero: the potential must be strictly monotone")
@@ -236,9 +236,9 @@ def potential_from(F, anchor: float, alpha_range: tuple[float, float], K0: float
     def rhs(alpha, y):
         return [-F(alpha) * y[0], y[0]]
 
-    march = TwoSidedMarch(rhs, anchor, (lo, hi), [Kprime0, K0], tol,
+    march = TwoSidedMarch(rhs, anchor, (lo, hi), [Kprime0, K0], _POTENTIAL_TOL,
                           what="potential integration")
-    grid = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, _POTENTIAL_GRID)
     kv = march(grid)[1]
     if Kprime0 < 0:
         grid, kv = grid[::-1], kv[::-1]

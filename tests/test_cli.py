@@ -424,6 +424,16 @@ def test_out_naming_an_existing_file_exits_with_json(argv, family_bundle, tmp_pa
     assert out.read_text() == "not a directory\n"
 
 
+def test_rejected_verify_pair_leaves_no_out(family_bundle, tmp_path):
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "pmcsurf", "verify", str(family_bundle),
+                           str(family_bundle), "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "finer" in json.loads(proc.stderr)["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["family", "--c1", "-1e-3"],
     ["family", "--c1", "2", "--rect", "-1e-3", "1", "0", "1"],
@@ -465,6 +475,7 @@ def test_march_tolerance_below_the_solver_floor_exits_3(argv, tmp_path):
     assert proc.returncode == 3, proc.stderr
     err = json.loads(proc.stderr)   # one JSON object and no solver warning
     assert err["error"] == "ConfigError" and "floor" in err["message"]
+    assert not (tmp_path / "out").exists()   # a rejected run leaves no --out behind
 
 
 # ---- fuzzed argv ends in a clean exit ----
@@ -619,3 +630,22 @@ def test_flat_ambient_space_in_a_bundle_exits_with_zero_denominator(tmp_path):
     err = json.loads(proc.stderr)
     assert err["error"] == "ZeroDenominator"
     assert err["message"] == "rho = 0 makes t6 undefined"
+
+
+# ---- the development scripts ----
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("name", ["convergence_sweep", "make_golden", "gen_cascade"])
+def test_script_imports_as_a_module(name):
+    # each script binds its pmcsurf names at import and runs nothing under
+    # it, so importing it in a fresh interpreter finds a name it lost
+    if name == "gen_cascade":
+        pytest.importorskip("sympy")
+    code = ("import importlib.util, sys; "
+            "spec = importlib.util.spec_from_file_location('script', sys.argv[1]); "
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))")
+    proc = subprocess.run([sys.executable, "-c", code, str(SCRIPTS / f"{name}.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-4000:]

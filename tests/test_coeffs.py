@@ -84,24 +84,26 @@ def test_conjugate_pair_consistency_of_every_coefficient():
 
 @pytest.mark.parametrize("conjugate_pair", [True, False])
 def test_t9_reading_is_a_memo_key_of_one_cascade(conjugate_pair):
-    # one cascade asked for both readings must give, bit for bit, what a
-    # cascade built for each reading gives, and asking for one reading must
-    # not leak into the other's memo entries
+    # a cache per reading: the readings agree bit for bit outside t9 and
+    # t11..t13, and differ at t9; the internal cascade asked for both
+    # readings gives, bit for bit, what each reading's cache gives, and
+    # asking for one reading does not leak into the other's memo entries
     pt = random_points(50, seed=5, conjugate_pair=conjugate_pair)
-    shared = CoeffCache(pt)
+    shared = coeffs._Cascade(pt, "assume")
     printed, alternate = CoeffCache(pt), CoeffCache(pt, t9_mode="alternate")
     for i in range(1, 14):
         for order in (0, 1):
             for cj in (False, True):
                 for br in ((+1, -1) if i >= 11 else (+1,)):
                     kw = dict(conjugated=cj, branch=br)
-                    got = shared.get(i, order, **kw, t9_mode="alternate").coeffs
-                    assert np.array_equal(got, alternate.get(i, order, **kw).coeffs), (i, order, kw)
+                    got = alternate.get(i, order, **kw).coeffs
                     want = printed.get(i, order, **kw).coeffs
-                    assert np.array_equal(shared.get(i, order, **kw).coeffs, want), (i, order, kw)
+                    key = (i, order, cj, br)
+                    assert np.array_equal(shared.t(*key, "alternate").coeffs, got), (i, order, kw)
+                    assert np.array_equal(shared.t(*key, "as_printed").coeffs, want), (i, order, kw)
                     if i not in (9, 11, 12, 13):
                         assert np.array_equal(got, want), (i, order, kw)
-    assert not np.array_equal(shared.get(9).coeffs, shared.get(9, t9_mode="alternate").coeffs)
+    assert not np.array_equal(printed.get(9).coeffs, alternate.get(9).coeffs)
 
 
 def test_swap_rule_off_the_conjugate_pair_locus():
@@ -162,13 +164,13 @@ def test_phase_quadratic_roots_satisfy_their_equation():
     t9b = cache.get(9, conjugated=True).value()
     t10 = cache.get(10).value()
     t6 = cache.get(6).value()
-    for x in t11_roots(pt, t9_mode="alternate", cache=cache):
+    for x in t11_roots(cache):
         res = t9 * x + t9b * (t6 / x) + t10
         scale = 1.0 + np.abs(t9 * x) + np.abs(t10)
         assert float(np.max(np.abs(res) / scale)) <= 1e-9
     # where the two roots are a conjugate pair they carry the stated modulus
     # and the equation collapses to a real linear condition
-    r1, r2 = t11_roots(pt, t9_mode="alternate", cache=cache)
+    r1, r2 = t11_roots(cache)
     pair = np.abs(r1 - np.conj(r2)) <= 1e-9 * (1.0 + np.abs(r1))
     if pair.any():
         x = r1[pair]
@@ -182,8 +184,8 @@ def test_phase_quadratic_conjugates_under_swap():
     # every cascade coefficient, so the roots come back conjugated too
     pt = random_points(40, seed=31)
     swapped = point(pt.alpha, np.conj(pt.a))
-    r1, r2 = t11_roots(pt, t9_mode="alternate")
-    s1, s2 = (np.conj(x) for x in t11_roots(swapped, t9_mode="alternate"))
+    r1, r2 = t11_roots(CoeffCache(pt, t9_mode="alternate"))
+    s1, s2 = (np.conj(x) for x in t11_roots(CoeffCache(swapped, t9_mode="alternate")))
     straight = np.abs(s1 - r1) + np.abs(s2 - r2)
     crossed = np.abs(s1 - r2) + np.abs(s2 - r1)
     scale = 1.0 + np.abs(r1) + np.abs(r2)
@@ -200,30 +202,12 @@ def test_amplitude_derivative_is_a_phase_quadratic_root_on_the_family():
     t1 = cache.get(1).value()
     t2 = cache.get(2).value()
     a1 = -a * t1 + (a + 1.0) * t2 / (np.conj(a) + 1.0)
-    r1, r2 = t11_roots(pt, t9_mode="alternate", cache=cache)
+    r1, r2 = t11_roots(cache)
     dist = np.minimum(np.abs(r1 - a1), np.abs(r2 - a1)) / (1.0 + np.abs(a1))
     assert float(np.max(dist)) <= 1e-6
-    p1, p2 = t11_roots(pt, t9_mode="as_printed")
+    p1, p2 = t11_roots(CoeffCache(pt))
     dist_p = np.minimum(np.abs(p1 - a1), np.abs(p2 - a1)) / (1.0 + np.abs(a1))
     assert float(np.min(dist_p)) >= 1e-4
-
-
-def test_explicit_t9_reading_overrides_the_passed_cache():
-    pt = random_points(30, seed=41)
-    alternate = CoeffCache(pt, t9_mode="alternate")
-    for got, want in zip(t11_roots(pt, t9_mode="as_printed", cache=alternate),
-                         t11_roots(pt, t9_mode="as_printed")):
-        assert np.array_equal(got, want)
-    got = eval_t(9, pt, order=1, t9_mode="as_printed", cache=alternate)
-    assert np.array_equal(got.coeffs, eval_t(9, pt, order=1).coeffs)
-    # no reading named: the cache's own
-    got = eval_t(9, pt, order=1, cache=alternate)
-    assert np.array_equal(got.coeffs, eval_t(9, pt, order=1, t9_mode="alternate").coeffs)
-    eval_t(9, pt, appendix_reconciliation="assume", cache=alternate)
-    with pytest.raises(ValueError):
-        eval_t(9, pt, appendix_reconciliation="reject", cache=alternate)
-    with pytest.raises(ValueError):
-        t11_roots(pt, appendix_reconciliation="reject", cache=alternate)
 
 
 def test_swap_mirror_shares_the_trig_block(monkeypatch):
@@ -294,8 +278,6 @@ def test_invalid_ids_and_modes_rejected():
     with pytest.raises(ValueError):
         CoeffCache(pt, t9_mode="sideways")
     with pytest.raises(ValueError):
-        CoeffCache(pt).get(9, t9_mode="sideways")
-    with pytest.raises(ValueError):
         CoeffCache(pt, appendix_reconciliation="maybe")
 
 
@@ -340,9 +322,9 @@ def _arc_points(params: ModelParams, conjugate_pair: bool, n: int = 300, seed: i
 @pytest.mark.parametrize("conjugate_pair", [True, False], ids=["pair", "off-pair"])
 def test_generated_cascade_matches_the_jet_cascade(params, conjugate_pair):
     pt = _arc_points(params, conjugate_pair)
-    cache = CoeffCache(pt)
-    want = ([cache.get(i).value() for i in _cascade_gen.T_IDS]
-            + [cache.get(9, t9_mode=m).value() for m in coeffs.T9_READINGS])
+    caches = [CoeffCache(pt, t9_mode=m) for m in coeffs.T9_READINGS]
+    want = ([caches[0].get(i).value() for i in _cascade_gen.T_IDS]
+            + [cache.get(9).value() for cache in caches])
     got = _cascade_gen.cascade_values(pt.alpha, pt.a, pt.abar, params.rho, params.b)
     assert len(got) == len(want)
     for k, (g, w) in enumerate(zip(got, want)):

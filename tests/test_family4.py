@@ -85,10 +85,12 @@ def test_phase_integral_anchor_and_offset():
 
 
 def test_phase_integral_memoization():
+    # xi_of_t reads the phase march memo that family_surface uses
     p = fam.FamilyParams(c1=2.0)
     first = fam.xi_of_t(1.05, p)
-    assert (2.0, 1e-10) in fam._xi_tables
+    hits = fam._phase_march.cache_info().hits
     assert fam.xi_of_t(1.05, p) == first
+    assert fam._phase_march.cache_info().hits == hits + 1
 
 
 def test_arc_guard():
@@ -110,6 +112,18 @@ def test_state_assembles_modulus_and_phase():
     assert abs(c) == pytest.approx(fam._prefactor(2.0) * abs(8.0 - 9.0 * s2), rel=1e-12)
     assert np.angle(c) == pytest.approx(xi)
     assert a == pytest.approx(complex(fam.family_amplitude(1.0, 2.0)))
+
+
+@pytest.mark.parametrize("c1", [2.0, -1.0])
+def test_point_api_matches_the_surface_path(c1):
+    params = fam.FamilyParams(c1=c1, c2=0.7)
+    f = build_family(33, c1=c1, c2=params.c2).fields
+    for i, j in [(0, 0), (0, 32), (16, 16), (32, 0), (32, 32), (5, 27)]:
+        t = float(f.alpha[i, j])
+        # nu excludes c2, so the phase integral is read with c2 = 0
+        xi = fam.xi_of_t(t, fam.FamilyParams(c1=c1))
+        assert xi == pytest.approx(f.nu[i, j], rel=0, abs=1e-12)
+        assert fam.family_state(t, params)[2] == pytest.approx(f.c[i, j], rel=0, abs=1e-12)
 
 
 def test_surface_fixes_the_model_constants():

@@ -144,12 +144,6 @@ def test_sqrt_squares_back():
     np.testing.assert_allclose((r * r).coeffs, j.coeffs, atol=1e-12)
 
 
-def test_sqrt_reference_branch_snap():
-    j = Jet.constant(4.0, order=1)
-    assert jsqrt(j).value() == pytest.approx(2.0)
-    assert jsqrt(j, reference=np.asarray(-2.1)).value() == pytest.approx(-2.0)
-
-
 def test_differentiate_matches_stored_partials():
     j = sample_expression(1.1, 0.4 + 0.3j, 0.4 - 0.3j)
     for var in range(3):
