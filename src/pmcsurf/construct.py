@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
+from ._numerics import cumulative_simpson
 from .coeffs import ModelParams, cascade_ok, omega1, phase_D, t1_value, t2_value
 from .errors import NonpositiveDenominator, PathInconsistency, RangeMismatch
 from .fields import (GAUSS_STEP, MASK_DOMAIN, MASK_NUPATH, MASK_SINGULAR, Grid,
@@ -82,10 +82,10 @@ def integrate_nu(W: np.ndarray, grid: Grid, mask: np.ndarray):
     """
     hx, hy = grid.hx, grid.hy
     Q, P = W.imag, W.real          # d nu/dx, d nu/dy
-    ix0 = cumulative_simpson(Q[:, 0], dx=hx, initial=0.0)
-    iy = cumulative_simpson(P, dx=hy, initial=0.0, axis=1)
-    iy0 = cumulative_simpson(P[0, :], dx=hy, initial=0.0)
-    ix = cumulative_simpson(Q, dx=hx, initial=0.0, axis=0)
+    ix0 = cumulative_simpson(Q[:, 0], hx)
+    iy = cumulative_simpson(P, hy, axis=1)
+    iy0 = cumulative_simpson(P[0, :], hy)
+    ix = cumulative_simpson(Q, hx, axis=0)
     nu_a = ix0[:, None] + iy
     nu_b = iy0[None, :] + ix
     mismatch = np.abs(nu_a - nu_b)

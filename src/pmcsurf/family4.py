@@ -108,21 +108,26 @@ def _t_ref(c1: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _guarded(t, c1) -> np.ndarray:
+def _state_arc(c1: float) -> tuple[float, float]:
+    """The part of the arc where states are evaluated: a relative guard off each degenerate end."""
     lo, hi = valid_interval(c1)
     guard = _INTERVAL_GUARD * (hi - lo)
+    return lo + guard, (hi if c1 < 0 else hi - guard)   # pi/2 endpoint is regular when c1 < 0
+
+
+def _guarded(t, c1) -> np.ndarray:
+    lo_ok, hi_ok = _state_arc(c1)
     t = np.asarray(t, dtype=np.float64)
-    hi_ok = hi if c1 < 0 else hi - guard   # pi/2 endpoint is regular when c1 < 0
-    if np.any(t < lo + guard) or np.any(t > hi_ok + 1e-15):
+    if np.any(t < lo_ok) or np.any(t > hi_ok + 1e-15):
+        lo, hi = valid_interval(c1)
         raise OutOfInterval(f"t outside the admissible arc ({lo:.9g}, {hi:.9g}) for c1 = {c1}")
     return t
 
 
 def xi_of_t(t: float, params: FamilyParams, quad_tol: float = 1e-10) -> float:
-    """Phase integral along the memoised phase march, anchored xi(midpoint) = c2."""
+    """Phase integral anchored xi(midpoint) = c2, read off one memoised march over the state arc."""
     t = float(_guarded(t, params.c1))
-    t_ref = _t_ref(params.c1)
-    march = _phase_march(params.c1, min(t, t_ref), max(t, t_ref), quad_tol)
+    march = _phase_march(params.c1, *_state_arc(params.c1), quad_tol)
     return params.c2 + float(march(t)[0])
 
 

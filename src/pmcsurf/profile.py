@@ -15,16 +15,15 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 
+from ._numerics import DenseMarch, Pchip
 from .coeffs import ModelParams, t2_value
 from .errors import ConfigError, GuardTripped, StepFailure
 
 AB_GUARD = 1e-3          # |a + b| floor; the ODE divides by (conj a + b)
 _IM_TOL = 1e-12          # relative imaginary-part ceiling for F
 _DENSE_STEPS = 256       # max_step divisor for dense output
-MIN_TOL = float(100 * np.finfo(float).eps)   # DOP853 lifts a smaller rtol to this, with a warning
+MIN_TOL = float(100 * np.finfo(float).eps)   # below it rounding steers a march's steps
 _POTENTIAL_TOL = 1e-12   # potential march tolerance
 _POTENTIAL_GRID = 4001   # knots of the inverse-warp table
 
@@ -43,7 +42,7 @@ class TwoSidedMarch:
     def __init__(self, rhs, anchor: float, span: tuple[float, float], y0, tol: float,
                  *, error: type = StepFailure, what: str = "integrator", event=None):
         if not tol >= MIN_TOL:
-            raise ConfigError(f"{what} tolerance {tol!r} is below DOP853's floor {MIN_TOL!r}")
+            raise ConfigError(f"{what} tolerance {tol!r} is below the floor {MIN_TOL!r}")
         self.anchor = anchor
         self.y0 = np.asarray(y0, dtype=np.float64)
         self._sides = [None, None]
@@ -59,12 +58,11 @@ class TwoSidedMarch:
         if not finite:
             raise error(f"{what} has a non-finite slope at its anchor {anchor}")
         for k, end in marched:
-            sol = solve_ivp(rhs, (anchor, end), y0, method="DOP853", dense_output=True,
-                            rtol=tol, atol=tol, max_step=step, events=event)
-            if sol.status == -1:
-                raise error(f"{what} failed toward {end}: {sol.message}")
-            self._sides[k] = sol.sol
-            reached[k] = float(sol.t[-1])
+            side = DenseMarch(rhs, anchor, self.y0, end, tol, step, event)
+            if side.status == -1:
+                raise error(f"{what} failed toward {end}: {side.message}")
+            self._sides[k] = side
+            reached[k] = side.t_end
         self.reached = tuple(reached)
 
     def __call__(self, x) -> np.ndarray:
@@ -169,7 +167,6 @@ def solve_profile(params: ModelParams, alpha0: float, a0: complex,
 
     def guard_event(alpha, y):
         return abs((y[0] + 1j * y[1]) + params.b) - AB_GUARD
-    guard_event.terminal = True
 
     march = TwoSidedMarch(rhs, alpha0, (lo, hi), [a0.real, a0.imag], tol, event=guard_event)
     achieved = march.reached
@@ -192,7 +189,7 @@ class Potential:
     alpha_range: tuple[float, float]
     t_range: tuple[float, float]          # K over alpha_range, ascending
     _march: TwoSidedMarch = field(repr=False)
-    _inv: PchipInterpolator = field(repr=False)
+    _inv: Pchip = field(repr=False)
 
     def _eval(self, alpha, row):
         return self._march(alpha)[row][()]
@@ -246,8 +243,7 @@ def potential_from(F, anchor: float, alpha_range: tuple[float, float], K0: float
         raise StepFailure(f"potential over [{lo}, {hi}] cannot be inverted: "
                           "K is not finite and strictly monotone in floats")
     try:
-        with np.errstate(all="ignore"):
-            inv = PchipInterpolator(kv, grid, extrapolate=False)
+        inv = Pchip(kv, grid)
     except ValueError as exc:   # knots so close that the slope estimates overflow
         raise StepFailure(f"potential over [{lo}, {hi}] cannot be inverted: {exc}") from None
     k = (march(lo)[1], march(hi)[1])

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pmcsurf.cli import build_parser, fmt_complex, main, parse_complex
-from pmcsurf.errors import ConfigError
+from pmcsurf.errors import ConfigError, GuardTripped
 from pmcsurf.family4 import family_amplitude
 from pmcsurf.fields import MAX_SIDE, HarmonicInput, read_fields
 from pmcsurf.profile import build_potential, solve_profile
@@ -149,6 +149,24 @@ def test_generic_construct_masks_and_reports(tmp_path, capsys):
     fields = read_fields(out_dir)
     assert fields.mask.any()
     assert np.isfinite(fields.alpha).all()
+
+
+def test_guard_trip_inside_the_range_exits_2_with_the_achieved_range(tmp_path, capsys):
+    # |a + b| falls to the guard floor on both sides of alpha0 before the range ends
+    prof = {**GENERIC_CONFIG["profile"], "alpha0": 2.0, "a0_re": -0.7, "a0_im": 0.2,
+            "alpha_min": 1.7, "alpha_max": 2.6}
+    cfg_path = tmp_path / "trip.json"
+    cfg_path.write_text(json.dumps(generic_config(9, profile=prof)))
+    out = tmp_path / "out"
+    rc = main(["construct", "--config", str(cfg_path), "--out", str(out)])
+    err = json.loads(capsys.readouterr().err)
+    with pytest.raises(GuardTripped) as trip:
+        solve_profile(MODEL, 2.0, -0.7 + 0.2j, (1.7, 2.6), tol=prof["tol"])
+    assert rc == 2
+    assert err["error"] == "GuardTripped"
+    assert err["achieved_range"] == list(trip.value.achieved)
+    assert 1.7 < err["achieved_range"][0] < 2.0 < err["achieved_range"][1] < 2.6
+    assert not out.exists()
 
 
 def test_construct_rejects_unknown_config_key(tmp_path, capsys):
@@ -304,6 +322,21 @@ def test_tcoef_rejects_bad_id_and_literal(capsys):
     capsys.readouterr()
     assert main(["tcoef", "--i", "3", "--alpha", "1.0", "--a", "1+2x"]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_a_family_run_and_its_verify_never_import_scipy(tmp_path):
+    out = str(tmp_path / "fam")
+    code = ("import sys\n"
+            "from pmcsurf.cli import main\n"
+            f"assert main(['family', '--c1', '2', '--grid', '9', '9', '--out', {out!r},"
+            " '--quiet']) == 0\n"
+            f"print(main(['verify', {out!r}]))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *_, rc, loaded = proc.stdout.splitlines()
+    assert (rc, loaded) == ("0", "[]")
 
 
 def test_module_entry_point_smoke():
@@ -643,6 +676,8 @@ def test_script_imports_as_a_module(name):
     # it, so importing it in a fresh interpreter finds a name it lost
     if name == "gen_cascade":
         pytest.importorskip("sympy")
+    if name == "make_golden":   # the golden file's integrator stays SciPy, independent of pmcsurf
+        pytest.importorskip("scipy")
     code = ("import importlib.util, sys; "
             "spec = importlib.util.spec_from_file_location('script', sys.argv[1]); "
             "spec.loader.exec_module(importlib.util.module_from_spec(spec))")

@@ -93,6 +93,22 @@ def test_phase_integral_memoization():
     assert fam._phase_march.cache_info().hits == hits + 1
 
 
+def test_point_reads_share_one_arc_wide_march():
+    # any number of distinct t build one march over the state arc, and leave
+    # the surface's own march in the memo
+    params = fam.FamilyParams(c1=3.0)
+    fam._phase_march.cache_clear()
+    build_family(17, c1=3.0)
+    before = fam._phase_march.cache_info().currsize
+    lo, hi = fam._state_arc(3.0)
+    for t in np.linspace(lo, hi, 50):
+        fam.xi_of_t(float(t), params)
+    info = fam._phase_march.cache_info()
+    assert info.currsize <= before + 1
+    build_family(17, c1=3.0)
+    assert fam._phase_march.cache_info().hits > info.hits
+
+
 def test_arc_guard():
     p = fam.FamilyParams(c1=2.0)
     lo, hi = fam.valid_interval(2.0)
