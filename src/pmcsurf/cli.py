@@ -6,8 +6,8 @@ single-directory verify), family (explicit family surfaces), profile
 (amplitude ODE table), tcoef (cascade coefficient values and partials).
 
 Exit codes: 0 success, 1 residual failure, 2 guard/domain failure,
-3 config/schema failure. Guard and schema failures emit one machine-readable
-JSON object on stderr.
+3 config/schema failure, 141 stdout closed by its reader. Guard and schema
+failures emit one machine-readable JSON object on stderr.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from . import construct as _construct
 from . import family4, verify as _verify
 from ._g17 import csv_chunks
 from .coeffs import T9_READINGS, CoeffCache, EvalPoint, ModelParams
-from .errors import ConfigError, PmcError
+from .errors import EXIT_STDOUT_CLOSED, ConfigError, PmcError
 from .fields import Grid, HarmonicInput, read_fields, write_fields, write_meta
 from .profile import build_potential, solve_profile
 from .verify import Thresholds, verify_suite
@@ -477,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
@@ -485,6 +485,19 @@ def main(argv=None) -> int:
         json.dump(err.payload(), sys.stderr)
         sys.stderr.write("\n")
         return err.exit_code
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()   # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone, as in `pmcsurf verify DIR | head -1`;
+        # point fd 1 at devnull so the flush at exit cannot raise again, and
+        # exit with the shell's code for SIGPIPE, not 1 for a residual failure
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
 
 
 if __name__ == "__main__":

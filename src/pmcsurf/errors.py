@@ -2,7 +2,7 @@
 
 Every error carries the process exit code the CLI maps it to:
 0 success, 1 residual threshold failure, 2 guard/domain failure,
-3 config/schema failure.
+3 config/schema failure. The CLI exits 141 when its stdout is closed.
 """
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ EXIT_OK = 0
 EXIT_RESIDUAL = 1
 EXIT_GUARD = 2
 EXIT_CONFIG = 3
+EXIT_STDOUT_CLOSED = 141   # 128 + SIGPIPE, as a shell reports a writer the signal ended
 
 
 class PmcError(Exception):

@@ -5,6 +5,8 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import os
 import shutil
 import signal
 import subprocess
@@ -87,7 +89,7 @@ def test_construct_is_deterministic(locus_cli):
     again = str(root / "again")
     assert main(["construct", "--config", str(cfg_path), "--out", again,
                  "--quiet"]) == 0
-    for name in ("fields.csv", "meta.json"):
+    for name in ("fields.csv", "meta.json", "fields.npz"):
         with open(f"{coarse}/{name}", "rb") as f1, open(f"{again}/{name}", "rb") as f2:
             assert f1.read() == f2.read(), name
 
@@ -149,6 +151,13 @@ def test_generic_construct_masks_and_reports(tmp_path, capsys):
     fields = read_fields(out_dir)
     assert fields.mask.any()
     assert np.isfinite(fields.alpha).all()
+    # read through the twin, the NaN cells of the masked nodes hold the bits the parse returns
+    assert np.isnan(fields.c).any()
+    os.remove(os.path.join(out_dir, "fields.npz"))
+    parsed = read_fields(out_dir)
+    assert parsed.grid == fields.grid
+    for name in ("alpha", "a", "lam", "nu", "c", "K_formula", "K_metric", "mask"):
+        assert getattr(parsed, name).tobytes() == getattr(fields, name).tobytes(), name
 
 
 def test_guard_trip_inside_the_range_exits_2_with_the_achieved_range(tmp_path, capsys):
@@ -337,6 +346,18 @@ def test_a_family_run_and_its_verify_never_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     *_, rc, loaded = proc.stdout.splitlines()
     assert (rc, loaded) == ("0", "[]")
+
+
+def test_closed_stdout_exits_141_without_a_traceback(family_bundle):
+    # the reader of `pmcsurf verify DIR | head -1` closes the pipe after one line;
+    # here it is closed before the first, so every write finds it closed
+    proc = subprocess.Popen([sys.executable, "-m", "pmcsurf", "verify", str(family_bundle)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141, err
+    assert err == b""
 
 
 def test_module_entry_point_smoke():
@@ -591,6 +612,81 @@ def test_fuzzed_argv_ends_in_a_clean_exit(argv, generic_config_path):
             assert back.grid.nx == int(argv[argv.index("--grid") + 1])
 
 
+# ---- fuzzed config ends in a clean exit ----
+
+# JSON values past the schema: non-finite (json writes NaN and Infinity), huge,
+# tiny, an int with no float value, and values of the wrong type
+CONFIG_EXTREME = [math.nan, math.inf, -math.inf, 0, -0.0, -1e-300, 1e20, 1e300,
+                  1.7976931348623157e308, 2.2250738585072014e-308, 5e-324, HUGE,
+                  True, "1", None, [1.0]]
+# every numeric field of the config schema but the grid sides, with values
+# that mostly get past the schema; the grid sides stay small when valid
+CONFIG_NUMBERS = {
+    ("params", "rho"): [-3.0, -1.0, 2.5],
+    ("params", "b"): [1.0, 0.5, 2.0],
+    ("profile", "alpha0"): [0.6, 0.5, 0.7],
+    ("profile", "a0_re"): [0.3, -0.2, 1.5],
+    ("profile", "a0_im"): [0.4, 0.0, -0.3],
+    ("profile", "alpha_min"): [0.4, 0.3, 0.45],
+    ("profile", "alpha_max"): [1.2, 0.9, 1.0],
+    ("profile", "tol"): [1e-10, 1e-6, 1e-3],
+    ("potential", "K0"): [0.0, 1.0, -2.0],
+    ("potential", "Kprime0"): [1.0, -1.0, 3.0],
+    ("grid", "x0"): [0.0, -0.5],
+    ("grid", "x1"): [1.0, 0.25, 2.0],
+    ("grid", "y0"): [0.0, -1.0],
+    ("grid", "y1"): [1.0, 0.5],
+    (None, "nu0"): [0.0, 1.5, -3.0],
+    ("thresholds", "identity_tol"): [1e-8, 1e-12],
+}
+CONFIG_SIDES = [5, 6, 7, 8, 9]
+CONFIG_EXTREME_SIDES = [4, 0, -3, MAX_SIDE + 1, HUGE, 7.0, True, "7", None]
+CONFIG_COEFFS = [GENERIC_CONFIG["harmonic"]["coeffs"], [[0.0, 0.0], [0.5, 0.2]],
+                 [[-0.07, 0.0], [0.9, 0.0], [0.1, -0.05]]]
+CONFIG_EXTREME_COEFFS = [[], [[1.0]], [[math.nan, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]],
+                         [[HUGE, 0.0], [1.0, 0.0]], [[1e300, 0.0], [1e300, 1e300]], "x",
+                         [[0.0, 0.0], [1.0, "1"]]]
+CONFIG_BANDS = [[1.7, 2.3], [1.5, 2.5]]
+CONFIG_EXTREME_BANDS = [[2.3, 1.7], [2.0, 2.0], [math.nan, 2.0], [1.0, HUGE], [1.7], "x",
+                        [-1e300, 1e300]]
+
+
+@st.composite
+def fuzzed_config(draw):
+    """The generic reference config with each fuzzed field redrawn one time in six."""
+    cfg = generic_config(7)
+    fields = [(key, plausible, CONFIG_EXTREME) for key, plausible in CONFIG_NUMBERS.items()]
+    fields += [(("grid", side), CONFIG_SIDES, CONFIG_EXTREME_SIDES) for side in ("nx", "ny")]
+    fields += [(("harmonic", "coeffs"), CONFIG_COEFFS, CONFIG_EXTREME_COEFFS),
+               (("thresholds", "order_band"), CONFIG_BANDS, CONFIG_EXTREME_BANDS)]
+    for (section, key), plausible, extreme in fields:
+        if draw(st.integers(0, 5)) == 5:
+            value = fuzz(draw, plausible, extreme)
+            (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+    return cfg
+
+
+@settings(max_examples=25)
+@given(cfg=fuzzed_config())
+def test_fuzzed_config_ends_in_a_clean_exit(cfg):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        with time_budget(30), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["construct", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+        assert code in (0, 2, 3), (cfg, err.getvalue())
+        if code:
+            payload = json.loads(err.getvalue())    # exactly one JSON object
+            assert isinstance(payload, dict) and "error" in payload, cfg
+        else:
+            assert not err.getvalue(), cfg
+        if code in (0, 2) and out.exists():
+            assert read_fields(str(out)).grid.nx == cfg["grid"]["nx"]
+
+
 # ---- a malformed field bundle ends in a clean exit ----
 
 @pytest.fixture(scope="module")
@@ -600,11 +696,30 @@ def family_bundle(tmp_path_factory):
     return out
 
 
-def _first_row(edit):
-    def apply(text):
-        header, row, rest = text.split("\n", 2)
-        return "\n".join([header, edit(row), rest])
+def _text(name, edit):
+    """An edit of the text of one file of the bundle."""
+    def apply(bundle):
+        (bundle / name).write_text(edit((bundle / name).read_text()))
     return apply
+
+
+def _a_directory(name):
+    def apply(bundle):
+        (bundle / name).unlink()
+        (bundle / name).mkdir()
+    return apply
+
+
+def _rows(edit):
+    """An edit of the list of data rows of fields.csv."""
+    def apply(text):
+        header, *rows = text.split("\n")
+        return "\n".join([header, *edit(rows)])
+    return _text("fields.csv", apply)
+
+
+def _first_row(edit):
+    return _rows(lambda rows: [edit(rows[0]), *rows[1:]])
 
 
 def _scale_xy(row, factor):
@@ -614,36 +729,102 @@ def _scale_xy(row, factor):
     return f"{float(x) * factor!r},{float(y) * factor!r},{rest}"
 
 
+def _set_y(row, y):
+    x, _, rest = row.split(",", 2)
+    return f"{x},{y},{rest}"
+
+
+# rows 11 and 12 both hold x[1]; swapped, each sits at the other's y
+_SWAP_11_12 = _rows(lambda rows: rows[:11] + [rows[12], rows[11]] + rows[13:])
+_Y_123_5 = _rows(lambda rows: rows[:20] + [_set_y(rows[20], "123.5")] + rows[21:])
+
+
+def _then(*edits):
+    def apply(bundle):
+        for edit in edits:
+            edit(bundle)
+    return apply
+
+
+def _truncate_twin(bundle):
+    twin = bundle / "fields.npz"
+    twin.write_bytes(twin.read_bytes()[:len(twin.read_bytes()) // 2])
+
+
+def _twin_of_another_bundle(bundle):
+    assert main(["family", "--c1", "2.5", "--grid", "9", "9", "--out", str(bundle / "other"),
+                 "--quiet"]) == 0
+    (bundle / "other" / "fields.npz").replace(bundle / "fields.npz")
+    shutil.rmtree(bundle / "other")
+
+
+def _twin_arrays(edit):
+    """Rewrite fields.npz with edit applied to its arrays; it keeps the CSV's digest."""
+    def apply(bundle):
+        with np.load(bundle / "fields.npz") as twin:
+            arrays = dict(twin)
+        edit(arrays, bundle)
+        np.savez(bundle / "fields.npz", **arrays)
+    return apply
+
+
+def _mask_9(arrays, bundle):
+    arrays["mask"][40] = 9
+
+
+def _alpha_one_short(arrays, bundle):
+    arrays["alpha"] = arrays["alpha"][:-1]
+
+
+class _OpensAFileWhenUnpickled:
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return open, (self.path, "w")
+
+
+def _pickled_alpha(arrays, bundle):
+    marker = str(bundle / "unpickled")
+    arrays["alpha"] = np.array([_OpensAFileWhenUnpickled(marker)] * arrays["alpha"].size)
+
+
 MALFORMED_BUNDLES = {
-    "non-numeric": ("fields.csv", _first_row(lambda row: "abc" + row[row.index(","):])),
-    "ragged-row": ("fields.csv", _first_row(lambda row: row[:row.rindex(",")])),
-    "empty-csv": ("fields.csv", lambda text: ""),
-    "meta-not-json": ("meta.json", lambda text: text[:len(text) // 2]),
-    "mask-257": ("fields.csv", _first_row(lambda row: row[:row.rindex(",") + 1] + "257")),
-    "header-only": ("fields.csv", lambda text: text.split("\n", 1)[0] + "\n"),
-    "hash-row": ("fields.csv", _first_row(lambda row: "#" + row)),
-    "rect-1e-300": ("fields.csv", lambda text: "\n".join(
-        [text.split("\n", 1)[0]] + [_scale_xy(row, 1e-300) for row in text.split("\n")[1:]])),
-    "csv-is-dir": ("fields.csv", None),
-    "meta-is-dir": ("meta.json", None),
+    "non-numeric": _first_row(lambda row: "abc" + row[row.index(","):]),
+    "ragged-row": _first_row(lambda row: row[:row.rindex(",")]),
+    "empty-csv": _text("fields.csv", lambda text: ""),
+    "meta-not-json": _text("meta.json", lambda text: text[:len(text) // 2]),
+    "mask-257": _first_row(lambda row: row[:row.rindex(",") + 1] + "257"),
+    "header-only": _text("fields.csv", lambda text: text.split("\n", 1)[0] + "\n"),
+    "hash-row": _first_row(lambda row: "#" + row),
+    "rect-1e-300": _rows(lambda rows: [_scale_xy(row, 1e-300) for row in rows]),
+    "csv-is-dir": _a_directory("fields.csv"),
+    "meta-is-dir": _a_directory("meta.json"),
+    # rows off their grid nodes read without error when only x[0], y[0] and
+    # the x of rows 0, ny, 2 ny, ... were checked
+    "rows-11-12-swapped": _SWAP_11_12,
+    "row-20-y-123.5": _Y_123_5,
+    # a twin that is not this CSV's is passed over, and the parse finds the fault
+    "twin-truncated": _then(_Y_123_5, _truncate_twin),
+    "twin-of-another-bundle": _then(_SWAP_11_12, _twin_of_another_bundle),
+    # a twin that holds this CSV's digest is checked as a parse would be
+    "twin-mask-9": _twin_arrays(_mask_9),
+    "twin-alpha-one-short": _twin_arrays(_alpha_one_short),
+    "twin-object-member": _twin_arrays(_pickled_alpha),
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_BUNDLES))
 def test_malformed_field_bundle_exits_with_json(case, family_bundle, tmp_path):
-    name, edit = MALFORMED_BUNDLES[case]
     bundle = tmp_path / "bundle"
     shutil.copytree(family_bundle, bundle)
-    if edit is None:   # a directory where the file belongs
-        (bundle / name).unlink()
-        (bundle / name).mkdir()
-    else:
-        (bundle / name).write_text(edit((bundle / name).read_text()))
+    MALFORMED_BUNDLES[case](bundle)
     proc = subprocess.run([sys.executable, "-m", "pmcsurf", "verify", str(bundle)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3, proc.stderr
     err = json.loads(proc.stderr)
     assert isinstance(err, dict) and err["error"] == "ConfigError"
+    assert not (bundle / "unpickled").exists()
 
 
 def test_flat_ambient_space_in_a_bundle_exits_with_zero_denominator(tmp_path):

@@ -4,9 +4,11 @@ against the written bits."""
 from __future__ import annotations
 
 import math
+import shutil
 import tracemalloc
 import warnings
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +18,8 @@ from pmcsurf._g17 import BLOCK_ROWS, g17_cells
 from pmcsurf import fields as fields_module
 from pmcsurf.coeffs import ModelParams
 from pmcsurf.errors import ConfigError
-from pmcsurf.fields import (_READ_BLOCK as READ_BLOCK, CSV_COLUMNS, MASK_DOMAIN, Grid,
-                            SurfaceFields, read_fields, write_fields, write_meta)
+from pmcsurf.fields import (_READ_BLOCK as READ_BLOCK, CSV_COLUMNS, MASK_DOMAIN, TWIN_NAME,
+                            Grid, SurfaceFields, read_fields, write_fields, write_meta)
 
 
 def printed(values) -> list[bytes]:
@@ -149,10 +151,13 @@ def assert_same_bundle(got: SurfaceFields, want: SurfaceFields) -> None:
         assert same_bits(getattr(got, name), getattr(want, name)), name
 
 
-def written(fields: SurfaceFields, directory) -> str:
+def written(fields: SurfaceFields, directory, twin: bool = True) -> str:
+    """A bundle of fields under directory; without its twin, read_fields parses the CSV."""
     write_fields(fields, str(directory))
     write_meta({"config": {"params": {"rho": fields.params.rho, "b": fields.params.b}}},
                str(directory))
+    if not twin:
+        (Path(directory) / TWIN_NAME).unlink()
     return str(directory)
 
 
@@ -169,7 +174,7 @@ def read_block(request, monkeypatch):
 def test_read_fields_returns_the_written_bits(nx, ny, read_block, tmp_path):
     want = synthetic_fields(nx, ny, seed=nx)
     want.grid = Grid(-2.5, 3.0, 0.0, 1e-3, nx, ny)
-    assert_same_bundle(read_fields(written(want, tmp_path)), want)
+    assert_same_bundle(read_fields(written(want, tmp_path, twin=False)), want)
 
 
 def test_complex_cells_round_trip_bit_for_bit(tmp_path):
@@ -184,12 +189,14 @@ def test_complex_cells_round_trip_bit_for_bit(tmp_path):
              complex(nan, 1.0), complex(0.0, -inf)]
     for name in ("a", "lam", "c"):
         getattr(want, name).reshape(-1)[9:9 + len(cells)] = cells
-    directory = written(want, tmp_path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = read_fields(directory)
-    assert_same_bundle(got, want)
-    assert math.copysign(1.0, got.a[1, 1].real) < 0 and math.copysign(1.0, got.c[1, 3].imag) < 0
+    for twin in (False, True):
+        directory = written(want, tmp_path / f"twin={twin}", twin)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read_fields(directory)
+        assert_same_bundle(got, want)
+        assert math.copysign(1.0, got.a[1, 1].real) < 0
+        assert math.copysign(1.0, got.c[1, 3].imag) < 0
 
 
 def line_end_variants(clean: bytes) -> dict:
@@ -208,7 +215,7 @@ def line_end_variants(clean: bytes) -> dict:
 def test_line_end_variants_read_like_the_clean_file(variant, read_block, tmp_path):
     want = synthetic_fields(9, 9)
     want.grid = Grid(0.0, 1.0, 0.0, 1.0, 9, 9)
-    directory = written(want, tmp_path)
+    directory = written(want, tmp_path, twin=False)
     clean = read_fields(directory)
     csv = tmp_path / "fields.csv"
     csv.write_bytes(line_end_variants(csv.read_bytes())[variant])
@@ -222,18 +229,19 @@ def test_read_bundle_owns_its_arrays_and_holds_one_block(tmp_path):
     n = 149   # 22201 rows: six blocks
     want = synthetic_fields(n, n)
     want.grid = Grid(0.0, 1.0, 0.0, 1.0, n, n)
-    directory = written(want, tmp_path)
-    tracemalloc.start()
-    try:
-        got = read_fields(directory)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    arrays = [getattr(got, name) for name in FIELD_NAMES]
-    for arr in arrays:
-        assert arr.base is None or arr.base.nbytes <= arr.nbytes
     block = READ_BLOCK * len(CSV_COLUMNS) * 8
-    assert peak - sum(arr.nbytes for arr in arrays) <= 2 * block
+    for twin in (False, True):   # the parse holds one block, the twin one read of a member
+        directory = written(want, tmp_path / f"twin={twin}", twin)
+        tracemalloc.start()
+        try:
+            got = read_fields(directory)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = [getattr(got, name) for name in FIELD_NAMES]
+        for arr in arrays:
+            assert arr.base is None or arr.base.nbytes <= arr.nbytes
+        assert peak - sum(arr.nbytes for arr in arrays) <= 2 * block
 
 
 def csv_rows(xy) -> bytes:
@@ -251,7 +259,98 @@ def csv_rows(xy) -> bytes:
 ], ids=["first-x-nan", "inner-x-nan", "one-column-past-a-block"])
 def test_malformed_axes_are_config_errors(xy, message, tmp_path):
     # a NaN inside an axis passed the spacing check, whose comparisons it fails
-    written(synthetic_fields(5, 5), tmp_path)
+    written(synthetic_fields(5, 5), tmp_path, twin=False)
     (tmp_path / "fields.csv").write_bytes(csv_rows(xy))
     with pytest.raises(ConfigError, match=message):
         read_fields(str(tmp_path))
+
+
+# ---- the binary twin: the bits the parse returns, without the parse ----
+
+def bits(values: np.ndarray) -> tuple:
+    """dtype, shape and bytes: NaN payloads and signs count."""
+    return values.dtype.str, values.shape, values.tobytes()
+
+
+def assert_same_bits(got: SurfaceFields, want: SurfaceFields) -> None:
+    assert got.grid == want.grid
+    for name in FIELD_NAMES:
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+
+
+def parsed(directory: str) -> SurfaceFields:
+    """read_fields once the bundle's twin is gone."""
+    twin = Path(directory) / TWIN_NAME
+    if twin.is_dir():
+        twin.rmdir()
+    else:
+        twin.unlink(missing_ok=True)
+    return read_fields(directory)
+
+
+@pytest.fixture
+def parse_refused(monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"{path} was parsed")
+    monkeypatch.setattr(fields_module, "_parse_csv", refuse)
+    return monkeypatch
+
+
+@pytest.mark.parametrize("io_block", [40, fields_module._IO_BLOCK], ids=["40-bytes", "default"])
+def test_twin_reads_back_the_bits_the_parse_returns(io_block, parse_refused, tmp_path):
+    # 40-byte blocks split every member, and a complex value across two reads
+    parse_refused.setattr(fields_module, "_IO_BLOCK", io_block)
+    want = synthetic_fields(9, 9)
+    want.grid = Grid(0.0, 1.0, 0.0, 1.0, 9, 9)
+    # -nan, a signalling NaN, a quiet NaN with a payload, -inf, inf, -0.0
+    odd = np.array([0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8000000000123,
+                    0xFFF0000000000000, 0x7FF0000000000000, 0x8000000000000000],
+                   np.uint64).view(np.float64)
+    for name in ("alpha", "nu", "K_formula", "K_metric"):
+        getattr(want, name).reshape(-1)[9:15] = odd
+    for name in ("a", "lam", "c"):
+        cells = getattr(want, name).reshape(-1)[9:15]
+        cells.real, cells.imag = odd, odd[::-1]
+    directory = written(want, tmp_path)
+    got = read_fields(directory)
+    parse_refused.undo()
+    assert_same_bundle(got, want)
+    assert_same_bits(got, parsed(directory))
+    assert got.alpha.reshape(-1)[10:12].view(np.uint64).tolist() == [0x7FF8000000000000] * 2
+
+
+def _foreign_twin(directory: Path) -> None:
+    other = synthetic_fields(9, 9, seed=1)
+    other.grid = Grid(0.0, 1.0, 0.0, 1.0, 9, 9)
+    write_fields(other, str(directory / "other"))
+    (directory / "other" / TWIN_NAME).replace(directory / TWIN_NAME)
+    shutil.rmtree(directory / "other")
+
+
+def _edit_first_alpha(directory: Path) -> None:
+    header, row, rest = (directory / "fields.csv").read_text().split("\n", 2)
+    x, y, _, cells = row.split(",", 3)
+    (directory / "fields.csv").write_text("\n".join([header, f"{x},{y},0.5,{cells}", rest]))
+
+
+NOT_THIS_CSVS_TWIN = {
+    "missing": lambda d: (d / TWIN_NAME).unlink(),
+    "truncated": lambda d: (d / TWIN_NAME).write_bytes((d / TWIN_NAME).read_bytes()[:1000]),
+    "empty": lambda d: (d / TWIN_NAME).write_bytes(b""),
+    "not-a-zip": lambda d: (d / TWIN_NAME).write_bytes(b"\x93NUMPY not a zip archive"),
+    "directory": lambda d: ((d / TWIN_NAME).unlink(), (d / TWIN_NAME).mkdir()),
+    "another-bundles": _foreign_twin,
+    "csv-edited": _edit_first_alpha,
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_THIS_CSVS_TWIN))
+def test_a_twin_that_is_not_this_csvs_is_never_read(case, tmp_path):
+    want = synthetic_fields(9, 9)
+    want.grid = Grid(0.0, 1.0, 0.0, 1.0, 9, 9)
+    directory = written(want, tmp_path)
+    NOT_THIS_CSVS_TWIN[case](tmp_path)
+    got = read_fields(directory)
+    assert_same_bits(got, parsed(directory))
+    if case == "csv-edited":
+        assert got.alpha[0, 0] == 0.5
