@@ -55,6 +55,8 @@ OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 """
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from math import copysign
 
 import numpy as np
@@ -178,6 +180,11 @@ _STEP_STAGES = [(s, A[s, :s], C[s]) for s in range(1, 12)]
 _DENSE_STAGES = [(s, A[s, :s], C[s]) for s in range(13, 16)]
 
 
+def is_point(x) -> bool:
+    """np.ndim(x) == 0, without its array round trip for Python and numpy scalars."""
+    return isinstance(x, (float, complex)) or np.ndim(x) == 0
+
+
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
@@ -261,9 +268,17 @@ class DenseMarch:
     Callers pass a finite y0 and a t_bound other than t0, and fun returns a
     sequence as long as y0. status is 0 when the march
     reached t_bound, 1 when the event stopped it and -1 when a step failed
-    (message says why); t_end is where it stopped. Called on a point the
-    march returns the interpolated state, shape (n,); on a 1-D array of
-    points, shape (n, len(t)).
+    (message says why); t_end is where it stopped.
+
+    Called on an array of points the march returns the interpolated state,
+    shape (n,) + t.shape: one searchsorted picks each point's step, then each
+    state component gathers its coefficient rows from a (7, n, steps) table,
+    contiguous per component. Called on one point (a float or any 0-d value)
+    it returns a list of n Python floats, read by bisect from a flat
+    ``array('d')`` of the same coefficients; the right-hand sides of other
+    marches take this path once per stage. Both paths make ``_dense``'s IEEE
+    operations in its order, so they agree with each other and with SciPy's
+    ``OdeSolution`` to the last bit.
     """
 
     def __init__(self, fun, t0: float, y0, t_bound: float, tol: float, max_step: float,
@@ -304,16 +319,26 @@ class DenseMarch:
         if self.status == -1:   # nothing to interpolate: callers report the failure
             return
         ts = np.array(ts, dtype=float)
+        n = y.size
         self._ascending = bool(ts[-1] >= ts[0])
         # OdeSolution's rule: the breakpoints between steps, searched from the
         # left when marching up and from the right when marching down
         self._inner = (ts if self._ascending else ts[::-1])[1:-1]
         self._side = "left" if self._ascending else "right"
+        self._inner_list = self._inner.tolist()
         self._t_old = np.array([s[0] for s in segments])
         self._h = np.array([s[1] for s in segments])
-        self._y_old = np.array([s[2] for s in segments])
-        # (7, segments, n): a row at a time is gathered when called on many points
-        self._F_desc = np.array([s[3][::-1] for s in segments]).transpose(1, 0, 2)
+        self._y_old = np.array([s[2] for s in segments]).T.copy()   # (n, steps)
+        # (7, n, steps), last coefficient first; the leading row takes _dense's
+        # "+ 0.0" here once, which turns -0.0 into +0.0 and keeps every other bit
+        F = np.array([s[3][::-1] for s in segments]).transpose(1, 2, 0)
+        F[0] += 0.0
+        self._F = np.ascontiguousarray(F)
+        # one-point table: per step t_old, h, then per component y_old and the 7 rows
+        rows = np.concatenate([self._y_old.T[:, :, None], F.transpose(2, 1, 0)], axis=2)
+        self._stride = 2 + 8 * n
+        self._flat = array("d", np.hstack([self._t_old[:, None], self._h[:, None],
+                                           rows.reshape(len(segments), -1)]).tobytes())
 
     @staticmethod
     def _step(fun, t, y, f, h_abs, direction, t_bound, tol, max_step, K):
@@ -347,12 +372,51 @@ class DenseMarch:
         return None
 
     def __call__(self, t):
+        if is_point(t):
+            return self._at(float(t))
         t = np.asarray(t, dtype=float)
+        seg = self._steps_of(t)
+        x = self._t_old.take(seg)
+        np.subtract(t, x, out=x)
+        x /= self._h.take(seg)
+        xm = 1 - x
+        out = np.empty((self._F.shape[1],) + t.shape)
+        row = np.empty(t.shape)
+        for j, y in enumerate(out):
+            F = self._F[:, j]
+            F[0].take(seg, out=y, mode="clip")
+            y *= x
+            for i in range(1, 7):
+                y += F[i].take(seg, out=row, mode="clip")
+                y *= xm if i % 2 else x
+            y += self._y_old[j].take(seg, out=row, mode="clip")
+        return out
+
+    def _steps_of(self, t: np.ndarray) -> np.ndarray:
+        """Index of the step each point reads, by OdeSolution's side rule."""
         seg = np.searchsorted(self._inner, t, side=self._side)
-        if not self._ascending:
-            seg = self._inner.size - seg
-        x = (t - self._t_old[seg]) / self._h[seg]
-        return _dense(x, (F[seg] for F in self._F_desc), self._y_old[seg]).T
+        return seg if self._ascending else self._inner.size - seg
+
+    def _step_of(self, t: float) -> int:
+        """_steps_of for one float, by bisect."""
+        if t != t:   # searchsorted ranks NaN above every breakpoint, bisect below
+            return len(self._inner_list) if self._ascending else 0
+        if self._ascending:
+            return bisect_left(self._inner_list, t)
+        return len(self._inner_list) - bisect_right(self._inner_list, t)
+
+    def _at(self, t: float) -> list:
+        """The state at one point, on Python floats; see the class docstring."""
+        base = self._step_of(t) * self._stride
+        t_old, h, *coef = self._flat[base:base + self._stride]
+        x = (t - t_old) / h
+        xm = 1 - x
+        out = []
+        for k in range(0, len(coef), 8):
+            y_old, f0, f1, f2, f3, f4, f5, f6 = coef[k:k + 8]
+            out.append(((((((f0 * x + f1) * xm + f2) * x + f3) * xm + f4) * x + f5) * xm
+                        + f6) * x + y_old)
+        return out
 
 
 def brentq(f, xa: float, xb: float) -> float:

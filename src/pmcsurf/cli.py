@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from . import construct as _construct
 from . import family4, verify as _verify
 from ._g17 import csv_chunks
 from .coeffs import T9_READINGS, CoeffCache, EvalPoint, ModelParams
-from .errors import EXIT_STDOUT_CLOSED, ConfigError, PmcError
+from .errors import EXIT_GUARD, EXIT_STDOUT_CLOSED, ConfigError, PmcError
 from .fields import Grid, HarmonicInput, read_fields, write_fields, write_meta
 from .profile import build_potential, solve_profile
 from .verify import Thresholds, verify_suite
@@ -273,13 +274,9 @@ def cmd_construct(args) -> int:
     write_fields(result.fields, args.out)
     write_meta(meta, args.out)
     if result.guard_events:
-        head = dict(result.guard_events[0])
-        head["events"] = result.guard_events
-        json.dump(head, sys.stderr)
-        sys.stderr.write("\n")
         if not args.quiet:
             print(f"wrote masked fields to {args.out}; phase stage tripped a guard")
-        return 2
+        raise _GuardEvents(result.guard_events)
     if not args.quiet:
         mm = result.nu_info.get("max_path_mismatch")
         print(f"wrote {args.out}/fields.csv "
@@ -477,14 +474,41 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+class _GuardEvents(PmcError):
+    """Guards tripped in a run that still wrote its fields (offending nodes masked)."""
+
+    exit_code = EXIT_GUARD
+
+    def __init__(self, events: list[dict]):
+        super().__init__(events[0]["message"])
+        self.events = events
+
+    def payload(self) -> dict:
+        head = dict(self.events[0])
+        head["events"] = self.events
+        return head
+
+
 def _run(argv) -> int:
+    """Run one command. A failed run writes one JSON object on stderr, with the
+    warnings it raised listed under "warnings"; otherwise they are issued as
+    usual once the command returns."""
+    caught = []
     try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
+        with warnings.catch_warnings(record=True) as caught:
+            args = build_parser().parse_args(argv)
+            return args.fn(args)
     except PmcError as err:
-        json.dump(err.payload(), sys.stderr)
+        payload = err.payload()
+        if caught:
+            payload["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
+            caught = []   # reported in the JSON object, not issued again
+        json.dump(payload, sys.stderr)
         sys.stderr.write("\n")
         return err.exit_code
+    finally:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
 
 
 def main(argv=None) -> int:

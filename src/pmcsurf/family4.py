@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import is_point
 from .coeffs import ModelParams, t2_value
 from .construct import ConstructResult, build_alpha, build_lambda, cascade_mask, gauss_curvature
 from .errors import ConfigError, InadmissibleC1, OutOfInterval, QuadratureFailure
@@ -68,7 +69,7 @@ def _radicand(s2, c1):
 def family_amplitude(t, c1: float):
     """Closed-form amplitude a(t) along the arc."""
     c1 = _check_c1(c1)
-    if np.ndim(t) != 0:
+    if not is_point(t):
         t = np.asarray(t, dtype=np.float64)
     s2 = np.sin(t) ** 2
     rt = np.sqrt(_radicand(s2, c1))

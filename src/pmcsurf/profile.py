@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import DenseMarch, Pchip
+from ._numerics import DenseMarch, Pchip, is_point
 from .coeffs import ModelParams, t2_value
 from .errors import ConfigError, GuardTripped, StepFailure
 
@@ -34,9 +34,10 @@ class TwoSidedMarch:
     Each end of span that lies beyond the anchor gets its own DOP853 march;
     a side with no extent holds y0. A failed step, or a non-finite slope at
     the anchor, raises error; a terminal event ends its side early, and
-    reached records how far each side got. Called on points of any shape, it
+    reached records how far each side got. Called on an array of points, it
     returns the state rows stacked on a new first axis, taking points at or
-    below the anchor from the lower side.
+    below the anchor from the lower side; called on one point, a list of the
+    state's floats.
     """
 
     def __init__(self, rhs, anchor: float, span: tuple[float, float], y0, tol: float,
@@ -65,10 +66,10 @@ class TwoSidedMarch:
             reached[k] = side.t_end
         self.reached = tuple(reached)
 
-    def __call__(self, x) -> np.ndarray:
-        if np.ndim(x) == 0:   # one point: the ODE right-hand sides call this per stage
+    def __call__(self, x) -> np.ndarray | list:
+        if is_point(x):   # one point: the ODE right-hand sides call this per stage
             side = self._sides[not x <= self.anchor]
-            return side(x) if side is not None else self.y0.copy()
+            return side(x) if side is not None else self.y0.tolist()
         x = np.asarray(x, dtype=np.float64)
         out = np.empty((self.y0.size,) + x.shape)
         below = x <= self.anchor
@@ -80,7 +81,7 @@ class TwoSidedMarch:
 
 def F_eval(alpha, a, abar=None, *, params: ModelParams):
     """Warp coefficient F(alpha) evaluated from profile data; real by construction."""
-    scalar = np.ndim(alpha) == 0 and np.ndim(a) == 0
+    scalar = is_point(alpha) and is_point(a)
     if not scalar:
         alpha = np.asarray(alpha, dtype=np.float64)
         a = np.asarray(a, dtype=np.complex128)
@@ -122,7 +123,7 @@ class ProfileSolution:
 
     def a(self, alpha):
         lo, hi = self.alpha_range
-        if np.ndim(alpha) == 0:   # one point: the potential ODE's right-hand side
+        if is_point(alpha):   # one point: the potential ODE's right-hand side
             outside = alpha < lo - 1e-12 or alpha > hi + 1e-12
             alpha = min(max(alpha, lo), hi)
         else:
@@ -132,7 +133,7 @@ class ProfileSolution:
         if outside:
             raise ValueError("alpha outside the solved range")
         y = self._march(alpha)
-        return (y[0] + 1j * y[1])[()]
+        return y[0] + 1j * y[1]
 
     def F(self, alpha):
         return F_eval(alpha, self.a(alpha), params=self.params)
@@ -192,7 +193,7 @@ class Potential:
     _inv: Pchip = field(repr=False)
 
     def _eval(self, alpha, row):
-        return self._march(alpha)[row][()]
+        return self._march(alpha)[row]
 
     def g(self, alpha):
         return self._eval(alpha, 0)

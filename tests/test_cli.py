@@ -376,13 +376,19 @@ def test_module_entry_point_smoke():
 SURFACE_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "surfaces.json"
 
 
-def test_outputs_match_the_recorded_hashes(tmp_path, capsys):
+# the four benchmark families; c1 = -1 is the arc that ends at its regular endpoint pi/2
+RECORDED_FAMILIES = ("c1=2,tilt=0.5", "c1=3,tilt=0.5", "c1=2.5,tilt=0.7", "c1=-1,tilt=0.5")
+
+
+@pytest.mark.parametrize("family", RECORDED_FAMILIES)
+def test_outputs_match_the_recorded_hashes(family, tmp_path, capsys):
     # references recorded by perfbench/make_refs.py; this test only reads them
     refs = json.loads(SURFACE_REFS.read_text())["41"]
     cfg = tmp_path / "generic.json"
     cfg.write_text(json.dumps(generic_config()))
+    c1, tilt = (kv.split("=")[1] for kv in family.split(","))
     runs = [(["construct", "--config", str(cfg)], 2, refs["construct"]),
-            (["family", "--c1", "2.0", "--tilt", "0.5"], 0, refs["family"]["c1=2,tilt=0.5"])]
+            (["family", "--c1", c1, "--tilt", tilt], 0, refs["family"][family])]
     for k, (argv, code, ref) in enumerate(runs):
         out = tmp_path / str(k)
         assert main(argv + ["--grid", "41", "41", "--out", str(out), "--quiet"]) == code
@@ -530,6 +536,41 @@ def test_march_tolerance_below_the_solver_floor_exits_3(argv, tmp_path):
     err = json.loads(proc.stderr)   # one JSON object and no solver warning
     assert err["error"] == "ConfigError" and "floor" in err["message"]
     assert not (tmp_path / "out").exists()   # a rejected run leaves no --out behind
+
+
+# ---- warnings and the JSON object of a failed run ----
+
+@pytest.mark.parametrize("section,override,error,warned", [
+    ("params", {"rho": 1e300, "b": 1.0}, "StepFailure", "RuntimeWarning: "),
+    ("profile", {**GENERIC_CONFIG["profile"], "a0_im": 0.0}, "NonpositiveDenominator",
+     "UserWarning: real initial amplitude"),
+    ("params", GENERIC_CONFIG["params"], "NonpositiveDenominator", None),
+], ids=["rho-1e300-step-failure", "real-a0-guard-events", "no-warnings"])
+def test_failed_run_lists_its_warnings_in_its_json_object(section, override, error, warned,
+                                                         tmp_path):
+    # the warnings used to reach stderr ahead of the JSON object
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(generic_config(9, **{section: override})))
+    proc = subprocess.run([sys.executable, "-m", "pmcsurf", "construct", "--config", str(cfg),
+                           "--out", str(tmp_path / "out"), "--quiet"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)   # exactly one JSON object
+    assert err["error"] == error
+    if warned is None:
+        assert "warnings" not in err   # the bytes of a run without warnings are unchanged
+    else:
+        assert err["warnings"] and all(": " in w for w in err["warnings"])
+        assert any(w.startswith(warned) for w in err["warnings"]), err["warnings"]
+
+
+def test_successful_run_still_issues_its_warnings():
+    proc = subprocess.run([sys.executable, "-m", "pmcsurf", "profile", "--rho", "-3",
+                           "--alpha0", "0.6", "--a0", "0.3", "--range", "0.4", "1.2",
+                           "--samples", "3"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "UserWarning: real initial amplitude" in proc.stderr
+    assert not proc.stderr.lstrip().startswith("{")
 
 
 # ---- fuzzed argv ends in a clean exit ----
@@ -851,7 +892,7 @@ def test_flat_ambient_space_in_a_bundle_exits_with_zero_denominator(tmp_path):
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-@pytest.mark.parametrize("name", ["convergence_sweep", "make_golden", "gen_cascade"])
+@pytest.mark.parametrize("name", ["convergence_sweep", "make_golden", "gen_cascade", "ab_pairs"])
 def test_script_imports_as_a_module(name):
     # each script binds its pmcsurf names at import and runs nothing under
     # it, so importing it in a fresh interpreter finds a name it lost

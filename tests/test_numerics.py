@@ -155,6 +155,61 @@ def test_random_marches_match_scipy():
     assert {(up, capped) for _, up, capped in outcomes} == {(u, c) for u in (0, 1) for c in (0, 1)}
 
 
+def probe_points(ends, lo, hi):
+    """Every step end and its two neighbouring floats, points beyond the span, inf and NaN."""
+    ends = np.asarray(ends, dtype=float)
+    return np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+                           [lo - 1.0, hi + 1.0, -np.inf, np.inf, np.nan, -np.nan]])
+
+
+def test_one_point_calls_match_scipy_at_every_step_end():
+    # the float path picks a step by bisect, OdeSolution by searchsorted; they
+    # must agree on the side of every breakpoint, beyond the ends and on NaN
+    rng = np.random.default_rng(20260412)
+    directions = set()
+    for k in range(48):
+        rhs, t0, y0, t1, tol, max_step, event = random_problem(rng, k)
+        march = DenseMarch(rhs, t0, y0, t1, tol, max_step, event)
+        ref = ScipyMarch(rhs, t0, y0, t1, tol, max_step, event)
+        lo, hi = sorted((t0, march.t_end))
+        with np.errstate(all="ignore"):
+            for p in probe_points(ref.ts, lo, hi).tolist():
+                # adjacent steps meet at a step end, mostly in every bit, so
+                # the step index shows a wrong side where the values cannot
+                assert march._step_of(p) == march._steps_of(np.array(p)), (k, p)
+                got = march(p)
+                assert isinstance(got, list) and all(type(v) is float for v in got)
+                assert same_bits(got, ref(p)), (k, p)
+        directions.add(t1 > t0)
+    assert directions == {True, False}
+
+
+def every_two_sided_march():
+    prof = profile.solve_profile(MODEL, 0.6, 0.3 + 0.4j, (0.4, 1.2), tol=1e-10)
+    yield "profile", prof._march
+    yield "potential", profile.build_potential(prof)._march
+    for c1 in BENCH_C1:
+        pot = fam.family_potential.__wrapped__(c1)
+        yield f"family potential {c1}", pot._march
+        for lo, hi in (fam._state_arc(c1), pot.alpha_range):
+            yield f"phase {c1} [{lo}, {hi}]", fam._phase_march.__wrapped__(c1, lo, hi, 1e-10)
+
+
+def test_one_point_and_array_calls_agree_on_both_sides_of_every_march():
+    for name, march in every_two_sided_march():
+        sides = [side for side in march._sides if side is not None]
+        ends = np.concatenate([side._inner for side in sides] + [[march.anchor]])
+        x = probe_points(ends, *march.reached)
+        with np.errstate(all="ignore"):
+            rows = march(x)
+            for i, p in enumerate(x.tolist()):
+                got = march(p)
+                assert same_bits(got, rows[:, i]), (name, p)
+                assert same_bits(got, march(np.array([p]))[:, 0]), (name, p)
+        below = x <= march.anchor
+        assert below.any() and (~below).any(), name
+
+
 @pytest.mark.parametrize("rhs", [lambda t, y: [y[0] * y[0]], lambda t, y: [1e300 * y[0] ** 3]],
                          ids=["blow-up-at-1", "overflow-at-once"])
 def test_failed_march_reports_what_scipy_reports(rhs):
