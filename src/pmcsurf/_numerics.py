@@ -218,18 +218,16 @@ def _error_norm(K, h, scale):
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def _dense(x, rows, y_old):
-    """DOP853 interpolant at x (in units of the step) from its 7 coefficient rows, last first."""
-    x = np.asarray(x)[..., None]
+def _interpolate(x: float, coef) -> list:
+    """DOP853 interpolant at x (in units of the step) on Python floats; coef holds, per
+    component, y_old and the 7 coefficient rows, last first, the leading one as 0.0 + row."""
     xm = 1 - x
-    rows = iter(rows)
-    y = next(rows) + 0.0    # as 0.0 + row: a new array, -0.0 turned to +0.0
-    y *= x
-    for i, row in enumerate(rows, 1):
-        y += row
-        y *= xm if i % 2 else x
-    y += y_old
-    return y
+    out = []
+    for k in range(0, len(coef), 8):
+        y_old, f0, f1, f2, f3, f4, f5, f6 = coef[k:k + 8]
+        out.append(((((((f0 * x + f1) * xm + f2) * x + f3) * xm + f4) * x + f5) * xm
+                    + f6) * x + y_old)
+    return out
 
 
 def _rk_step(fun, t, y, f, h, K):
@@ -276,8 +274,9 @@ class DenseMarch:
     contiguous per component. Called on one point (a float or any 0-d value)
     it returns a list of n Python floats, read by bisect from a flat
     ``array('d')`` of the same coefficients; the right-hand sides of other
-    marches take this path once per stage. Both paths make ``_dense``'s IEEE
-    operations in its order, so they agree with each other and with SciPy's
+    marches take this path once per stage, and so does the event's root
+    search on the step it stopped in. Both paths make SciPy's IEEE operations
+    in its order, so they agree with each other and with SciPy's
     ``OdeSolution`` to the last bit.
     """
 
@@ -307,7 +306,8 @@ class DenseMarch:
                 g_new = event(t, y)
                 if g <= 0 <= g_new or g >= 0 >= g_new:
                     t_seg, h_seg, y_seg, F_seg = segments[-1]
-                    t = brentq(lambda s: event(s, _dense((s - t_seg) / h_seg, F_seg[::-1], y_seg)),
+                    coef = np.vstack([y_seg, F_seg[6] + 0.0, F_seg[5::-1]]).T.ravel().tolist()
+                    t = brentq(lambda s: event(s, np.array(_interpolate((s - t_seg) / h_seg, coef))),
                                t_old, t)
                     self.status = 1
                     if len(ts) > 1 and ts[-1] == t:
@@ -329,8 +329,8 @@ class DenseMarch:
         self._t_old = np.array([s[0] for s in segments])
         self._h = np.array([s[1] for s in segments])
         self._y_old = np.array([s[2] for s in segments]).T.copy()   # (n, steps)
-        # (7, n, steps), last coefficient first; the leading row takes _dense's
-        # "+ 0.0" here once, which turns -0.0 into +0.0 and keeps every other bit
+        # (7, n, steps), last coefficient first; the leading row takes SciPy's
+        # "0.0 + row" here once, which turns -0.0 into +0.0 and keeps every other bit
         F = np.array([s[3][::-1] for s in segments]).transpose(1, 2, 0)
         F[0] += 0.0
         self._F = np.ascontiguousarray(F)
@@ -409,14 +409,7 @@ class DenseMarch:
         """The state at one point, on Python floats; see the class docstring."""
         base = self._step_of(t) * self._stride
         t_old, h, *coef = self._flat[base:base + self._stride]
-        x = (t - t_old) / h
-        xm = 1 - x
-        out = []
-        for k in range(0, len(coef), 8):
-            y_old, f0, f1, f2, f3, f4, f5, f6 = coef[k:k + 8]
-            out.append(((((((f0 * x + f1) * xm + f2) * x + f3) * xm + f4) * x + f5) * xm
-                        + f6) * x + y_old)
-        return out
+        return _interpolate((t - t_old) / h, coef)
 
 
 def brentq(f, xa: float, xb: float) -> float:

@@ -26,7 +26,7 @@ from . import construct as _construct
 from . import family4, verify as _verify
 from ._g17 import csv_chunks
 from .coeffs import T9_READINGS, CoeffCache, EvalPoint, ModelParams
-from .errors import EXIT_GUARD, EXIT_STDOUT_CLOSED, ConfigError, PmcError
+from .errors import EXIT_GUARD, EXIT_STDOUT_CLOSED, ConfigError, GuardError, PmcError
 from .fields import Grid, HarmonicInput, read_fields, write_fields, write_meta
 from .profile import build_potential, solve_profile
 from .verify import Thresholds, verify_suite
@@ -284,16 +284,14 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _thresholds_for_verify(args, coarse_meta: dict) -> Thresholds:
-    if args.config:
-        return load_config(args.config).thresholds
-    return _thresholds(coarse_meta.get("config", {}).get("thresholds", {}))
-
-
 def cmd_verify(args) -> int:
+    if len(args.dirs) > 2:
+        raise ConfigError("verify takes outdir_coarse [outdir_fine], "
+                          f"got {len(args.dirs)} directories")
     coarse = read_fields(args.dirs[0])
     fine = read_fields(args.dirs[1]) if len(args.dirs) > 1 else None
-    thresholds = _thresholds_for_verify(args, coarse.meta)
+    thresholds = (load_config(args.config).thresholds if args.config
+                  else _thresholds(coarse.meta.get("config", {}).get("thresholds", {})))
     report = verify_suite(coarse, fine, thresholds=thresholds)
     if args.out:
         _out_dir(args.out)
@@ -388,9 +386,11 @@ def cmd_tcoef(args) -> int:
     cache = CoeffCache(point, t9_mode=args.t9_mode,
                        appendix_reconciliation=args.appendix_reconciliation)
     jet = cache.get(args.i, 1, branch=args.branch)
-    print(f"t{args.i} = {fmt_complex(complex(jet.value()))}")
-    for var, name in ((0, "alpha"), (1, "a"), (2, "abar")):
-        print(f"d/d{name} = {fmt_complex(complex(jet.partial(var)))}")
+    values = [complex(jet.value())] + [complex(jet.partial(var)) for var in range(3)]
+    if not all(map(cmath.isfinite, values)):
+        raise GuardError(f"t{args.i} or a first partial of it is not finite at this point")
+    for name, v in zip((f"t{args.i}", "d/dalpha", "d/da", "d/dabar"), values):
+        print(f"{name} = {fmt_complex(v)}")
     return 0
 
 

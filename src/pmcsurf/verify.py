@@ -2,16 +2,21 @@
 
 Every equation the construction promises is recast as a nodewise residual
 over the stored fields, using central Wirtinger stencils for the derivative
-terms. Identity-class residuals (no stencil involved) must sit at rounding
-level outright; stencil-class residuals are judged by their convergence
-order across a grid pair, which separates genuine structure failure from
-discretization error. Two diagnostics with unsettled source formulas are
-always computed and reported but never gate the outcome.
+terms. EQUATIONS holds one entry per equation: its kind, the mask bits that
+void a node, and its residual over one prepared grid. Identity-class
+residuals (no stencil involved) must sit at rounding level outright;
+stencil-class residuals are judged by their convergence order across a grid
+pair, which separates genuine structure failure from discretization error.
+Two experimental diagnostics with unsettled source formulas are always
+computed and reported but never gate the outcome. Each grid is prepared and
+reduced to its per-equation maxima by itself (`_maxima`); the pair meets
+only through those maxima.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,53 +26,9 @@ from .errors import ConfigError, ZeroDenominator
 from .fields import MASK_DOMAIN, MASK_SINGULAR, MASK_NUPATH, SurfaceFields
 from .profile import F_eval
 
-EQUATIONS = (
-    "E2_1",            # d alpha = (a+b) phi + (abar+b) phibar
-    "E2_2",            # frame factor antiholomorphic derivative
-    "E2_3_gauss",      # cascade curvature vs metric curvature
-    "E2_4_codazzi_a",  # abar-direction derivative of a
-    "E2_5_codazzi_c",  # z-direction derivative of c
-    "E2_6_ricci",      # |c|^2 - |a|^2 = (rho/2)(3 sin^2 - 2)
-    "E2_8",            # c conj(c1) = abar a1
-    "E2_10",           # |c1|^2 - |a1|^2 = t5
-    "E2_11",           # |a1|^2 = t6
-    "E2_12",           # second-derivative relation for a1 (experimental)
-    "E2_13",           # linear relation among t9, a1, t10 (experimental)
-    "E3_2",            # warped-angle PDE
-    "OMEGA_CLOSED",    # phase one-form closedness
-    "LEMMA1_WEDGE",    # functional dependence of a on alpha
-)
-
-IDENTITY_CLASS = frozenset({"E2_6_ricci"})
-EXPERIMENTAL = frozenset({"E2_12", "E2_13"})
-
 MARGIN = 2           # frame nodes excluded from every statistic
 CHUNK = 2048         # evaluable nodes per cascade chunk: bounds the cascade's live temporaries
 ZERO_FLOOR = 1e-11   # residual pairs below this are degenerate-exact; no order is defined
-
-# Mask bits that invalidate each equation's inputs. A node leaves a statistic
-# only when a bit the equation actually depends on is set: phase-stage masking
-# (path disagreement, no admissible amplitude) does not touch the angle, the
-# Hopf coefficient, the frame factor, or the stored curvatures, so equations
-# built from those columns keep the whole grid even on surfaces where the
-# phase could not be integrated.
-_PHASE_BITS = MASK_NUPATH | MASK_DOMAIN
-MASK_RELEVANCE = {
-    "E2_1": 0,
-    "E2_2": MASK_SINGULAR,
-    "E2_3_gauss": 0,
-    "E2_4_codazzi_a": MASK_SINGULAR,
-    "E2_5_codazzi_c": MASK_SINGULAR | _PHASE_BITS,
-    "E2_6_ricci": _PHASE_BITS,
-    "E2_8": MASK_SINGULAR | _PHASE_BITS,
-    "E2_10": MASK_SINGULAR | _PHASE_BITS,
-    "E2_11": MASK_SINGULAR,
-    "E2_12": MASK_SINGULAR,
-    "E2_13": MASK_SINGULAR,
-    "E3_2": MASK_SINGULAR,
-    "OMEGA_CLOSED": MASK_SINGULAR | MASK_DOMAIN,
-    "LEMMA1_WEDGE": 0,
-}
 
 
 @dataclass(frozen=True)
@@ -122,7 +83,7 @@ def _cascade_values(alpha, a, params: ModelParams) -> list:
 
 
 def _prepare(fields: SurfaceFields) -> dict:
-    """Everything the residual evaluators read, computed up front.
+    """Everything the residuals read on one grid, the shared stencils included.
 
     Cascade evaluation runs on every node that clears the singularity guards
     and is not singularity-masked; phase-stage mask bits do not block it,
@@ -131,10 +92,8 @@ def _prepare(fields: SurfaceFields) -> dict:
     the values are joined in node order; the cascade is nodewise, so the
     result does not depend on the chunking.
     """
-    g = fields.grid
-    hx, hy = g.hx, g.hy
-    al, a, lam, c = fields.alpha, fields.a, fields.lam, fields.c
-    mask = fields.mask
+    hx, hy = fields.grid.hx, fields.grid.hy
+    al, a, lam, c, mask = fields.alpha, fields.a, fields.lam, fields.c, fields.mask
     ok = cascade_ok(al) & ((mask & MASK_SINGULAR) == 0)
     al_ok, a_ok = al[ok], a[ok]
     starts = range(0, max(al_ok.size, 1), CHUNK)   # one empty chunk when nothing is evaluable
@@ -147,15 +106,15 @@ def _prepare(fields: SurfaceFields) -> dict:
         return out
 
     t1, t2, t1b, *cols = [scatter(*vals) for vals in zip(*parts)]
+    del parts   # the chunked copies; the stencils below need their room
     t = {1: t1, 2: t2, **dict(zip(T_IDS, cols))}
     t9 = dict(zip(T9_READINGS, cols[len(T_IDS):]))
 
     s = np.sin(al)
     cot = np.cos(al) / s
-    s2 = s * s
-    b, rho = fields.params.b, fields.params.rho
-    E = 0.5 * rho * (3.0 * s2 - 2.0)
-    a1 = dz(a, hx, hy) / lam - a * t[1]
+    alc = al.astype(np.complex128)
+    dz_a, dzbar_a = dz(a, hx, hy), dzbar(a, hx, hy)
+    a1 = dz_a / lam - a * t[1]
     c1 = dzbar(c, hx, hy) / np.conj(lam) - c * t1b
     # phase one-form density from point data alone (the construction's W);
     # defined wherever the amplitude is admissible, whether or not the phase
@@ -165,54 +124,91 @@ def _prepare(fields: SurfaceFields) -> dict:
     om1 = omega1(al, a, t[1], t[2], D, fields.params)
     return {
         "fields": fields, "hx": hx, "hy": hy, "alpha": al, "a": a, "lam": lam,
-        "c": c, "cot": cot, "s2": s2, "b": b, "rho": rho, "E": E,
-        "t": t, "t9": t9, "a1": a1, "c1": c1,
+        "c": c, "cot": cot, "b": fields.params.b,
+        "E": 0.5 * fields.params.rho * (3.0 * (s * s) - 2.0),
+        "dz_alpha": dz(alc, hx, hy), "dzbar_alpha": dzbar(alc, hx, hy),
+        "dz_a": dz_a, "dzbar_a": dzbar_a, "t": t, "t9": t9, "a1": a1, "c1": c1,
         "W": np.where(w_ok, om1 * lam / np.where(D > 0, D, 1.0), np.nan),
         "mask": mask,
     }
 
 
-def _residual(key: str, P: dict, variant: str | None = None) -> np.ndarray:
-    f = P["fields"]
-    hx, hy = P["hx"], P["hy"]
-    al, a, lam, c = P["alpha"], P["a"], P["lam"], P["c"]
-    b = P["b"]
-    t = P["t"]
-    if key == "E2_1":
-        return dz(al.astype(np.complex128), hx, hy) - (a + b) * lam
-    if key == "E2_2":
-        return dzbar(lam, hx, hy) + (np.conj(a) - b) * lam * np.conj(lam) * P["cot"]
-    if key == "E2_3_gauss":
-        return (f.K_formula - f.K_metric).astype(np.complex128)
-    if key == "E2_4_codazzi_a":
-        return dzbar(a, hx, hy) - np.conj(lam) * t[2]
-    if key == "E2_5_codazzi_c":
-        return dz(c, hx, hy) - 2.0 * c * (a - b) * P["cot"] * lam
-    if key == "E2_6_ricci":
-        res = np.abs(c) ** 2 - np.abs(a) ** 2 - P["E"]
-        return res / (1.0 + np.abs(a) ** 2 + np.abs(c) ** 2)
-    if key == "E2_8":
-        return c * np.conj(P["c1"]) - np.conj(a) * P["a1"]
-    if key == "E2_10":
-        return np.abs(P["c1"]) ** 2 - np.abs(P["a1"]) ** 2 - t[5]
-    if key == "E2_11":
-        return np.abs(P["a1"]) ** 2 - t[6]
-    if key == "E2_12":
-        a11 = dz(P["a1"], hx, hy) / lam
-        return a11 * np.conj(P["a1"]) - (t[7] * P["a1"] + t[8])
-    if key == "E2_13":
-        prod = P["t9"][variant] * P["a1"]
-        return prod + np.conj(prod) + t[10]
-    if key == "E3_2":
-        alc = al.astype(np.complex128)
-        F = F_eval(al, a, params=f.params)
-        return dzdzbar(alc, hx, hy) - F * dz(alc, hx, hy) * dzbar(alc, hx, hy)
-    if key == "OMEGA_CLOSED":
-        return dzbar(P["W"], hx, hy).real.astype(np.complex128)
-    if key == "LEMMA1_WEDGE":
-        alc = al.astype(np.complex128)
-        return dz(alc, hx, hy) * dzbar(a, hx, hy) - dzbar(alc, hx, hy) * dz(a, hx, hy)
-    raise ConfigError(f"unknown equation id: {key}")
+# ---- the equations ----
+
+# numpy computes a product whose right operand is a temporary of 256 KiB or more
+# as (right * left) in place, and under FMA a complex product's last bit depends
+# on operand order: so a11 here and LEMMA1_WEDGE's stencils stay named arrays.
+def _e2_12(P: dict) -> np.ndarray:
+    a11 = dz(P["a1"], P["hx"], P["hy"]) / P["lam"]
+    return a11 * np.conj(P["a1"]) - (P["t"][7] * P["a1"] + P["t"][8])
+
+
+def _e2_13(P: dict, reading: str) -> np.ndarray:
+    prod = P["t9"][reading] * P["a1"]
+    return prod + np.conj(prod) + P["t"][10]
+
+
+class Equation(NamedTuple):
+    kind: str                  # identity | stencil | experimental
+    mask: int                  # mask bits that void a node for this equation
+    residual: Callable         # prepared grid (and a t9 reading) -> nodewise residual
+    readings: tuple = (None,)  # the t9 readings it is evaluated under; only E2_13 reads t9
+
+
+# A node leaves an equation's statistic only when a mask bit its inputs
+# depend on is set: phase-stage masking (path disagreement, no admissible
+# amplitude) does not touch the angle, the Hopf coefficient, the frame
+# factor, or the stored curvatures, so equations built from those columns
+# keep the whole grid even on surfaces where the phase could not be
+# integrated. Two experimental diagnostics with unsettled source formulas
+# are computed and reported but never gate. Rows are reported in this order.
+_PHASE_BITS = MASK_NUPATH | MASK_DOMAIN
+EQUATIONS = {
+    # d alpha = (a+b) phi + (abar+b) phibar
+    "E2_1": Equation("stencil", 0, lambda P: P["dz_alpha"] - (P["a"] + P["b"]) * P["lam"]),
+    # frame factor antiholomorphic derivative
+    "E2_2": Equation("stencil", MASK_SINGULAR, lambda P: dzbar(P["lam"], P["hx"], P["hy"])
+                     + (np.conj(P["a"]) - P["b"]) * P["lam"] * np.conj(P["lam"]) * P["cot"]),
+    # cascade curvature vs metric curvature
+    "E2_3_gauss": Equation("stencil", 0, lambda P: (
+        P["fields"].K_formula - P["fields"].K_metric).astype(np.complex128)),
+    # abar-direction derivative of a
+    "E2_4_codazzi_a": Equation("stencil", MASK_SINGULAR,
+                               lambda P: P["dzbar_a"] - np.conj(P["lam"]) * P["t"][2]),
+    # z-direction derivative of c
+    "E2_5_codazzi_c": Equation("stencil", MASK_SINGULAR | _PHASE_BITS, lambda P: (
+        dz(P["c"], P["hx"], P["hy"]) - 2.0 * P["c"] * (P["a"] - P["b"]) * P["cot"] * P["lam"])),
+    # |c|^2 - |a|^2 = (rho/2)(3 sin^2 - 2), relative to 1 + |a|^2 + |c|^2
+    "E2_6_ricci": Equation("identity", _PHASE_BITS, lambda P: (
+        (np.abs(P["c"]) ** 2 - np.abs(P["a"]) ** 2 - P["E"])
+        / (1.0 + np.abs(P["a"]) ** 2 + np.abs(P["c"]) ** 2))),
+    # c conj(c1) = abar a1
+    "E2_8": Equation("stencil", MASK_SINGULAR | _PHASE_BITS, lambda P: (
+        P["c"] * np.conj(P["c1"]) - np.conj(P["a"]) * P["a1"])),
+    # |c1|^2 - |a1|^2 = t5
+    "E2_10": Equation("stencil", MASK_SINGULAR | _PHASE_BITS, lambda P: (
+        np.abs(P["c1"]) ** 2 - np.abs(P["a1"]) ** 2 - P["t"][5])),
+    # |a1|^2 = t6
+    "E2_11": Equation("stencil", MASK_SINGULAR, lambda P: np.abs(P["a1"]) ** 2 - P["t"][6]),
+    # second-derivative relation for a1
+    "E2_12": Equation("experimental", MASK_SINGULAR, _e2_12),
+    # linear relation among t9, a1, t10, under each reading of t9
+    "E2_13": Equation("experimental", MASK_SINGULAR, _e2_13, T9_READINGS),
+    # warped-angle PDE
+    "E3_2": Equation("stencil", MASK_SINGULAR, lambda P: (
+        dzdzbar(P["alpha"].astype(np.complex128), P["hx"], P["hy"])
+        - F_eval(P["alpha"], P["a"], params=P["fields"].params)
+        * P["dz_alpha"] * P["dzbar_alpha"])),
+    # phase one-form closedness
+    "OMEGA_CLOSED": Equation("stencil", MASK_SINGULAR | MASK_DOMAIN, lambda P: (
+        dzbar(P["W"], P["hx"], P["hy"]).real.astype(np.complex128))),
+    # functional dependence of a on alpha
+    "LEMMA1_WEDGE": Equation("stencil", 0, lambda P: (
+        P["dz_alpha"] * P["dzbar_a"] - P["dzbar_alpha"] * P["dz_a"])),
+}
+
+# one task per (equation, t9 reading), in report order
+TASKS = tuple((eq, m) for eq, e in EQUATIONS.items() for m in e.readings)
 
 
 def _max_stat(res: np.ndarray, mask: np.ndarray, relevant: int) -> float:
@@ -222,6 +218,17 @@ def _max_stat(res: np.ndarray, mask: np.ndarray, relevant: int) -> float:
     if not np.any(np.isfinite(core)):
         return float("nan")
     return float(np.nanmax(np.abs(core)))
+
+
+def _maxima(fields: SurfaceFields) -> list:
+    """Each task's largest judged residual on one grid, in TASKS order.
+
+    The grid's prepared arrays die with the call, so a pair holds one
+    grid's at a time: the two grids meet only through these maxima.
+    """
+    P = _prepare(fields)
+    return [_max_stat(e.residual(P) if m is None else e.residual(P, m), P["mask"], e.mask)
+            for e in EQUATIONS.values() for m in e.readings]
 
 
 @dataclass
@@ -236,18 +243,11 @@ class EquationReport:
     note: str = ""
 
     def row(self) -> dict:
-        d = {"equation": self.equation, "kind": self.kind,
-             "max_coarse": self.max_coarse}
-        if self.variant:
-            d["variant"] = self.variant
-        if self.max_fine is not None:
-            d["max_fine"] = self.max_fine
-        if self.order is not None:
-            d["order"] = self.order
-        d["passed"] = self.passed
-        if self.note:
-            d["note"] = self.note
-        return d
+        """The JSON row; an empty variant or note and an absent max_fine or order are left out."""
+        d = {"equation": self.equation, "kind": self.kind, "max_coarse": self.max_coarse,
+             "variant": self.variant, "max_fine": self.max_fine, "order": self.order,
+             "passed": self.passed, "note": self.note or None}
+        return {k: v for k, v in d.items() if v is not None or k == "passed"}
 
 
 @dataclass
@@ -294,11 +294,6 @@ def _check_pair(coarse: SurfaceFields, fine: SurfaceFields):
         raise ConfigError("grid pair was built with different model parameters")
 
 
-# one task per (equation, t9 reading); only E2_13 reads t9
-TASKS = tuple((eq, m) for eq in EQUATIONS
-              for m in (T9_READINGS if eq == "E2_13" else (None,)))
-
-
 def default_workers() -> int:
     """The thread count PMC_THREADS asks for, else the CPU count.
 
@@ -327,48 +322,30 @@ def verify_suite(coarse: SurfaceFields, fine: SurfaceFields | None = None,
     degraded = fine is None
     if not degraded:
         _check_pair(coarse, fine)
-    prep_c = _prepare(coarse)
-    prep_f = None if degraded else _prepare(fine)
-
-    def run(task):
-        eq, variant = task
-        rel = MASK_RELEVANCE[eq]
-        mc = _max_stat(_residual(eq, prep_c, variant), prep_c["mask"], rel)
-        mf = None
-        if prep_f is not None:
-            mf = _max_stat(_residual(eq, prep_f, variant), prep_f["mask"], rel)
-        return eq, variant, mc, mf
+    max_c = _maxima(coarse)
+    max_f = [None] * len(TASKS) if degraded else _maxima(fine)
 
     lo_band, hi_band = thresholds.order_band
     rows = []
-    for eq, variant, mc, mf in map(run, TASKS):
-        kind = ("experimental" if eq in EXPERIMENTAL
-                else "identity" if eq in IDENTITY_CLASS else "stencil")
-        rep = EquationReport(equation=eq, kind=kind, max_coarse=mc, max_fine=mf,
-                             variant=variant)
+    for (eq, variant), mc, mf in zip(TASKS, max_c, max_f):
+        kind = EQUATIONS[eq].kind
+        rep = EquationReport(eq, kind, mc, mf, variant=variant)
+        paired = not degraded and np.isfinite(mc) and np.isfinite(mf)
+        if kind != "identity" and paired and (mc > ZERO_FLOOR or mf > ZERO_FLOOR):
+            rep.order = float(np.log(mc / mf) / np.log(coarse.grid.h / fine.grid.h))
         if kind == "identity":
-            ok = np.isfinite(mc) and mc <= thresholds.identity_tol
-            if mf is not None:
-                ok = ok and np.isfinite(mf) and mf <= thresholds.identity_tol
-            rep.passed = bool(ok)
+            rep.passed = bool(all(np.isfinite(m) and m <= thresholds.identity_tol
+                                  for m in (mc, mf) if m is not None))
             if not np.isfinite(mc):
                 rep.note = "no evaluable nodes"
         elif kind == "stencil":
             if degraded:
                 rep.note = "order requires a grid pair"
-            elif not (np.isfinite(mc) and np.isfinite(mf)):
-                rep.passed = False
-                rep.note = "no evaluable nodes"
-            elif mc <= ZERO_FLOOR and mf <= ZERO_FLOOR:
-                rep.passed = True
-                rep.note = "residual at rounding floor"
+            elif not paired:
+                rep.passed, rep.note = False, "no evaluable nodes"
+            elif rep.order is None:
+                rep.passed, rep.note = True, "residual at rounding floor"
             else:
-                hc, hf = coarse.grid.h, fine.grid.h
-                rep.order = float(np.log(mc / mf) / np.log(hc / hf))
                 rep.passed = bool(lo_band <= rep.order <= hi_band)
-        else:
-            if not degraded and np.isfinite(mc) and np.isfinite(mf) \
-                    and (mc > ZERO_FLOOR or mf > ZERO_FLOOR):
-                rep.order = float(np.log(mc / mf) / np.log(coarse.grid.h / fine.grid.h))
         rows.append(rep)
     return VerifyReport(rows=rows, degraded=degraded, thresholds=thresholds)

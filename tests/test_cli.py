@@ -333,6 +333,18 @@ def test_tcoef_rejects_bad_id_and_literal(capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+def test_tcoef_overflow_exits_with_json_not_nan():
+    # the jet overflows at this point; a printed nan+nani with exit 0 would pass as a value
+    proc = subprocess.run([sys.executable, "-m", "pmcsurf", "tcoef", "--i", "3",
+                           "--alpha", "0.9", "--a", "1e308+1e308i"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert err["error"] == "GuardError" and "not finite" in err["message"]
+    assert "RuntimeWarning: overflow encountered in multiply" in err["warnings"]
+
+
 def test_a_family_run_and_its_verify_never_import_scipy(tmp_path):
     out = str(tmp_path / "fam")
     code = ("import sys\n"
@@ -395,6 +407,48 @@ def test_outputs_match_the_recorded_hashes(family, tmp_path, capsys):
         for name in ("fields.csv", "meta.json"):
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == ref[name], name
     capsys.readouterr()
+
+
+# verify on each recorded family's 41/81 pair, on the first family's 41² bundle
+# alone, and on its 81/161 pair, whose fine arrays pass numpy's 256 KiB
+# temporary-elision size: (exit code, sha256 of verify_report.json, sha256 of stdout)
+VERIFY_HASHES = {
+    ("c1=2,tilt=0.5", (41, 81)): (
+        0, "bb22a06cbd94b97a719ea7d0794922e3778560d33665a467604247fd44f51350",
+        "818f77b7d2f1ad5bb1fbd89e84e73d01d4428209449e11b15a806aa2d575d455"),
+    ("c1=3,tilt=0.5", (41, 81)): (
+        0, "81090b231b47541a76ef58114fb85bba08ce4097e2851ce259b2f2c91ac89088",
+        "e1ddb54ed76a5edd1a914dbf0252a0851b98dc48c801c0f3051012014b2f90f3"),
+    ("c1=2.5,tilt=0.7", (41, 81)): (
+        0, "2d91c478bc79412f885b6cbe95f4b70a787ef2bb2583142c6b305bac92184b9f",
+        "d324914de13f9d2ddb4a069f88d1dbbb2dc5171c26b8c436d914e49fe7459ad5"),
+    ("c1=-1,tilt=0.5", (41, 81)): (
+        0, "0e60366cbb46b8b62f1aa04883d1b037da2b762e0083d58ea4adfe9cbc81de95",
+        "65750c54e3345e61d969c5e8720457504f7a080083f2dfc0aa726e3a038b139b"),
+    ("c1=2,tilt=0.5", (41,)): (
+        0, "5b767e82438a57a588f01bc3372aa6b9320c5ce86011979f59e78b65b59024bf",
+        "d2350aad670b6ec20fd6e12856aac4c6797a83e9dcfbfc5b6ddd7c592c6e3b2e"),
+    ("c1=2,tilt=0.5", (81, 161)): (
+        0, "1719b5c39f7638499e44a0958638112f24a146a9ff6e6cdb12c338534edc672f",
+        "bbb334ac150705159245c4c0a994ee0b764347f10522f4efe2beddb1ac138e08"),
+}
+
+
+@pytest.mark.parametrize("family,sides", list(VERIFY_HASHES),
+                         ids=[f"{f}-{'/'.join(map(str, n))}" for f, n in VERIFY_HASHES])
+def test_verify_report_matches_the_recorded_hash(family, sides, tmp_path, capsys):
+    c1, tilt = (kv.split("=")[1] for kv in family.split(","))
+    dirs = []
+    for n in sides:
+        dirs.append(str(tmp_path / str(n)))
+        assert main(["family", "--c1", c1, "--tilt", tilt, "--grid", str(n), str(n),
+                     "--out", dirs[-1], "--quiet"]) == 0
+    capsys.readouterr()
+    code = main(["verify", *dirs, "--out", str(tmp_path / "report")])
+    printed = capsys.readouterr().out.encode()
+    report = (tmp_path / "report" / "verify_report.json").read_bytes()
+    assert (code, hashlib.sha256(report).hexdigest(),
+            hashlib.sha256(printed).hexdigest()) == VERIFY_HASHES[(family, sides)]
 
 
 # sha256 of the PROFILE_ARGV table at 41 samples, the same on stdout and under --out
@@ -482,6 +536,17 @@ def test_out_naming_an_existing_file_exits_with_json(argv, family_bundle, tmp_pa
     err = json.loads(proc.stderr)
     assert err["error"] == "ConfigError" and "taken" in err["message"]
     assert out.read_text() == "not a directory\n"
+
+
+def test_verify_rejects_a_third_directory(family_bundle, tmp_path):
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "pmcsurf", "verify", *[str(family_bundle)] * 3,
+                           "--out", str(out)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ConfigError" and "got 3 directories" in err["message"]
+    assert not out.exists()
 
 
 def test_rejected_verify_pair_leaves_no_out(family_bundle, tmp_path):

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from pmcsurf import verify
-from pmcsurf.coeffs import ModelParams, cascade_ok
+from pmcsurf.coeffs import T9_READINGS, ModelParams, cascade_ok
 from pmcsurf.errors import ConfigError
 from pmcsurf.fields import Grid, MASK_DOMAIN, MASK_NUPATH, MASK_SINGULAR
-from pmcsurf.verify import (EQUATIONS, EXPERIMENTAL, IDENTITY_CLASS, MARGIN,
-                            MASK_RELEVANCE, Thresholds, _max_stat, default_workers,
+from pmcsurf.verify import (EQUATIONS, MARGIN, TASKS, Thresholds, _max_stat, default_workers,
                             dz, dzbar, dzdzbar, verify_suite)
 
 from conftest import build_family
@@ -42,10 +41,17 @@ def test_wirtinger_stencils_against_analytic_derivatives():
 
 
 def test_equation_registry_is_consistent():
-    assert set(MASK_RELEVANCE) == set(EQUATIONS)
-    assert IDENTITY_CLASS <= set(EQUATIONS)
-    assert EXPERIMENTAL <= set(EQUATIONS)
-    assert not (IDENTITY_CLASS & EXPERIMENTAL)
+    kinds = {eq: e.kind for eq, e in EQUATIONS.items()}
+    assert set(kinds.values()) == {"identity", "stencil", "experimental"}
+    assert [eq for eq, k in kinds.items() if k == "identity"] == ["E2_6_ricci"]
+    assert [eq for eq, k in kinds.items() if k == "experimental"] == ["E2_12", "E2_13"]
+    for eq, e in EQUATIONS.items():
+        assert callable(e.residual)
+        assert e.mask & ~(MASK_DOMAIN | MASK_SINGULAR | MASK_NUPATH) == 0, eq
+        assert e.readings == (T9_READINGS if eq == "E2_13" else (None,)), eq
+    # one task per equation and t9 reading, in table order
+    assert TASKS == tuple((eq, m) for eq in EQUATIONS
+                          for m in (T9_READINGS if eq == "E2_13" else (None,)))
     assert MARGIN >= 1
 
 
@@ -222,6 +228,28 @@ def test_chunk_cascades_are_freed_without_the_collector(locus_pair, monkeypatch,
     finally:
         if enabled:
             gc.enable()
+
+
+def test_one_prepared_grid_is_alive_at_a_time(locus_pair, monkeypatch):
+    # the pair meets only through its maxima, so the coarse grid's arrays are
+    # freed, by refcounting alone, before the fine grid is prepared
+    prepare, alive = verify._prepare, []
+
+    def recording(fields):
+        assert all(ref() is None for ref in alive)
+        prep = prepare(fields)
+        alive.append(weakref.ref(prep["dz_alpha"]))
+        return prep
+
+    monkeypatch.setattr(verify, "_prepare", recording)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        verify_suite(*locus_pair)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(alive) == 2 and all(ref() is None for ref in alive)
 
 
 def test_worker_count_env_override(monkeypatch):
