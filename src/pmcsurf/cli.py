@@ -18,7 +18,6 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,152 +79,103 @@ def fmt_complex(v: complex) -> str:
 
 
 # ---- run configuration ----
+#
+# CONFIG is the one schema of a run config: each key maps to (check, default),
+# and a section's check is its own table. A check takes the value and its
+# dotted name, raises ConfigError or returns the normalized value; the
+# normalized config is what meta.json echoes. A default goes through its
+# check too, and REQUIRED marks a key that a config must give.
 
-def _take(d: dict, allowed, context: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{context} must be a JSON object")
-    unknown = sorted(set(d) - set(allowed))
+REQUIRED = object()
+
+
+def _rule(*tests, to=None):
+    """A check from (holds, message) tests taken in turn: the first whose holds
+    is false raises its message, formatted with the key's name and value."""
+    def check(value, name: str):
+        for holds, message in tests:
+            if not holds(value):
+                raise ConfigError(message.format(name=name, value=value))
+        return to(value) if to else value
+    return check
+
+
+def _real(*tests):
+    """A check for a finite number that passes tests; it is echoed as a float."""
+    return _rule((_finite, "{name} must be a finite number"), *tests, to=float)
+
+
+def _one_of(*choices):
+    return _rule((lambda v: v in choices,
+                  f"{{name}} must be {' or '.join(choices)}, got {{value!r}}"))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_band(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(map(_finite, v)) and v[0] < v[1]
+
+
+def _coeffs(value, name: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a nonempty list of [re, im] pairs")
+    for k, pair in enumerate(value):
+        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_finite, pair)):
+            raise ConfigError(f"{name}[{k}] must be finite [re, im]")
+    return [[float(re), float(im)] for re, im in value]
+
+
+REAL, SIDE = _real(), _rule((_is_int, "{name} must be an integer"))
+CONFIG = {
+    "params": ({"rho": (_real((lambda v: v != 0, "rho must be nonzero "
+                               "(flat ambient space is out of scope)")), REQUIRED),
+                "b": (REAL, REQUIRED)}, REQUIRED),
+    "profile": ({"alpha0": (REAL, REQUIRED), "a0_re": (REAL, REQUIRED), "a0_im": (REAL, 0.0),
+                 "alpha_min": (REAL, REQUIRED), "alpha_max": (REAL, REQUIRED),
+                 "tol": (REAL, 1e-10)}, REQUIRED),
+    "potential": ({"K0": (REAL, 0.0),
+                   "Kprime0": (_real((lambda v: v != 0, "{name} must be nonzero")), 1.0)}, {}),
+    "harmonic": ({"coeffs": (_coeffs, REQUIRED)}, REQUIRED),
+    "grid": ({"x0": (REAL, REQUIRED), "x1": (REAL, REQUIRED), "y0": (REAL, REQUIRED),
+              "y1": (REAL, REQUIRED), "nx": (SIDE, REQUIRED), "ny": (SIDE, REQUIRED)}, REQUIRED),
+    "nu0": (REAL, 0.0),
+    # a zero identity_tol is legal; a negative one would fail every identity check
+    "thresholds": ({"identity_tol": (_real((lambda v: v >= 0, "{name} must not be negative")),
+                                     Thresholds.identity_tol),
+                    "order_band": (_rule((_is_band, "{name} must be finite [lo, hi] with lo < hi"),
+                                         to=lambda v: [float(x) for x in v]),
+                                   list(Thresholds.order_band))}, {}),
+    # validated and echoed, but read by nothing (README, "Config schema")
+    "t9_mode": (_one_of(*T9_READINGS), "as_printed"),
+    "appendix_reconciliation": (_one_of("assume", "reject"), "assume"),
+    "jet_order": (_rule((lambda v: _is_int(v) and v >= 1, "{name} must be a positive integer")), 4),
+}
+
+
+def _checked(check, value, name: str):
+    """value normalized by check: a check function, or a section's table."""
+    if not isinstance(check, dict):
+        return check(value, name)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = sorted(set(value) - set(check))
     if unknown:
-        raise ConfigError(f"unknown keys in {context}: {unknown}")
+        raise ConfigError(f"unknown keys in {name}: {unknown}")
+    out = {}
+    for key, (sub, default) in check.items():
+        if key not in value and default is REQUIRED:
+            raise ConfigError(f"missing {name}.{key}")
+        out[key] = _checked(sub, value.get(key, default), f"{name}.{key}")
+    return out
 
 
-def _num(d, key, context, default=None, required=False):
-    if key not in d:
-        if required:
-            raise ConfigError(f"missing {context}.{key}")
-        return default
-    v = d[key]
-    if not _finite(v):
-        raise ConfigError(f"{context}.{key} must be a finite number")
-    return float(v)
-
-
-def _thresholds(th) -> Thresholds:
-    _take(th, ("identity_tol", "order_band"), "config.thresholds")
-    identity_tol = _num(th, "identity_tol", "config.thresholds", default=Thresholds.identity_tol)
-    band = th.get("order_band", list(Thresholds.order_band))
-    if (not isinstance(band, list) or len(band) != 2 or not all(map(_finite, band))
-            or not band[0] < band[1]):
-        raise ConfigError("config.thresholds.order_band must be finite [lo, hi] with lo < hi")
-    return Thresholds(identity_tol=identity_tol, order_band=(float(band[0]), float(band[1])))
-
-
-@dataclass
-class RunConfig:
-    params: ModelParams
-    alpha0: float
-    a0: complex
-    alpha_range: tuple
-    profile_tol: float
-    K0: float
-    Kprime0: float
-    harmonic: HarmonicInput
-    grid: Grid
-    nu0: float
-    thresholds: Thresholds
-    t9_mode: str
-    appendix_reconciliation: str
-    jet_order: int
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        _take(d, ("params", "profile", "potential", "harmonic", "grid", "nu0",
-                  "thresholds", "t9_mode", "appendix_reconciliation", "jet_order"),
-              "config")
-        for req in ("params", "profile", "harmonic", "grid"):
-            if req not in d:
-                raise ConfigError(f"missing config.{req}")
-
-        p = d["params"]
-        _take(p, ("rho", "b"), "config.params")
-        rho = _num(p, "rho", "config.params", required=True)
-        b = _num(p, "b", "config.params", required=True)
-        if rho == 0.0:
-            raise ConfigError("rho must be nonzero (flat ambient space is out of scope)")
-        params = ModelParams(rho=rho, b=b)
-
-        pr = d["profile"]
-        _take(pr, ("alpha0", "a0_re", "a0_im", "alpha_min", "alpha_max", "tol"),
-              "config.profile")
-        alpha0 = _num(pr, "alpha0", "config.profile", required=True)
-        a0 = complex(_num(pr, "a0_re", "config.profile", required=True),
-                     _num(pr, "a0_im", "config.profile", default=0.0))
-        alpha_min = _num(pr, "alpha_min", "config.profile", required=True)
-        alpha_max = _num(pr, "alpha_max", "config.profile", required=True)
-        tol = _num(pr, "tol", "config.profile", default=1e-10)
-
-        pot = d.get("potential", {})
-        _take(pot, ("K0", "Kprime0"), "config.potential")
-        K0 = _num(pot, "K0", "config.potential", default=0.0)
-        Kprime0 = _num(pot, "Kprime0", "config.potential", default=1.0)
-        if Kprime0 == 0.0:
-            raise ConfigError("config.potential.Kprime0 must be nonzero")
-
-        h = d["harmonic"]
-        _take(h, ("coeffs",), "config.harmonic")
-        raw_coeffs = h.get("coeffs")
-        if not isinstance(raw_coeffs, list) or not raw_coeffs:
-            raise ConfigError("config.harmonic.coeffs must be a nonempty list of [re, im] pairs")
-        coeffs = []
-        for k, pair in enumerate(raw_coeffs):
-            if not isinstance(pair, list) or len(pair) != 2 or not all(map(_finite, pair)):
-                raise ConfigError(f"config.harmonic.coeffs[{k}] must be finite [re, im]")
-            coeffs.append(complex(pair[0], pair[1]))
-        harmonic = HarmonicInput(tuple(coeffs))
-
-        g = d["grid"]
-        _take(g, ("x0", "x1", "y0", "y1", "nx", "ny"), "config.grid")
-        for key in ("nx", "ny"):
-            if key not in g or isinstance(g[key], bool) or not isinstance(g[key], int):
-                raise ConfigError(f"config.grid.{key} must be an integer")
-        grid = Grid(x0=_num(g, "x0", "config.grid", required=True),
-                    x1=_num(g, "x1", "config.grid", required=True),
-                    y0=_num(g, "y0", "config.grid", required=True),
-                    y1=_num(g, "y1", "config.grid", required=True),
-                    nx=g["nx"], ny=g["ny"])
-
-        nu0 = _num(d, "nu0", "config", default=0.0)
-
-        thresholds = _thresholds(d.get("thresholds", {}))
-
-        t9_mode = d.get("t9_mode", "as_printed")
-        if t9_mode not in T9_READINGS:
-            raise ConfigError(f"config.t9_mode must be as_printed or alternate, got {t9_mode!r}")
-        appendix = d.get("appendix_reconciliation", "assume")
-        if appendix not in ("assume", "reject"):
-            raise ConfigError(
-                f"config.appendix_reconciliation must be assume or reject, got {appendix!r}")
-        jet_order = d.get("jet_order", 4)
-        if isinstance(jet_order, bool) or not isinstance(jet_order, int) or jet_order < 1:
-            raise ConfigError("config.jet_order must be a positive integer")
-
-        return cls(params=params, alpha0=alpha0, a0=a0,
-                   alpha_range=(alpha_min, alpha_max), profile_tol=tol,
-                   K0=K0, Kprime0=Kprime0, harmonic=harmonic, grid=grid, nu0=nu0,
-                   thresholds=thresholds, t9_mode=t9_mode,
-                   appendix_reconciliation=appendix, jet_order=jet_order)
-
-    def echo(self) -> dict:
-        """Normalized config for meta.json."""
-        return {
-            "params": {"rho": self.params.rho, "b": self.params.b},
-            "profile": {"alpha0": self.alpha0, "a0_re": self.a0.real,
-                        "a0_im": self.a0.imag, "alpha_min": self.alpha_range[0],
-                        "alpha_max": self.alpha_range[1], "tol": self.profile_tol},
-            "potential": {"K0": self.K0, "Kprime0": self.Kprime0},
-            "harmonic": {"coeffs": [[c.real, c.imag] for c in self.harmonic.coeffs]},
-            "grid": {"x0": self.grid.x0, "x1": self.grid.x1, "y0": self.grid.y0,
-                     "y1": self.grid.y1, "nx": self.grid.nx, "ny": self.grid.ny},
-            "nu0": self.nu0,
-            "thresholds": {"identity_tol": self.thresholds.identity_tol,
-                           "order_band": list(self.thresholds.order_band)},
-            "t9_mode": self.t9_mode,
-            "appendix_reconciliation": self.appendix_reconciliation,
-            "jet_order": self.jet_order,
-        }
-
-
-def load_config(path: str, grid_override=None) -> RunConfig:
+def load_config(path: str, grid_override=None):
+    """The normalized config at path, as meta.json echoes it, and the
+    ModelParams, Grid and HarmonicInput built from it; their constructors hold
+    the checks that span keys (b > 0, the grid's sides and spacing, a
+    nonconstant input)."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -235,7 +185,9 @@ def load_config(path: str, grid_override=None) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if grid_override is not None and isinstance(data, dict) and isinstance(data.get("grid"), dict):
         data = {**data, "grid": {**data["grid"], "nx": grid_override[0], "ny": grid_override[1]}}
-    return RunConfig.from_dict(data)
+    cfg = _checked(CONFIG, data, "config")
+    return (cfg, ModelParams(**cfg["params"]), Grid(**cfg["grid"]),
+            HarmonicInput(tuple(complex(re, im) for re, im in cfg["harmonic"]["coeffs"])))
 
 
 def _out_dir(path: str) -> None:
@@ -250,15 +202,15 @@ def _out_dir(path: str) -> None:
 # ---- subcommands ----
 
 def cmd_construct(args) -> int:
-    cfg = load_config(args.config, grid_override=args.grid)
-    prof = solve_profile(cfg.params, cfg.alpha0, cfg.a0, cfg.alpha_range,
-                         tol=cfg.profile_tol)
-    pot = build_potential(prof, K0=cfg.K0, Kprime0=cfg.Kprime0)
-    result = _construct.construct_surface(prof, pot, cfg.harmonic, cfg.grid,
-                                          nu0=cfg.nu0)
+    cfg, params, grid, harmonic = load_config(args.config, grid_override=args.grid)
+    pr = cfg["profile"]
+    prof = solve_profile(params, pr["alpha0"], complex(pr["a0_re"], pr["a0_im"]),
+                         (pr["alpha_min"], pr["alpha_max"]), tol=pr["tol"])
+    pot = build_potential(prof, **cfg["potential"])
+    result = _construct.construct_surface(prof, pot, harmonic, grid, nu0=cfg["nu0"])
     meta = {
         "command": "construct",
-        "config": cfg.echo(),
+        "config": cfg,
         "profile": {
             "alpha0": prof.alpha0,
             "a0": [prof.a0.real, prof.a0.imag],
@@ -280,7 +232,7 @@ def cmd_construct(args) -> int:
     if not args.quiet:
         mm = result.nu_info.get("max_path_mismatch")
         print(f"wrote {args.out}/fields.csv "
-              f"({cfg.grid.nx}x{cfg.grid.ny} nodes, max path mismatch {mm:.3g})")
+              f"({grid.nx}x{grid.ny} nodes, max path mismatch {mm:.3g})")
     return 0
 
 
@@ -290,9 +242,11 @@ def cmd_verify(args) -> int:
                           f"got {len(args.dirs)} directories")
     coarse = read_fields(args.dirs[0])
     fine = read_fields(args.dirs[1]) if len(args.dirs) > 1 else None
-    thresholds = (load_config(args.config).thresholds if args.config
-                  else _thresholds(coarse.meta.get("config", {}).get("thresholds", {})))
-    report = verify_suite(coarse, fine, thresholds=thresholds)
+    cfg = load_config(args.config)[0] if args.config else coarse.meta.get("config", {})
+    check, default = CONFIG["thresholds"]   # the same entry for a config and a bundle's echo
+    th = _checked(check, cfg.get("thresholds", default), "config.thresholds")
+    report = verify_suite(coarse, fine, thresholds=Thresholds(th["identity_tol"],
+                                                              tuple(th["order_band"])))
     if args.out:
         _out_dir(args.out)
         with open(os.path.join(args.out, "verify_report.json"), "w") as fh:

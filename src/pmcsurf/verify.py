@@ -66,19 +66,19 @@ def dzdzbar(F, hx, hy):
 # ---- cascade values over a field grid ----
 
 def _cascade_values(alpha, a, params: ModelParams) -> list:
-    """t1, t2, conj t1, the T_IDS values and t9 under each reading at one chunk of points.
+    """t1, t2, the T_IDS values and t9 under each reading at one chunk of points.
 
     The values built on partials come from the straight-line function that
-    scripts/gen_cascade.py derives from coeffs.py's cascade. t1, t2 and
-    conj t1 need no partials and are read from the jet cascade at order 0,
-    which costs a few percent: OMEGA_CLOSED's phase density multiplies a
-    one-ulp change in t1 about a hundredfold, which moves its order on the
-    c1 = -1 family by 2e-3.
+    scripts/gen_cascade.py derives from coeffs.py's cascade. t1 and t2 need
+    no partials and are read from the jet cascade at order 0, which costs a
+    few percent: OMEGA_CLOSED's phase density multiplies a one-ulp change in
+    t1 about a hundredfold, which moves its order on the c1 = -1 family by
+    2e-3.
     """
     if params.rho == 0:
         raise ZeroDenominator("rho = 0 makes t6 undefined")
     cache = CoeffCache(EvalPoint(alpha, a, params=params))
-    return ([cache.get(1).value(), cache.get(2).value(), cache.get(1, conjugated=True).value()]
+    return ([cache.get(1).value(), cache.get(2).value()]
             + list(cascade_values(alpha, a, np.conj(a), params.rho, params.b)))
 
 
@@ -89,24 +89,21 @@ def _prepare(fields: SurfaceFields) -> dict:
     and is not singularity-masked; phase-stage mask bits do not block it,
     since the angle and Hopf columns stay valid there. The evaluable nodes go
     through the cascade in chunks of CHUNK, which bounds its temporaries, and
-    the values are joined in node order; the cascade is nodewise, so the
-    result does not depend on the chunking.
+    each chunk's values are written straight into their nodes of one
+    preallocated row per value; the cascade is nodewise, so the result does
+    not depend on the chunking. conj t1 is the conjugate of t1: the nodes
+    are conjugate pairs (abar = conj a), so no chunk builds a mirror cascade.
     """
     hx, hy = fields.grid.hx, fields.grid.hy
     al, a, lam, c, mask = fields.alpha, fields.a, fields.lam, fields.c, fields.mask
     ok = cascade_ok(al) & ((mask & MASK_SINGULAR) == 0)
-    al_ok, a_ok = al[ok], a[ok]
-    starts = range(0, max(al_ok.size, 1), CHUNK)   # one empty chunk when nothing is evaluable
-    parts = [_cascade_values(al_ok[k:k + CHUNK], a_ok[k:k + CHUNK], fields.params)
-             for k in starts]
-
-    def scatter(*vals):
-        out = np.full(al.shape, np.nan, dtype=np.complex128)
-        out[ok] = np.concatenate(vals)
-        return out
-
-    t1, t2, t1b, *cols = [scatter(*vals) for vals in zip(*parts)]
-    del parts   # the chunked copies; the stencils below need their room
+    at = np.flatnonzero(ok)
+    vals = np.full((2 + len(T_IDS) + len(T9_READINGS), al.size), np.nan, dtype=np.complex128)
+    for k in range(0, max(at.size, 1), CHUNK):   # one empty chunk when nothing is evaluable
+        nodes = at[k:k + CHUNK]
+        for row, v in zip(vals, _cascade_values(al.flat[nodes], a.flat[nodes], fields.params)):
+            row[nodes] = v   # row by row: no (rows x CHUNK) temporary
+    t1, t2, *cols = vals.reshape(len(vals), *al.shape)
     t = {1: t1, 2: t2, **dict(zip(T_IDS, cols))}
     t9 = dict(zip(T9_READINGS, cols[len(T_IDS):]))
 
@@ -115,6 +112,7 @@ def _prepare(fields: SurfaceFields) -> dict:
     alc = al.astype(np.complex128)
     dz_a, dzbar_a = dz(a, hx, hy), dzbar(a, hx, hy)
     a1 = dz_a / lam - a * t[1]
+    t1b = np.conj(t1)   # named: c * conj(t1) inlined would swap the product's operands
     c1 = dzbar(c, hx, hy) / np.conj(lam) - c * t1b
     # phase one-form density from point data alone (the construction's W);
     # defined wherever the amplitude is admissible, whether or not the phase

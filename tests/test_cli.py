@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pmcsurf.cli import build_parser, fmt_complex, main, parse_complex
+from pmcsurf.cli import CONFIG, REQUIRED, build_parser, fmt_complex, main, parse_complex
 from pmcsurf.errors import ConfigError, GuardTripped
 from pmcsurf.family4 import family_amplitude
 from pmcsurf.fields import MAX_SIDE, HarmonicInput, read_fields
@@ -220,6 +220,68 @@ def test_construct_rejects_non_finite_config_numbers(sections, tmp_path, capsys)
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+def _table_keys(table=CONFIG, path=()):
+    """(path, default) of every key of the config table, sections included."""
+    for key, (check, default) in table.items():
+        yield path + (key,), default
+        if isinstance(check, dict):
+            yield from _table_keys(check, path + (key,))
+
+
+TABLE_KEYS = dict(_table_keys())
+
+
+def _construct_rejects(cfg, tmp_path, capsys) -> str:
+    """The message of the one JSON object a construct run with cfg ends in, with exit 3."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["construct", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 3 and err["error"] == "ConfigError", err
+    assert not (tmp_path / "o").exists()
+    return err["message"]
+
+
+@pytest.mark.parametrize("path", [p for p, d in TABLE_KEYS.items() if d is REQUIRED], ids=".".join)
+def test_each_required_key_when_missing_is_named(path, tmp_path, capsys):
+    cfg = generic_config(9)
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    del section[path[-1]]
+    assert "config." + ".".join(path) in _construct_rejects(cfg, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("path", list(TABLE_KEYS), ids=".".join)
+def test_each_key_rejects_a_string(path, tmp_path, capsys):
+    cfg = generic_config(9)
+    section = cfg
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = "x"
+    assert "config." + ".".join(path) in _construct_rejects(cfg, tmp_path, capsys)
+
+
+def test_meta_echoes_each_absent_key_at_its_table_default(tmp_path, capsys):
+    # only the required keys: a real initial amplitude, and no potential or thresholds
+    cfg = generic_config(9, harmonic={"coeffs": [[-0.05, 0.0], [0.95, 0.0]]})
+    cfg["profile"] = {"alpha0": 0.6, "a0_re": 0.3, "alpha_min": 0.4, "alpha_max": 1.2}
+    cfg_path = tmp_path / "minimal.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["construct", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"])
+    capsys.readouterr()
+    assert rc in (0, 2)
+    echo = json.loads((tmp_path / "o" / "meta.json").read_text())["config"]
+    leaves = {path: default for path, default in TABLE_KEYS.items()
+              if default is not REQUIRED and not isinstance(default, dict)}
+    assert leaves
+    for path, default in leaves.items():
+        value = echo
+        for key in path:
+            value = value[key]
+        assert value == default and type(value) is type(default), path
+
+
 # ---- family subcommand ----
 
 def test_family_subcommand_writes_surface(tmp_path, capsys):
@@ -410,8 +472,10 @@ def test_outputs_match_the_recorded_hashes(family, tmp_path, capsys):
 
 
 # verify on each recorded family's 41/81 pair, on the first family's 41² bundle
-# alone, and on its 81/161 pair, whose fine arrays pass numpy's 256 KiB
-# temporary-elision size: (exit code, sha256 of verify_report.json, sha256 of stdout)
+# alone, on its 81/161 pair, whose fine arrays pass numpy's 256 KiB
+# temporary-elision size, and on the locus_cli pair, whose a, lam and c come
+# from construct --config's ODE route: (exit code, sha256 of verify_report.json,
+# sha256 of stdout)
 VERIFY_HASHES = {
     ("c1=2,tilt=0.5", (41, 81)): (
         0, "bb22a06cbd94b97a719ea7d0794922e3778560d33665a467604247fd44f51350",
@@ -431,18 +495,23 @@ VERIFY_HASHES = {
     ("c1=2,tilt=0.5", (81, 161)): (
         0, "1719b5c39f7638499e44a0958638112f24a146a9ff6e6cdb12c338534edc672f",
         "bbb334ac150705159245c4c0a994ee0b764347f10522f4efe2beddb1ac138e08"),
+    ("locus_cli", (33, 65)): (
+        0, "00166c990a06509d5b8632a14216415db6adbdeff6a852409e5bdf35febd85a1",
+        "1a2036f326522ea3a8a4203a98c5a136b56b183cf652560976211455da7affd9"),
 }
 
 
 @pytest.mark.parametrize("family,sides", list(VERIFY_HASHES),
                          ids=[f"{f}-{'/'.join(map(str, n))}" for f, n in VERIFY_HASHES])
-def test_verify_report_matches_the_recorded_hash(family, sides, tmp_path, capsys):
-    c1, tilt = (kv.split("=")[1] for kv in family.split(","))
-    dirs = []
-    for n in sides:
-        dirs.append(str(tmp_path / str(n)))
-        assert main(["family", "--c1", c1, "--tilt", tilt, "--grid", str(n), str(n),
-                     "--out", dirs[-1], "--quiet"]) == 0
+def test_verify_report_matches_the_recorded_hash(family, sides, request, tmp_path, capsys):
+    if family == "locus_cli":   # its coarse and fine bundles, built at 33 and 65
+        dirs = list(request.getfixturevalue("locus_cli")[2:])
+    else:
+        c1, tilt = (kv.split("=")[1] for kv in family.split(","))
+        dirs = [str(tmp_path / str(n)) for n in sides]
+        for n, out in zip(sides, dirs):
+            assert main(["family", "--c1", c1, "--tilt", tilt, "--grid", str(n), str(n),
+                         "--out", out, "--quiet"]) == 0
     capsys.readouterr()
     code = main(["verify", *dirs, "--out", str(tmp_path / "report")])
     printed = capsys.readouterr().out.encode()
@@ -950,6 +1019,28 @@ def test_flat_ambient_space_in_a_bundle_exits_with_zero_denominator(tmp_path):
     err = json.loads(proc.stderr)
     assert err["error"] == "ZeroDenominator"
     assert err["message"] == "rho = 0 makes t6 undefined"
+
+
+@pytest.mark.parametrize("route", ["construct", "verify --config", "bundle meta.json"])
+def test_negative_identity_tol_is_a_config_error(route, family_bundle, tmp_path):
+    # it used to make every identity check FAIL with exit 1, on a correct surface
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(generic_config(9, thresholds={"identity_tol": -1.0})))
+    bundle = tmp_path / "bundle"
+    shutil.copytree(family_bundle, bundle)
+    meta = json.loads((bundle / "meta.json").read_text())
+    meta["config"]["thresholds"] = {"identity_tol": -1.0}
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    argv = {"construct": ["construct", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            "verify --config": ["verify", str(family_bundle), "--config", str(cfg)],
+            "bundle meta.json": ["verify", str(bundle)]}[route]
+    proc = subprocess.run([sys.executable, "-m", "pmcsurf", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith("config.thresholds.identity_tol")
+    assert not (tmp_path / "o").exists()
 
 
 # ---- the development scripts ----

@@ -154,7 +154,7 @@ def _chunk_sizes(fields):
 
 def test_one_coefficient_cache_per_grid(locus_pair, monkeypatch):
     # per chunk of each grid's evaluable nodes: one call of the generated
-    # straight-line cascade, and one cache giving t1, t2, conj t1 from the jets at order 0
+    # straight-line cascade, and one cache giving t1 and t2 from the jets at order 0
     calls, built, jets = [], [], []
     generated = verify.cascade_values
 
@@ -179,7 +179,7 @@ def test_one_coefficient_cache_per_grid(locus_pair, monkeypatch):
     assert calls == sizes[0] + sizes[1]
     assert built == [(n, {}) for n in calls]
     assert jets == [(n, i, 0, kw) for n in calls
-                    for i, kw in ((1, {}), (2, {}), (1, {"conjugated": True}))]
+                    for i, kw in ((1, {}), (2, {}))]
     assert sorted(r.variant for r in rep.rows if r.equation == "E2_13") == ["alternate", "as_printed"]
     assert "t9_mode" not in rep.to_dict()
 
