@@ -6,11 +6,13 @@ then integrate the phase one-form to obtain the remaining second-fundamental
 entry c. The phase one-form is closed exactly when the profile satisfies a
 compatibility condition; a two-path integration check enforces this node by
 node and masks nodes that fail, so partial output is still written when the
-phase stage cannot complete.
+phase stage cannot complete. The explicit family (family4) is built through
+the same route: surface_columns for the angle, amplitude, frame, singularity
+mask and curvatures, surface_result for the masked bundle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .fields import (GAUSS_STEP, MASK_DOMAIN, MASK_NUPATH, MASK_SINGULAR, Grid,
 from .profile import Potential, ProfileSolution
 
 # two-path disagreement beyond 10 h^2 marks a node; a structural violation
-# (more than half of the checkable interior) aborts the phase stage
+# (more than half of the checkable interior) is also recorded as a guard event
 NU_PATH_FACTOR = 10.0
 NU_STRUCTURAL_FRACTION = 0.5
 
@@ -36,10 +38,11 @@ def build_alpha(f: np.ndarray, potential: Potential) -> np.ndarray:
     """Warp the harmonic input through psi; the input must stay inside the potential range."""
     tlo, thi = potential.t_range
     fmin, fmax = float(np.min(f)), float(np.max(f))
-    if fmin < tlo - 1e-12 or fmax > thi + 1e-12:
-        raise RangeMismatch(
-            f"harmonic input spans [{fmin:.6g}, {fmax:.6g}] but the warp only covers "
-            f"[{tlo:.6g}, {thi:.6g}]")
+    if not (fmin >= tlo - 1e-12 and fmax <= thi + 1e-12):   # NaN fails both tests
+        span = f"spans [{fmin:.6g}, {fmax:.6g}]" if np.isfinite([fmin, fmax]).all() \
+            else "is not finite on the grid"
+        raise RangeMismatch(f"harmonic input {span} but the warp only covers "
+                            f"[{tlo:.6g}, {thi:.6g}]")
     return potential.psi(f)
 
 
@@ -51,16 +54,26 @@ def build_lambda(alpha, a, fz, potential: Potential, params: ModelParams):
 def omega_W(alpha, a, lam, params: ModelParams, mask):
     """Density W of the phase one-form Im(W dz), from point data only.
 
-    W = omega1 * lambda / D, with omega1 and D as in coeffs.omega1 and phase_D,
-    on the nodes with a finite angle and no mask bit; NaN elsewhere.
-    The continuum form is closed precisely on compatible profiles; the
-    verifier checks Re dW/dzbar -> 0 at second order.
+    Returns (W, mask_out, event). W = omega1 * lambda / D, with omega1 and D
+    as in coeffs.omega1 and phase_D, on the nodes with a finite angle, no
+    mask bit and D > 0; NaN elsewhere. Nodes of the first two kinds where
+    D <= 0 get the domain mask bit, and event is their NonpositiveDenominator
+    payload (None when there are none). The continuum form is closed
+    precisely on compatible profiles; the verifier checks Re dW/dzbar -> 0
+    at second order.
     """
     valid = np.isfinite(alpha) & (mask == 0)
     D = phase_D(alpha, a, params)
     bad = valid & ~(D > 0)
+    event = None
     if bad.any():
-        raise _DomainError(bad)
+        mask = mask | np.where(bad, np.uint8(MASK_DOMAIN), np.uint8(0))
+        valid &= ~bad
+        n_bad = int(np.count_nonzero(bad))
+        event = NonpositiveDenominator(
+            "|a|^2 + (rho/2)(3 sin^2(alpha) - 2) is nonpositive "
+            "on part of the grid: no phase amplitude exists there").payload()
+        event.update(nodes_inadmissible=n_bad, fraction_inadmissible=float(n_bad / bad.size))
     t1 = np.full(alpha.shape, np.nan, dtype=np.complex128)
     t2 = t1.copy()
     al, av = alpha[valid], a[valid]
@@ -68,17 +81,17 @@ def omega_W(alpha, a, lam, params: ModelParams, mask):
     t2[valid] = t2_value(al, av, np.conj(av), params)
     W = np.full(alpha.shape, np.nan, dtype=np.complex128)
     W[valid] = (omega1(alpha, a, t1, t2, D, params) * lam / D)[valid]
-    return W
+    return W, mask, event
 
 
 def integrate_nu(W: np.ndarray, grid: Grid, mask: np.ndarray):
     """Two-path Simpson integration of Im(W dz) from the grid origin.
 
-    Returns (nu, mask_out, info). Both integration orders are computed; the
-    node value is their mean. Nodes whose paths disagree by more than
-    10 h^2 get the path mask bit and NaN. A structural disagreement (over
-    half of the checkable interior) raises PathInconsistency after masking,
-    so callers can still persist the partial fields.
+    Returns (nu, mask_out, info, event). Both integration orders are
+    computed; the node value is their mean. Nodes whose paths disagree by
+    more than 10 h^2 get the path mask bit and NaN. A structural
+    disagreement (over half of the checkable interior) makes event the
+    PathInconsistency payload; it is None otherwise.
     """
     hx, hy = grid.hx, grid.hy
     Q, P = W.imag, W.real          # d nu/dx, d nu/dy
@@ -105,43 +118,15 @@ def integrate_nu(W: np.ndarray, grid: Grid, mask: np.ndarray):
         "nodes_checkable": int(np.count_nonzero(checkable)),
         "nodes_violating": int(np.count_nonzero(bad)),
     }
+    event = None
     n_checkable = info["nodes_checkable"]
-    if n_checkable == 0 or np.count_nonzero(bad) > NU_STRUCTURAL_FRACTION * n_checkable:
-        raise _PathError(nu, mask_out, info)
-    return nu, mask_out, info
-
-
-class _DomainError(NonpositiveDenominator):
-    """NonpositiveDenominator that reports which nodes are inadmissible."""
-
-    def __init__(self, bad: np.ndarray):
-        super().__init__("|a|^2 + (rho/2)(3 sin^2(alpha) - 2) is nonpositive "
-                         "on part of the grid: no phase amplitude exists there")
-        self.bad = bad
-
-    def payload(self):
-        d = super().payload()
-        d["nodes_inadmissible"] = int(np.count_nonzero(self.bad))
-        d["fraction_inadmissible"] = float(np.count_nonzero(self.bad) / self.bad.size)
-        return d
-
-
-class _PathError(PathInconsistency):
-    """PathInconsistency that still carries the partial (masked) result."""
-
-    def __init__(self, nu, mask_out, info):
-        super().__init__(
+    if n_checkable == 0 or info["nodes_violating"] > NU_STRUCTURAL_FRACTION * n_checkable:
+        event = PathInconsistency(
             "phase one-form is not closed: two-path integrals disagree on "
-            f"{info['nodes_violating']} of {info['nodes_checkable']} checkable nodes "
-            f"(max {info['max_path_mismatch']:.3g} vs tolerance {info['path_tolerance']:.3g})")
-        self.nu = nu
-        self.mask_out = mask_out
-        self.info = info
-
-    def payload(self):
-        d = super().payload()
-        d.update({k: v for k, v in self.info.items()})
-        return d
+            f"{info['nodes_violating']} of {n_checkable} checkable nodes "
+            f"(max {info['max_path_mismatch']:.3g} vs tolerance {tol:.3g})").payload()
+        event.update(info)
+    return nu, mask_out, info, event
 
 
 def build_c(alpha, a, nu, nu0: float, params: ModelParams):
@@ -183,6 +168,33 @@ class ConstructResult:
     nu_info: dict = field(default_factory=dict)
 
 
+def surface_columns(harmonic: HarmonicInput, grid: Grid, potential: Potential,
+                    amplitude, params: ModelParams) -> SurfaceFields:
+    """The columns both pipelines share, with nu and c still unset (None).
+
+    The angle is the harmonic input warped through the potential, the
+    amplitude is amplitude(alpha); then come the frame factor, the cascade
+    singularity mask and both curvatures.
+    """
+    Z = grid.zmesh()
+    alpha = build_alpha(harmonic.f(Z), potential)
+    a = amplitude(alpha)
+    lam = build_lambda(alpha, a, harmonic.fz(Z), potential, params)
+    K_formula, K_metric = gauss_curvature(alpha, a, lam, params, grid)
+    return SurfaceFields(grid=grid, params=params, alpha=alpha, a=a, lam=lam, nu=None,
+                         c=None, K_formula=K_formula, K_metric=K_metric,
+                         mask=cascade_mask(alpha))
+
+
+def surface_result(columns: SurfaceFields, nu, c, mask, guard_events: list,
+                   nu_info: dict) -> ConstructResult:
+    """The bundle: the shared columns with nu and c, both NaN wherever mask != 0."""
+    bad = mask != 0
+    fields = replace(columns, nu=np.where(bad, np.nan, nu), c=np.where(bad, np.nan + 0j, c),
+                     mask=mask)
+    return ConstructResult(fields=fields, guard_events=guard_events, nu_info=nu_info)
+
+
 def construct_surface(profile: ProfileSolution, potential: Potential,
                       harmonic: HarmonicInput, grid: Grid, nu0: float = 0.0) -> ConstructResult:
     """Run the full assembly on one grid.
@@ -192,34 +204,9 @@ def construct_surface(profile: ProfileSolution, potential: Potential,
     amplitude, frame, and curvature fields. Only RangeMismatch (harmonic
     input outside the warp) aborts, since no angle field exists at all.
     """
-    Z = grid.zmesh()
-    f = harmonic.f(Z)
-    fz = harmonic.fz(Z)
-    alpha = build_alpha(f, potential)
-    a = profile.a(alpha)
-    lam = build_lambda(alpha, a, fz, potential, profile.params)
-    mask = cascade_mask(alpha)
-    K_formula, K_metric = gauss_curvature(alpha, a, lam, profile.params, grid)
-
-    guard_events = []
-    try:
-        W = omega_W(alpha, a, lam, profile.params, mask=mask)
-    except _DomainError as err:
-        mask = mask | np.where(err.bad, np.uint8(MASK_DOMAIN), np.uint8(0))
-        guard_events.append(err.payload())
-        W = omega_W(alpha, a, lam, profile.params, mask=mask)
-    try:
-        nu, mask, nu_info = integrate_nu(W, grid, mask)
-    except _PathError as err:
-        nu, mask, nu_info = err.nu, err.mask_out, err.info
-        guard_events.append(err.payload())
-
-    c = build_c(alpha, a, nu, nu0, profile.params)
-    bad = mask != 0
-    nu = np.where(bad, np.nan, nu)
-    c = np.where(bad, np.nan + 0j, c)
-
-    fields = SurfaceFields(grid=grid, params=profile.params, alpha=alpha, a=a,
-                           lam=lam, nu=nu, c=c, K_formula=K_formula,
-                           K_metric=K_metric, mask=mask)
-    return ConstructResult(fields=fields, guard_events=guard_events, nu_info=nu_info)
+    params = profile.params
+    cols = surface_columns(harmonic, grid, potential, profile.a, params)
+    W, mask, domain = omega_W(cols.alpha, cols.a, cols.lam, params, cols.mask)
+    nu, mask, nu_info, path = integrate_nu(W, grid, mask)
+    c = build_c(cols.alpha, cols.a, nu, nu0, params)
+    return surface_result(cols, nu, c, mask, [ev for ev in (domain, path) if ev], nu_info)

@@ -6,9 +6,10 @@ c2 line is an associated family: changing c2 moves only the argument of c,
 every metric quantity stays fixed.
 
 Surfaces are assembled through the same warped-angle route as the generic
-pipeline: the family's own angle ODE supplies a potential anchored at the
-arc midpoint so the warp is a near-identity correction, and the harmonic
-input ranges directly over the t-arc.
+pipeline, construct.surface_columns then construct.surface_result: the
+family's own angle ODE supplies a potential anchored at the arc midpoint so
+the warp is a near-identity correction, and the harmonic input ranges
+directly over the t-arc.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from ._numerics import is_point
 from .coeffs import ModelParams, t2_value
-from .construct import ConstructResult, build_alpha, build_lambda, cascade_mask, gauss_curvature
+from .construct import ConstructResult, surface_columns, surface_result
 from .errors import ConfigError, InadmissibleC1, OutOfInterval, QuadratureFailure
 from .fields import Grid, HarmonicInput, SurfaceFields
 from .profile import F_eval, Potential, TwoSidedMarch, potential_from
@@ -193,27 +194,12 @@ def family_surface(harmonic: HarmonicInput, grid: Grid, params: FamilyParams,
     integral (c2 excluded, matching the construct-side convention for the
     phase constant).
     """
-    pot = family_potential(params.c1)
-    Z = grid.zmesh()
-    f = harmonic.f(Z)
-    alpha = build_alpha(f, pot)
-    a = family_amplitude(alpha, params.c1)
-    lam = build_lambda(alpha, a, harmonic.fz(Z), pot, FAMILY_MODEL)
-
-    xi_march = _phase_march(params.c1, float(np.min(alpha)), float(np.max(alpha)), quad_tol)
-    xi = xi_march(alpha)[0]
+    cols = surface_columns(harmonic, grid, family_potential(params.c1),
+                           functools.partial(family_amplitude, c1=params.c1), FAMILY_MODEL)
+    alpha = cols.alpha
+    xi = _phase_march(params.c1, float(np.min(alpha)), float(np.max(alpha)), quad_tol)(alpha)[0]
     c = _family_c(alpha, xi + params.c2, params.c1)
-
-    mask = cascade_mask(alpha)
-    K_formula, K_metric = gauss_curvature(alpha, a, lam, FAMILY_MODEL, grid)
-    bad = mask != 0
-    nu = np.where(bad, np.nan, xi)
-    c = np.where(bad, np.nan + 0j, c)
-
-    fields = SurfaceFields(grid=grid, params=FAMILY_MODEL, alpha=alpha, a=a, lam=lam,
-                           nu=nu, c=c, K_formula=K_formula, K_metric=K_metric, mask=mask)
-    return ConstructResult(fields=fields, guard_events=[],
-                           nu_info={"source": "closed-form phase integral"})
+    return surface_result(cols, xi, c, cols.mask, [], {"source": "closed-form phase integral"})
 
 
 def general_type_witness(fields: SurfaceFields) -> dict:

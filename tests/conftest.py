@@ -108,16 +108,20 @@ def generic_profile():
     return prof, build_potential(prof)
 
 
+def generic_harmonic(pot, tilt: float = 0.0, window_frac: float = 0.8) -> HarmonicInput:
+    """Affine input over the unit square onto the middle window_frac of the potential range."""
+    tlo, thi = pot.t_range
+    margin = 0.5 * (1.0 - window_frac) * (thi - tlo)
+    return HarmonicInput.affine_window(tlo + margin, thi - margin,
+                                       (0.0, 1.0, 0.0, 1.0), tilt=tilt)
+
+
 def build_generic(n: int, generic_profile, tilt: float = 0.0, nu0: float = 0.0,
                   window_frac: float = 0.8):
     """Generic-pipeline surface; off the invariant amplitude locus on purpose."""
     prof, pot = generic_profile
-    tlo, thi = pot.t_range
-    margin = 0.5 * (1.0 - window_frac) * (thi - tlo)
-    harm = HarmonicInput.affine_window(tlo + margin, thi - margin,
-                                       (0.0, 1.0, 0.0, 1.0), tilt=tilt)
     grid = Grid(0.0, 1.0, 0.0, 1.0, n, n)
-    return construct_surface(prof, pot, harm, grid, nu0=nu0)
+    return construct_surface(prof, pot, generic_harmonic(pot, tilt, window_frac), grid, nu0=nu0)
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -818,9 +819,11 @@ CONFIG_SIDES = [5, 6, 7, 8, 9]
 CONFIG_EXTREME_SIDES = [4, 0, -3, MAX_SIDE + 1, HUGE, 7.0, True, "7", None]
 CONFIG_COEFFS = [GENERIC_CONFIG["harmonic"]["coeffs"], [[0.0, 0.0], [0.5, 0.2]],
                  [[-0.07, 0.0], [0.9, 0.0], [0.1, -0.05]]]
+# z^4 overflows where |z| > 1, so the input is NaN at some nodes and infinite at others
+OVERFLOW_COEFFS = [[0.3, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1e308, 0.0]]
 CONFIG_EXTREME_COEFFS = [[], [[1.0]], [[math.nan, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]],
                          [[HUGE, 0.0], [1.0, 0.0]], [[1e300, 0.0], [1e300, 1e300]], "x",
-                         [[0.0, 0.0], [1.0, "1"]]]
+                         [[0.0, 0.0], [1.0, "1"]], OVERFLOW_COEFFS]
 CONFIG_BANDS = [[1.7, 2.3], [1.5, 2.5]]
 CONFIG_EXTREME_BANDS = [[2.3, 1.7], [2.0, 2.0], [math.nan, 2.0], [1.0, HUGE], [1.7], "x",
                         [-1e300, 1e300]]
@@ -841,7 +844,14 @@ def fuzzed_config(draw):
     return cfg
 
 
+def overflow_config(nx: int, x0: float, x1: float, y0: float, y1: float) -> dict:
+    cfg = generic_config(nx, harmonic={"coeffs": OVERFLOW_COEFFS})
+    cfg["grid"].update(x0=x0, x1=x1, y0=y0, y1=y1)
+    return cfg
+
+
 @settings(max_examples=25)
+@example(cfg=overflow_config(7, 0.0, 2.0, 0.0, 1.0))
 @given(cfg=fuzzed_config())
 def test_fuzzed_config_ends_in_a_clean_exit(cfg):
     err = io.StringIO()
@@ -1043,9 +1053,38 @@ def test_negative_identity_tol_is_a_config_error(route, family_bundle, tmp_path)
     assert not (tmp_path / "o").exists()
 
 
+def test_harmonic_input_that_overflows_is_a_range_mismatch(tmp_path):
+    # its NaN nodes used to pass the warp range check and end in a bare
+    # ValueError traceback with exit 1, the code of a residual failure
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(overflow_config(9, 1.2, 1.6, 0.0, 0.4)))
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", "pmcsurf", "construct", "--config", str(cfg),
+                           "--out", str(out), "--quiet"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "RangeMismatch"
+    assert err["message"].startswith("harmonic input is not finite on the grid")
+    assert not out.exists()
+
+
 # ---- the development scripts ----
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_bench_tracer_finds_every_traced_name():
+    # the benchmark's tracer wraps pmcsurf functions by name, so a renamed
+    # one fails here rather than in a benchmark run
+    path = SCRIPTS.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer("tier1")
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
 
 
 @pytest.mark.parametrize("name", ["convergence_sweep", "make_golden", "gen_cascade", "ab_pairs"])

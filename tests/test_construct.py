@@ -4,13 +4,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pmcsurf.construct import GAUSS_STEP, cascade_mask, gauss_curvature
+from pmcsurf.coeffs import phase_D
+from pmcsurf.construct import (GAUSS_STEP, cascade_mask, gauss_curvature, integrate_nu,
+                               omega_W, surface_columns)
 from pmcsurf.errors import ConfigError, RangeMismatch
 from pmcsurf.fields import (MAX_SIDE, Grid, HarmonicInput, MASK_DOMAIN, MASK_NUPATH,
                             MASK_SINGULAR, read_fields, write_fields, write_meta)
 from pmcsurf.verify import dz, dzbar
 
-from conftest import MODEL, build_generic
+from conftest import MODEL, build_generic, generic_harmonic
 
 
 @pytest.mark.parametrize("side", [4, MAX_SIDE + 1, int("9" * 400), 9.0, "9", None])
@@ -99,6 +101,28 @@ def test_off_locus_construction_masks_and_reports(generic_profile):
     dom = next(ev for ev in res.guard_events if ev["error"] == "NonpositiveDenominator")
     assert dom["nodes_inadmissible"] > 0
     assert 0.0 < dom["fraction_inadmissible"] < 1.0
+
+
+def test_phase_stage_returns_its_guard_events(generic_profile):
+    prof, pot = generic_profile
+    grid = Grid(0.0, 1.0, 0.0, 1.0, 21, 21)
+    cols = surface_columns(generic_harmonic(pot), grid, pot, prof.a, MODEL)
+    W, mask, domain = omega_W(cols.alpha, cols.a, cols.lam, MODEL, cols.mask)
+    D = phase_D(cols.alpha, cols.a, MODEL)
+    open_nodes = np.isfinite(cols.alpha) & (cols.mask == 0)
+    inadmissible = open_nodes & ~(D > 0)
+    assert inadmissible.any() and not (cols.mask & MASK_DOMAIN).any()
+    assert domain["error"] == "NonpositiveDenominator"
+    assert domain["nodes_inadmissible"] == np.count_nonzero(inadmissible)
+    assert np.array_equal((mask & MASK_DOMAIN) != 0, inadmissible)
+    assert np.array_equal(mask & ~np.uint8(MASK_DOMAIN), cols.mask)
+    # W is NaN on the masked nodes and exactly on the open ones where D <= 0
+    assert np.array_equal(np.isnan(W), ~open_nodes | inadmissible)
+    nu, mask_out, info, path = integrate_nu(W, grid, mask)    # returns, does not raise
+    assert path["error"] == "PathInconsistency"
+    assert {key: path[key] for key in info} == info
+    assert info["nodes_violating"] > 0.5 * info["nodes_checkable"]
+    assert np.isnan(nu[mask_out != 0]).all()
 
 
 def test_field_bundle_round_trips_bitwise(generic_profile, tmp_path):
