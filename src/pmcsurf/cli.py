@@ -6,8 +6,9 @@ single-directory verify), family (explicit family surfaces), profile
 (amplitude ODE table), tcoef (cascade coefficient values and partials).
 
 Exit codes: 0 success, 1 residual failure, 2 guard/domain failure,
-3 config/schema failure, 141 stdout closed by its reader. Guard and schema
-failures emit one machine-readable JSON object on stderr.
+3 config, schema or path failure, 141 stdout closed by its reader. Guard,
+schema and path failures emit one machine-readable JSON object on stderr;
+_run alone turns a failed read or write (an OSError) into a ConfigError.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from . import family4, verify as _verify
 from ._g17 import csv_chunks
 from .coeffs import T9_READINGS, CoeffCache, EvalPoint, ModelParams
 from .errors import EXIT_GUARD, EXIT_STDOUT_CLOSED, ConfigError, GuardError, PmcError
-from .fields import Grid, HarmonicInput, read_fields, write_fields, write_meta
+from .fields import Grid, HarmonicInput, read_fields, read_json, write_fields, write_json, write_meta
 from .profile import build_potential, solve_profile
 from .verify import Thresholds, verify_suite
 
@@ -176,13 +177,7 @@ def load_config(path: str, grid_override=None):
     ModelParams, Grid and HarmonicInput built from it; their constructors hold
     the checks that span keys (b > 0, the grid's sides and spacing, a
     nonconstant input)."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except ValueError as exc:   # bad JSON, or an integer literal past Python's digit limit
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    data = read_json(path)
     if grid_override is not None and isinstance(data, dict) and isinstance(data.get("grid"), dict):
         data = {**data, "grid": {**data["grid"], "nx": grid_override[0], "ny": grid_override[1]}}
     cfg = _checked(CONFIG, data, "config")
@@ -190,13 +185,11 @@ def load_config(path: str, grid_override=None):
             HarmonicInput(tuple(complex(re, im) for re, im in cfg["harmonic"]["coeffs"])))
 
 
-def _out_dir(path: str) -> None:
-    """Create the --out directory once the result is ready to write; a path
-    that cannot be one is a ConfigError, and a rejected run leaves none behind."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out {path} cannot be a directory: {exc.strerror or exc}") from None
+def _write_bundle(surface, meta: dict, out: str) -> None:
+    """Write meta.json, then the fields (through this module's write_fields),
+    so a write that fails part-way leaves no new fields beside an old meta.json."""
+    write_meta(meta, out)
+    write_fields(surface, out)
 
 
 # ---- subcommands ----
@@ -222,9 +215,7 @@ def cmd_construct(args) -> int:
         "guard_events": result.guard_events,
         "nu": result.nu_info,
     }
-    _out_dir(args.out)
-    write_fields(result.fields, args.out)
-    write_meta(meta, args.out)
+    _write_bundle(result.fields, meta, args.out)
     if result.guard_events:
         if not args.quiet:
             print(f"wrote masked fields to {args.out}; phase stage tripped a guard")
@@ -248,10 +239,8 @@ def cmd_verify(args) -> int:
     report = verify_suite(coarse, fine, thresholds=Thresholds(th["identity_tol"],
                                                               tuple(th["order_band"])))
     if args.out:
-        _out_dir(args.out)
-        with open(os.path.join(args.out, "verify_report.json"), "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        os.makedirs(args.out, exist_ok=True)
+        write_json(report.to_dict(), os.path.join(args.out, "verify_report.json"))
     if not args.quiet:
         print(report.table())
         print("result:", "pass" if report.passed else "FAIL",
@@ -287,9 +276,7 @@ def cmd_family(args) -> int:
         "nu": result.nu_info,
         "guard_events": result.guard_events,
     }
-    _out_dir(args.out)
-    write_fields(result.fields, args.out)
-    write_meta(meta, args.out)
+    _write_bundle(result.fields, meta, args.out)
     if not args.quiet:
         print(f"wrote {args.out}/fields.csv (c1={params.c1}, c2={params.c2}, "
               f"window [{window[0]:.4g}, {window[1]:.4g}])")
@@ -318,14 +305,11 @@ def cmd_profile(args) -> int:
     av = prof.a(alphas)
     table = csv_chunks("alpha,a_re,a_im,F,K",
                        [alphas, av.real, av.imag, prof.F(alphas), pot.K(alphas)], args.samples)
-    try:
-        if args.out:
-            with open(args.out, "wb") as fh:
-                fh.writelines(table)
-        else:
-            sys.stdout.writelines(chunk.decode("ascii") for chunk in table)
-    except OSError as exc:
-        raise ConfigError(f"cannot write the profile table: {exc}") from None
+    if args.out:
+        with open(args.out, "wb") as fh:
+            fh.writelines(table)
+    else:
+        sys.stdout.writelines(chunk.decode("ascii") for chunk in table)
     return 0
 
 
@@ -446,13 +430,17 @@ class _GuardEvents(PmcError):
 def _run(argv) -> int:
     """Run one command. A failed run writes one JSON object on stderr, with the
     warnings it raised listed under "warnings"; otherwise they are issued as
-    usual once the command returns."""
+    usual once the command returns. An OSError, which names its path, is
+    reported as a ConfigError; a closed stdout goes on to main."""
     caught = []
     try:
         with warnings.catch_warnings(record=True) as caught:
             args = build_parser().parse_args(argv)
             return args.fn(args)
-    except PmcError as err:
+    except BrokenPipeError:
+        raise   # a closed stdout: main's exit 141, not a path failure
+    except (PmcError, OSError) as exc:
+        err = exc if isinstance(exc, PmcError) else ConfigError(str(exc))
         payload = err.payload()
         if caught:
             payload["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]

@@ -95,12 +95,10 @@ def integrate_nu(W: np.ndarray, grid: Grid, mask: np.ndarray):
     """
     hx, hy = grid.hx, grid.hy
     Q, P = W.imag, W.real          # d nu/dx, d nu/dy
-    ix0 = cumulative_simpson(Q[:, 0], hx)
     iy = cumulative_simpson(P, hy, axis=1)
-    iy0 = cumulative_simpson(P[0, :], hy)
     ix = cumulative_simpson(Q, hx, axis=0)
-    nu_a = ix0[:, None] + iy
-    nu_b = iy0[None, :] + ix
+    nu_a = ix[:, :1] + iy          # along x on the edge y = y0, then along y
+    nu_b = iy[:1, :] + ix          # along y on the edge x = x0, then along x
     mismatch = np.abs(nu_a - nu_b)
 
     tol = NU_PATH_FACTOR * grid.h ** 2

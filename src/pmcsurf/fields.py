@@ -213,13 +213,27 @@ def write_fields(fields: SurfaceFields, directory: str) -> str:
     return path
 
 
-def write_meta(meta: dict, directory: str) -> str:
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, "meta.json")
+def write_json(value, path: str) -> str:
+    """Write value to path as JSON: indent 2, sorted keys, a trailing newline."""
     with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(value, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def read_json(path: str):
+    """The JSON value in the file at path; text that is not JSON, or nests too
+    deep to parse, is a ConfigError naming path, and a failed open an OSError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:   # ValueError: also an int past the digit limit
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+
+
+def write_meta(meta: dict, directory: str) -> str:
+    os.makedirs(directory, exist_ok=True)
+    return write_json(meta, os.path.join(directory, "meta.json"))
 
 
 # rows per np.loadtxt call: the reader holds the bundle plus one block, and
@@ -392,9 +406,8 @@ def read_fields(directory: str) -> SurfaceFields:
         raise ConfigError(f"missing fields.csv file under {directory}")
     if not os.path.isfile(meta_path):
         raise ConfigError(f"missing meta.json file under {directory}")
+    meta = read_json(meta_path)
     try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
         params = ModelParams(rho=float(meta["config"]["params"]["rho"]),
                              b=float(meta["config"]["params"]["b"]))
     except (KeyError, TypeError, ValueError) as exc:

@@ -423,10 +423,18 @@ def test_a_family_run_and_its_verify_never_import_scipy(tmp_path):
     assert (rc, loaded) == ("0", "[]")
 
 
-def test_closed_stdout_exits_141_without_a_traceback(family_bundle):
+@pytest.mark.parametrize("argv", [
+    ["verify", "BUNDLE"],
+    # a table past the stdout buffer, so the write fails inside the command;
+    # it used to be reported as a ConfigError with exit 3
+    ["profile", "--rho", "-3", "--alpha0", "0.6", "--a0", "0.3+0.4i", "--range", "0.4", "1.2",
+     "--samples", "2000"],
+], ids=["verify", "profile"])
+def test_closed_stdout_exits_141_without_a_traceback(argv, family_bundle):
     # the reader of `pmcsurf verify DIR | head -1` closes the pipe after one line;
     # here it is closed before the first, so every write finds it closed
-    proc = subprocess.Popen([sys.executable, "-m", "pmcsurf", "verify", str(family_bundle)],
+    argv = [str(family_bundle) if arg == "BUNDLE" else arg for arg in argv]
+    proc = subprocess.Popen([sys.executable, "-m", "pmcsurf", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
     err = proc.stderr.read()
@@ -606,6 +614,67 @@ def test_out_naming_an_existing_file_exits_with_json(argv, family_bundle, tmp_pa
     err = json.loads(proc.stderr)
     assert err["error"] == "ConfigError" and "taken" in err["message"]
     assert out.read_text() == "not a directory\n"
+
+
+def _a_dir(path):
+    path.mkdir(parents=True)
+
+
+def _deep_json(path):
+    path.write_text("[" * 100_000)   # nests past the parser's recursion limit
+
+
+def _family_9(c1: str, out: str) -> list[str]:
+    return ["family", "--c1", c1, "--grid", "9", "9", "--quiet", "--out", out]
+
+
+# argv, the path under the test's directory {t} where the run fails, and what
+# stands at that path; {b} is a good bundle, and {t}/D a copy of it
+IO_FAULTS = {
+    "construct-config-is-a-dir": (["construct", "--config", "{t}/cfg", "--out", "{t}/out"],
+                                  "cfg", _a_dir),
+    "verify-config-is-a-dir": (["verify", "{b}", "{b}", "--config", "{t}/cfg"], "cfg", _a_dir),
+    "construct-config-too-deep": (["construct", "--config", "{t}/deep.json", "--out", "{t}/out"],
+                                  "deep.json", _deep_json),
+    "verify-meta-too-deep": (["verify", "{t}/D"], "D/meta.json", _deep_json),
+    "family-csv-is-a-dir": (_family_9("2", "{t}/out"), "out/fields.csv", _a_dir),
+    "family-twin-is-a-dir": (_family_9("2", "{t}/out"), "out/fields.npz", _a_dir),
+    "family-meta-is-a-dir": (_family_9("2", "{t}/out"), "out/meta.json", _a_dir),
+    "verify-report-is-a-dir": (["verify", "{b}", "--quiet", "--out", "{t}/R"],
+                               "R/verify_report.json", _a_dir),
+}
+
+
+@pytest.mark.parametrize("case", list(IO_FAULTS))
+def test_a_file_that_cannot_be_read_or_written_exits_3_naming_it(case, family_bundle, tmp_path):
+    # each of these ended in a traceback with exit 1, the code of a residual failure
+    argv, fault, make = IO_FAULTS[case]
+    shutil.copytree(family_bundle, tmp_path / "D")
+    fault = tmp_path / fault
+    make(fault)
+    argv = [arg.format(t=tmp_path, b=family_bundle) for arg in argv]
+    proc = subprocess.run([sys.executable, "-m", "pmcsurf", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)   # exactly one JSON object
+    assert err["error"] == "ConfigError" and str(fault) in err["message"], err
+
+
+def test_a_write_that_fails_part_way_leaves_no_new_fields_beside_an_old_meta(tmp_path):
+    # the fields went out before meta.json, so a failed twin write left the
+    # new run's fields.csv beside the old run's meta.json
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(_family_9("3", str(out))) == 0
+    (out / "fields.npz").unlink()
+    (out / "fields.npz").mkdir()
+    proc = subprocess.run([sys.executable, "-m", "pmcsurf", *_family_9("2", str(out))],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "fields.npz" in json.loads(proc.stderr)["message"]
+    assert main(_family_9("2", str(fresh))) == 0
+    assert (out / "fields.csv").read_bytes() == (fresh / "fields.csv").read_bytes()
+    assert (out / "meta.json").read_bytes() == (fresh / "meta.json").read_bytes()
 
 
 def test_verify_rejects_a_third_directory(family_bundle, tmp_path):
@@ -1085,6 +1154,26 @@ def test_bench_tracer_finds_every_traced_name():
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_every_bundle_goes_through_the_cli_write_fields_name(monkeypatch, tmp_path):
+    # the surfaces benchmark captures each surface by replacing cli.write_fields;
+    # a command that reached write_fields another way would write past the capture
+    from pmcsurf import cli
+    seen, write = [], cli.write_fields
+
+    def record(surface, directory):
+        seen.append(surface)
+        return write(surface, directory)
+
+    monkeypatch.setattr(cli, "write_fields", record)
+    cfg = tmp_path / "generic.json"
+    cfg.write_text(json.dumps(generic_config(9)))
+    # the generic run at 9x9 trips the domain guard and still writes its fields
+    for k, (argv, code) in enumerate([(["family", "--c1", "2", "--grid", "9", "9"], 0),
+                                      (["construct", "--config", str(cfg)], 2)]):
+        assert main(argv + ["--out", str(tmp_path / str(k)), "--quiet"]) == code
+        assert len(seen) == k + 1 and seen[-1].grid.nx == 9
 
 
 @pytest.mark.parametrize("name", ["convergence_sweep", "make_golden", "gen_cascade", "ab_pairs"])
