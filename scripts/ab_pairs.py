@@ -11,7 +11,11 @@ end-to-end metric listed there, the script prints each pair's two medians,
 then each side's median and quartiles over the pairs, and the number of
 pairs the change won (ties count for neither side). A gain holds when the
 change wins at least nine pairs in ten and the medians differ by more than
-the parent's interquartile range. A run that reports a failed child, or
+the parent's interquartile range. Each metric also gets its no-regression
+verdict against its ``bound`` in BENCHMARK.json, a share of the parent's
+median: "worse by more than bound" when the change's median is worse by more
+than that, else "unresolved" when the parent's own interquartile range
+exceeds it, else "within bound". A run that reports a failed child, or
 none at all, is printed and counted, and its pair is left out of the
 statistics. The script only calls the benchmark; it edits nothing.
 """
@@ -47,6 +51,17 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(parent: tuple[float, float, float], change: float, bound: float,
+            lower: bool) -> str:
+    """The no-regression verdict of a change median against the parent's quartiles."""
+    q1, med, q3 = parent
+    if (change - med if lower else med - change) > bound * abs(med):
+        return "worse by more than bound"
+    if q3 - q1 > bound * abs(med):
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> None:
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -64,6 +79,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> None:
             q1, med, q3 = q[side]
             print(f"  {side:6s} median {med:.6g}  [q1 {q1:.6g}, q3 {q3:.6g}]")
         print(f"  change wins {wins}/{len(got)}; median gap {gap:.6g} vs parent IQR {iqr:.6g}")
+        print(f"  verdict: {verdict(q['parent'], q['change'][1], m['bound'], lower)} "
+              f"(bound {m['bound']:g} of the parent median)")
 
 
 def main(argv=None) -> int:

@@ -138,7 +138,19 @@ def render() -> str:
     pr = _Printer({"fully_qualified_modules": True})
     lines = [HEADER.format(sympy_version=sp.__version__, t_ids=T_IDS,
                            names=", ".join(n for n, _ in named))]
-    lines += [f"    {sym} = {pr.doprint(e)}\n" for sym, e in subs]
+    # each temporary is deleted after its last use, which keeps the chunk's
+    # working set small; one the returned values read is never deleted
+    temps, last = {sym for sym, _ in subs}, {}
+    for k, (_, e) in enumerate(subs):
+        last.update((x, k) for x in e.free_symbols & temps)
+    kept, dead = set().union(*(e.free_symbols for e in exprs)), {}
+    for sym, _ in subs:   # definition order
+        if sym in last and sym not in kept:
+            dead.setdefault(last[sym], []).append(str(sym))
+    for k, (sym, e) in enumerate(subs):
+        lines.append(f"    {sym} = {pr.doprint(e)}\n")
+        if k in dead:
+            lines.append(f"    del {', '.join(dead[k])}\n")
     lines.append("    return (\n")
     lines += [f"        {pr.doprint(e)},   # {n}\n" for (n, _), e in zip(named, exprs)]
     lines.append("    )\n")

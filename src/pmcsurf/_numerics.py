@@ -63,6 +63,9 @@ import numpy as np
 
 EPS = float(np.finfo(float).eps)
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+# accepted steps a march may take, like DOP853's NMAX: it bounds a march's time
+# and its segment list (the largest march of the test suite takes 300 steps)
+MAX_STEPS = 20000
 BRENT_TOL = 4 * EPS   # xtol = rtol of the event root, as solve_ivp asks brentq for it
 BRENT_MAXITER = 100
 
@@ -266,7 +269,8 @@ class DenseMarch:
     Callers pass a finite y0 and a t_bound other than t0, and fun returns a
     sequence as long as y0. status is 0 when the march
     reached t_bound, 1 when the event stopped it and -1 when a step failed
-    (message says why); t_end is where it stopped.
+    or MAX_STEPS steps did not reach the end (message says why); t_end is
+    where it stopped. A march within the budget is SciPy's, bit for bit.
 
     Called on an array of points the march returns the interpolated state,
     shape (n,) + t.shape: one searchsorted picks each point's step, then each
@@ -292,6 +296,10 @@ class DenseMarch:
         ts, segments = [t0], []
         self.status, self.message = None, None
         while self.status is None:
+            if len(segments) == MAX_STEPS:
+                self.status = -1
+                self.message = f"spent its budget of {MAX_STEPS} steps at {float(t)!r}"
+                break
             step = self._step(fun, t, y, f, h_abs, direction, t_bound, tol, max_step, K)
             if step is None:
                 self.status, self.message = -1, TOO_SMALL_STEP

@@ -17,7 +17,9 @@ import cmath
 import json
 import os
 import re
+import shutil
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -27,7 +29,8 @@ from . import family4, verify as _verify
 from ._g17 import csv_chunks
 from .coeffs import T9_READINGS, CoeffCache, EvalPoint, ModelParams
 from .errors import EXIT_GUARD, EXIT_STDOUT_CLOSED, ConfigError, GuardError, PmcError
-from .fields import Grid, HarmonicInput, read_fields, read_json, write_fields, write_json, write_meta
+from .fields import (BUNDLE_FILES, Grid, HarmonicInput, read_fields, read_json, write_fields,
+                     write_json, write_meta)
 from .profile import build_potential, solve_profile
 from .verify import Thresholds, verify_suite
 
@@ -186,10 +189,43 @@ def load_config(path: str, grid_override=None):
 
 
 def _write_bundle(surface, meta: dict, out: str) -> None:
-    """Write meta.json, then the fields (through this module's write_fields),
-    so a write that fails part-way leaves no new fields beside an old meta.json."""
-    write_meta(meta, out)
-    write_fields(surface, out)
+    """Write the bundle into a fresh sibling of out, then swap it in by rename.
+
+    out holds the whole old bundle or the whole new one: a write that fails
+    leaves it as it was, and only a failed second rename can leave a sibling
+    named <out>.partial-* behind. An existing out is replaced only when it is
+    a directory of bundle files (BUNDLE_FILES), so nothing else is deleted.
+    The fields go through this module's write_fields.
+    """
+    out = os.path.realpath(out)
+    parent, name = os.path.split(out)
+    os.makedirs(parent, exist_ok=True)
+    work = tempfile.mkdtemp(prefix=f"{name}.partial-", dir=parent)
+    new = os.path.join(work, name)
+    try:
+        os.mkdir(new)
+        write_meta(meta, new)
+        write_fields(surface, new)
+        _check_replaceable(out)
+    except BaseException:
+        shutil.rmtree(work, ignore_errors=True)
+        raise
+    if os.path.lexists(out):
+        os.rename(out, os.path.join(work, "replaced"))
+    os.rename(new, out)
+    shutil.rmtree(work)
+
+
+def _check_replaceable(out: str) -> None:
+    """out is absent, or a directory that holds nothing but bundle files."""
+    if not os.path.lexists(out):
+        return
+    if os.path.islink(out) or not os.path.isdir(out):
+        raise ConfigError(f"{out} exists and is not a bundle directory")
+    for entry in os.scandir(out):
+        if entry.name not in BUNDLE_FILES or not entry.is_file(follow_symlinks=False):
+            raise ConfigError(f"{entry.path} is not a file of a field bundle, "
+                              f"so {out} is not replaced")
 
 
 # ---- subcommands ----

@@ -106,13 +106,21 @@ def phase_D(alpha, a, params: ModelParams):
     return np.abs(a) ** 2 + 0.5 * params.rho * (3.0 * s2 - 2.0)
 
 
-def omega1(alpha, a, t1, t2, D, params: ModelParams):
-    """Phase numerator D (2 (a - b) cot - t1) - abar a1, with a1 from the amplitude ODE."""
-    b = params.b
-    ab = np.conj(a)
-    cot = np.cos(alpha) / np.sin(alpha)
-    a1 = -a * t1 + (a + b) * t2 / (ab + b)
-    return D * (2.0 * (a - b) * cot - t1) - ab * a1
+def phase_W(alpha, a, lam, D, valid, t1, t2, params: ModelParams):
+    """Density W = omega1 lambda / D of the phase one-form Im(W dz) on the valid
+    nodes, NaN elsewhere; t1 and t2 are given on the valid nodes only.
+
+    omega1 = D (2 (a - b) cot - t1) - abar a1 is the phase numerator, with a1
+    from the amplitude ODE. Construct and verify both build W here, each from
+    its own t1 and t2.
+    """
+    al, av, Dv = alpha[valid], a[valid], D[valid]
+    b, ab = params.b, np.conj(av)
+    cot = np.cos(al) / np.sin(al)
+    a1 = -av * t1 + (av + b) * t2 / (ab + b)
+    W = np.full(np.shape(alpha), np.nan, dtype=np.complex128)
+    W[valid] = (Dv * (2.0 * (av - b) * cot - t1) - ab * a1) * lam[valid] / Dv
+    return W
 
 
 class _Cascade:

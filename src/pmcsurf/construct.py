@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._numerics import cumulative_simpson
-from .coeffs import ModelParams, cascade_ok, omega1, phase_D, t1_value, t2_value
+from .coeffs import ModelParams, cascade_ok, phase_D, phase_W, t1_value, t2_value
 from .errors import NonpositiveDenominator, PathInconsistency, RangeMismatch
 from .fields import (GAUSS_STEP, MASK_DOMAIN, MASK_NUPATH, MASK_SINGULAR, Grid,
                      HarmonicInput, SurfaceFields)
@@ -54,13 +54,12 @@ def build_lambda(alpha, a, fz, potential: Potential, params: ModelParams):
 def omega_W(alpha, a, lam, params: ModelParams, mask):
     """Density W of the phase one-form Im(W dz), from point data only.
 
-    Returns (W, mask_out, event). W = omega1 * lambda / D, with omega1 and D
-    as in coeffs.omega1 and phase_D, on the nodes with a finite angle, no
-    mask bit and D > 0; NaN elsewhere. Nodes of the first two kinds where
-    D <= 0 get the domain mask bit, and event is their NonpositiveDenominator
-    payload (None when there are none). The continuum form is closed
-    precisely on compatible profiles; the verifier checks Re dW/dzbar -> 0
-    at second order.
+    Returns (W, mask_out, event). W is coeffs.phase_W on the nodes with a
+    finite angle, no mask bit and D > 0, and NaN elsewhere. Nodes of the
+    first two kinds where D <= 0 get the domain mask bit, and event is their
+    NonpositiveDenominator payload (None when there are none). The continuum
+    form is closed precisely on compatible profiles; the verifier checks
+    Re dW/dzbar -> 0 at second order.
     """
     valid = np.isfinite(alpha) & (mask == 0)
     D = phase_D(alpha, a, params)
@@ -74,13 +73,9 @@ def omega_W(alpha, a, lam, params: ModelParams, mask):
             "|a|^2 + (rho/2)(3 sin^2(alpha) - 2) is nonpositive "
             "on part of the grid: no phase amplitude exists there").payload()
         event.update(nodes_inadmissible=n_bad, fraction_inadmissible=float(n_bad / bad.size))
-    t1 = np.full(alpha.shape, np.nan, dtype=np.complex128)
-    t2 = t1.copy()
     al, av = alpha[valid], a[valid]
-    t1[valid] = t1_value(al, av, params)
-    t2[valid] = t2_value(al, av, np.conj(av), params)
-    W = np.full(alpha.shape, np.nan, dtype=np.complex128)
-    W[valid] = (omega1(alpha, a, t1, t2, D, params) * lam / D)[valid]
+    W = phase_W(alpha, a, lam, D, valid, t1_value(al, av, params),
+                t2_value(al, av, np.conj(av), params), params)
     return W, mask, event
 
 

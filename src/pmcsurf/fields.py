@@ -47,6 +47,7 @@ _TWIN_FIELDS = {"alpha": np.dtype("<f8"), "a": np.dtype("<c16"), "lam": np.dtype
                 "K_metric": np.dtype("<f8"), "mask": np.dtype("u1")}
 _TWIN_MEMBERS = {"sha256": np.dtype("u1"), "x": np.dtype("<f8"), "y": np.dtype("<f8"),
                  **_TWIN_FIELDS}
+BUNDLE_FILES = ("meta.json", "fields.csv", TWIN_NAME)   # what write_meta and write_fields write
 
 
 @dataclass(frozen=True)

@@ -158,9 +158,6 @@ class Jet:
         c[0] = c[0] - other
         return Jet(self.order, c)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.order, self.coeffs * np.asarray(other, dtype=np.complex128))
@@ -181,9 +178,6 @@ class Jet:
         if isinstance(other, Jet):
             return self * reciprocal(other)
         return Jet(self.order, self.coeffs / np.asarray(other, dtype=np.complex128))
-
-    def __rtruediv__(self, other):
-        return reciprocal(self) * other
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 1:

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._cascade_gen import T_IDS, cascade_values
-from .coeffs import T9_READINGS, CoeffCache, EvalPoint, ModelParams, cascade_ok, omega1, phase_D
+from .coeffs import T9_READINGS, CoeffCache, EvalPoint, ModelParams, cascade_ok, phase_D, phase_W
 from .errors import ConfigError, ZeroDenominator
 from .fields import MASK_DOMAIN, MASK_SINGULAR, MASK_NUPATH, SurfaceFields
 from .profile import F_eval
@@ -39,20 +39,18 @@ class Thresholds:
 
 # ---- Wirtinger stencils ----
 
-def dz(F, hx, hy):
-    out = np.full(F.shape, np.nan, dtype=np.complex128)
-    fx = (F[2:, 1:-1] - F[:-2, 1:-1]) / (2.0 * hx)
-    fy = (F[1:-1, 2:] - F[1:-1, :-2]) / (2.0 * hy)
-    out[1:-1, 1:-1] = 0.5 * (fx - 1j * fy)
-    return out
+def _wirtinger(op):
+    """The stencil of 0.5 op(F_x, i F_y) by central differences, NaN on the frame."""
+    def stencil(F, hx, hy):
+        out = np.full(F.shape, np.nan, dtype=np.complex128)
+        fx = (F[2:, 1:-1] - F[:-2, 1:-1]) / (2.0 * hx)
+        fy = (F[1:-1, 2:] - F[1:-1, :-2]) / (2.0 * hy)
+        out[1:-1, 1:-1] = 0.5 * op(fx, 1j * fy)
+        return out
+    return stencil
 
 
-def dzbar(F, hx, hy):
-    out = np.full(F.shape, np.nan, dtype=np.complex128)
-    fx = (F[2:, 1:-1] - F[:-2, 1:-1]) / (2.0 * hx)
-    fy = (F[1:-1, 2:] - F[1:-1, :-2]) / (2.0 * hy)
-    out[1:-1, 1:-1] = 0.5 * (fx + 1j * fy)
-    return out
+dz, dzbar = _wirtinger(np.subtract), _wirtinger(np.add)
 
 
 def dzdzbar(F, hx, hy):
@@ -94,52 +92,41 @@ def _prepare(fields: SurfaceFields) -> dict:
     not depend on the chunking. conj t1 is the conjugate of t1: the nodes
     are conjugate pairs (abar = conj a), so no chunk builds a mirror cascade.
     """
-    hx, hy = fields.grid.hx, fields.grid.hy
+    hx, hy, params = fields.grid.hx, fields.grid.hy, fields.params
     al, a, lam, c, mask = fields.alpha, fields.a, fields.lam, fields.c, fields.mask
     ok = cascade_ok(al) & ((mask & MASK_SINGULAR) == 0)
     at = np.flatnonzero(ok)
     vals = np.full((2 + len(T_IDS) + len(T9_READINGS), al.size), np.nan, dtype=np.complex128)
     for k in range(0, max(at.size, 1), CHUNK):   # one empty chunk when nothing is evaluable
         nodes = at[k:k + CHUNK]
-        for row, v in zip(vals, _cascade_values(al.flat[nodes], a.flat[nodes], fields.params)):
+        for row, v in zip(vals, _cascade_values(al.flat[nodes], a.flat[nodes], params)):
             row[nodes] = v   # row by row: no (rows x CHUNK) temporary
     t1, t2, *cols = vals.reshape(len(vals), *al.shape)
     t = {1: t1, 2: t2, **dict(zip(T_IDS, cols))}
     t9 = dict(zip(T9_READINGS, cols[len(T_IDS):]))
 
     s = np.sin(al)
-    cot = np.cos(al) / s
     alc = al.astype(np.complex128)
     dz_a, dzbar_a = dz(a, hx, hy), dzbar(a, hx, hy)
-    a1 = dz_a / lam - a * t[1]
-    t1b = np.conj(t1)   # named: c * conj(t1) inlined would swap the product's operands
-    c1 = dzbar(c, hx, hy) / np.conj(lam) - c * t1b
     # phase one-form density from point data alone (the construction's W);
     # defined wherever the amplitude is admissible, whether or not the phase
     # integration succeeded downstream
-    D = phase_D(al, a, fields.params)
+    D = phase_D(al, a, params)
     w_ok = ok & ((mask & MASK_DOMAIN) == 0) & (D > 0)
-    om1 = omega1(al, a, t[1], t[2], D, fields.params)
     return {
-        "fields": fields, "hx": hx, "hy": hy, "alpha": al, "a": a, "lam": lam,
-        "c": c, "cot": cot, "b": fields.params.b,
-        "E": 0.5 * fields.params.rho * (3.0 * (s * s) - 2.0),
+        "hx": hx, "hy": hy, "params": params, "b": params.b, "alpha": al, "a": a,
+        "lam": lam, "c": c, "cot": np.cos(al) / s, "mask": mask,
+        "K_formula": fields.K_formula, "K_metric": fields.K_metric,
+        "E": 0.5 * params.rho * (3.0 * (s * s) - 2.0),
         "dz_alpha": dz(alc, hx, hy), "dzbar_alpha": dzbar(alc, hx, hy),
-        "dz_a": dz_a, "dzbar_a": dzbar_a, "t": t, "t9": t9, "a1": a1, "c1": c1,
-        "W": np.where(w_ok, om1 * lam / np.where(D > 0, D, 1.0), np.nan),
-        "mask": mask,
+        "dz_a": dz_a, "dzbar_a": dzbar_a, "t": t, "t9": t9,
+        "a1": dz_a / lam - a * t1,
+        "c1": dzbar(c, hx, hy) / np.conj(lam) - np.multiply(c, np.conj(t1)),
+        "W": phase_W(al, a, lam, D, w_ok, t1[w_ok], t2[w_ok], params),
     }
 
 
 # ---- the equations ----
-
-# numpy computes a product whose right operand is a temporary of 256 KiB or more
-# as (right * left) in place, and under FMA a complex product's last bit depends
-# on operand order: so a11 here and LEMMA1_WEDGE's stencils stay named arrays.
-def _e2_12(P: dict) -> np.ndarray:
-    a11 = dz(P["a1"], P["hx"], P["hy"]) / P["lam"]
-    return a11 * np.conj(P["a1"]) - (P["t"][7] * P["a1"] + P["t"][8])
-
 
 def _e2_13(P: dict, reading: str) -> np.ndarray:
     prod = P["t9"][reading] * P["a1"]
@@ -160,6 +147,10 @@ class Equation(NamedTuple):
 # keep the whole grid even on surfaces where the phase could not be
 # integrated. Two experimental diagnostics with unsettled source formulas
 # are computed and reported but never gate. Rows are reported in this order.
+# A complex product with a temporary right operand is np.multiply(left, right):
+# the operator lets numpy compute it as right * left in place once the
+# temporary reaches 256 KiB, and a complex product's last bit depends on the
+# order, so the bits would depend on the grid size.
 _PHASE_BITS = MASK_NUPATH | MASK_DOMAIN
 EQUATIONS = {
     # d alpha = (a+b) phi + (abar+b) phibar
@@ -169,7 +160,7 @@ EQUATIONS = {
                      + (np.conj(P["a"]) - P["b"]) * P["lam"] * np.conj(P["lam"]) * P["cot"]),
     # cascade curvature vs metric curvature
     "E2_3_gauss": Equation("stencil", 0, lambda P: (
-        P["fields"].K_formula - P["fields"].K_metric).astype(np.complex128)),
+        P["K_formula"] - P["K_metric"]).astype(np.complex128)),
     # abar-direction derivative of a
     "E2_4_codazzi_a": Equation("stencil", MASK_SINGULAR,
                                lambda P: P["dzbar_a"] - np.conj(P["lam"]) * P["t"][2]),
@@ -182,20 +173,22 @@ EQUATIONS = {
         / (1.0 + np.abs(P["a"]) ** 2 + np.abs(P["c"]) ** 2))),
     # c conj(c1) = abar a1
     "E2_8": Equation("stencil", MASK_SINGULAR | _PHASE_BITS, lambda P: (
-        P["c"] * np.conj(P["c1"]) - np.conj(P["a"]) * P["a1"])),
+        np.multiply(P["c"], np.conj(P["c1"])) - np.conj(P["a"]) * P["a1"])),
     # |c1|^2 - |a1|^2 = t5
     "E2_10": Equation("stencil", MASK_SINGULAR | _PHASE_BITS, lambda P: (
         np.abs(P["c1"]) ** 2 - np.abs(P["a1"]) ** 2 - P["t"][5])),
     # |a1|^2 = t6
     "E2_11": Equation("stencil", MASK_SINGULAR, lambda P: np.abs(P["a1"]) ** 2 - P["t"][6]),
     # second-derivative relation for a1
-    "E2_12": Equation("experimental", MASK_SINGULAR, _e2_12),
+    "E2_12": Equation("experimental", MASK_SINGULAR, lambda P: (
+        np.multiply(dz(P["a1"], P["hx"], P["hy"]) / P["lam"], np.conj(P["a1"]))
+        - (P["t"][7] * P["a1"] + P["t"][8]))),
     # linear relation among t9, a1, t10, under each reading of t9
     "E2_13": Equation("experimental", MASK_SINGULAR, _e2_13, T9_READINGS),
     # warped-angle PDE
     "E3_2": Equation("stencil", MASK_SINGULAR, lambda P: (
         dzdzbar(P["alpha"].astype(np.complex128), P["hx"], P["hy"])
-        - F_eval(P["alpha"], P["a"], params=P["fields"].params)
+        - F_eval(P["alpha"], P["a"], params=P["params"])
         * P["dz_alpha"] * P["dzbar_alpha"])),
     # phase one-form closedness
     "OMEGA_CLOSED": Equation("stencil", MASK_SINGULAR | MASK_DOMAIN, lambda P: (

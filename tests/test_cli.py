@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pmcsurf._numerics import MAX_STEPS
 from pmcsurf.cli import CONFIG, REQUIRED, build_parser, fmt_complex, main, parse_complex
 from pmcsurf.errors import ConfigError, GuardTripped
 from pmcsurf.family4 import family_amplitude
@@ -586,6 +587,19 @@ def test_profile_march_failures_exit_2_with_json(extra):
     assert json.loads(proc.stderr)["error"] == "StepFailure"
 
 
+def test_a_march_that_crawls_stops_at_its_step_budget():
+    # toward alpha = pi this march took 88221 steps and 15 s before its step
+    # underflowed; at b = 0.3 it ran for minutes
+    proc = subprocess.run([sys.executable, "-m", "pmcsurf", "profile", "--rho", "1", "--b", "0.5",
+                           "--alpha0", "1e-9", "--a0", "0.3+0.2i", "--range", "1e-9", "3.14159265",
+                           "--tol", "2.3e-14", "--samples", "10"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)   # exactly one JSON object
+    assert err["error"] == "StepFailure"
+    assert f"budget of {MAX_STEPS} steps at 3.14" in err["message"], err
+
+
 def test_profile_out_in_a_missing_directory_exits_with_json(tmp_path):
     out = tmp_path / "missing_dir" / "t.csv"
     proc = subprocess.run([sys.executable, "-m", "pmcsurf", *PROFILE_ARGV, "--samples", "5",
@@ -661,20 +675,73 @@ def test_a_file_that_cannot_be_read_or_written_exits_3_naming_it(case, family_bu
     assert err["error"] == "ConfigError" and str(fault) in err["message"], err
 
 
+def _files(directory) -> dict:
+    """Each file of a directory by name, with its bytes."""
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
+
+
 def test_a_write_that_fails_part_way_leaves_no_new_fields_beside_an_old_meta(tmp_path):
     # the fields went out before meta.json, so a failed twin write left the
-    # new run's fields.csv beside the old run's meta.json
-    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    # new run's fields.csv beside the old run's meta.json; now a bundle that
+    # holds anything but bundle files is not replaced, and is left whole
+    out = tmp_path / "out"
     assert main(_family_9("3", str(out))) == 0
     (out / "fields.npz").unlink()
     (out / "fields.npz").mkdir()
+    old = _files(out)
     proc = subprocess.run([sys.executable, "-m", "pmcsurf", *_family_9("2", str(out))],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3, proc.stderr
     assert "fields.npz" in json.loads(proc.stderr)["message"]
-    assert main(_family_9("2", str(fresh))) == 0
-    assert (out / "fields.csv").read_bytes() == (fresh / "fields.csv").read_bytes()
-    assert (out / "meta.json").read_bytes() == (fresh / "meta.json").read_bytes()
+    assert (out / "fields.npz").is_dir()
+    assert _files(out) == old and set(old) == {"fields.csv", "meta.json"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def _refuse_fields_csv(path, *args, **kwargs):
+    if os.path.basename(path) == "fields.csv":
+        raise PermissionError(13, "Permission denied", path)
+    return open(path, *args, **kwargs)
+
+
+def _refuse_the_twin(path, *args, **kwargs):
+    raise OSError(28, "No space left on device", path)
+
+
+@pytest.mark.parametrize("where,name,fault", [
+    ("pmcsurf.fields.open", "fields.csv", _refuse_fields_csv),
+    ("pmcsurf.fields.zipfile.ZipFile", "fields.npz", _refuse_the_twin),
+], ids=["csv", "twin"])
+def test_a_failed_rerun_leaves_the_last_bundle_whole(where, name, fault, monkeypatch, tmp_path,
+                                                     capsys):
+    # meta.json went out first, so a rerun whose fields.csv could not be
+    # opened left the new meta.json beside the old fields, which verify judged
+    out = tmp_path / "O"
+    assert main(_family_9("3", str(out))) == 0
+    old = _files(out)
+    monkeypatch.setattr(where, fault, raising=False)
+    assert main(_family_9("2", str(out))) == 3
+    assert name in json.loads(capsys.readouterr().err)["message"]
+    monkeypatch.undo()
+    assert _files(out) == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["O"]   # no sibling left behind
+    # a rerun that succeeds replaces the bundle whole
+    assert main(_family_9("2", str(out))) == 0
+    assert main(_family_9("2", str(tmp_path / "fresh"))) == 0
+    assert _files(out) == _files(tmp_path / "fresh")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["O", "fresh"]
+
+
+def test_an_out_holding_other_files_is_not_replaced(tmp_path, capsys):
+    out = tmp_path / "O"
+    assert main(_family_9("3", str(out))) == 0
+    (out / "notes.txt").write_text("mine\n")
+    old = _files(out)
+    assert main(_family_9("2", str(out))) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "notes.txt" in err["message"]
+    assert _files(out) == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["O"]
 
 
 def test_verify_rejects_a_third_directory(family_bundle, tmp_path):
@@ -1174,6 +1241,21 @@ def test_every_bundle_goes_through_the_cli_write_fields_name(monkeypatch, tmp_pa
                                       (["construct", "--config", str(cfg)], 2)]):
         assert main(argv + ["--out", str(tmp_path / str(k)), "--quiet"]) == code
         assert len(seen) == k + 1 and seen[-1].grid.nx == 9
+
+
+@pytest.mark.parametrize("parent,change,lower,expected", [
+    ((0.9, 1.0, 1.1), 1.2, True, "within bound"),
+    ((0.9, 1.0, 1.1), 1.3, True, "worse by more than bound"),
+    ((0.9, 1.0, 1.1), 0.7, False, "worse by more than bound"),
+    ((0.9, 1.0, 1.1), 2.0, False, "within bound"),
+    ((0.7, 1.0, 1.3), 1.2, True, "unresolved"),
+    ((0.7, 1.0, 1.3), 1.3, True, "worse by more than bound"),
+], ids=["within", "slower", "lower-rate", "higher-rate", "wide-parent", "wide-and-worse"])
+def test_ab_pairs_regression_verdict(parent, change, lower, expected):
+    spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPTS / "ab_pairs.py")
+    ab_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_pairs)
+    assert ab_pairs.verdict(parent, change, 0.25, lower) == expected
 
 
 @pytest.mark.parametrize("name", ["convergence_sweep", "make_golden", "gen_cascade", "ab_pairs"])

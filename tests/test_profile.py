@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
+from pmcsurf import _numerics
+from pmcsurf._numerics import DenseMarch
 from pmcsurf.coeffs import ModelParams
 from pmcsurf.errors import ConfigError, GuardTripped, StepFailure
 from pmcsurf.family4 import FAMILY_MODEL, family_amplitude, family_potential
@@ -191,6 +193,26 @@ def test_march_at_the_solver_floor_runs_without_warning():
         warnings.simplefilter("error")
         march = TwoSidedMarch(lambda x, y: y, 0.0, (0.0, 1.0), [1.0], MIN_TOL)
     np.testing.assert_allclose(march(1.0)[0], np.e, rtol=1e-12)
+
+
+def test_a_march_within_its_step_budget_is_unchanged_and_one_over_it_stops(monkeypatch):
+    def march():   # y' = cos t over [0, 20], at least 400 steps
+        return DenseMarch(lambda t, y: [np.cos(t)], 0.0, [0.0], 20.0, 1e-10, 0.05)
+
+    full = march()
+    n = full._h.size
+    assert full.status == 0 and n >= 400
+    monkeypatch.setattr(_numerics, "MAX_STEPS", n)   # just enough: the same march
+    same = march()
+    assert (same.status, same.t_end) == (0, 20.0)
+    assert same._F.tobytes() == full._F.tobytes() and same._h.tobytes() == full._h.tobytes()
+    monkeypatch.setattr(_numerics, "MAX_STEPS", n - 1)
+    short = march()
+    assert short.status == -1 and 0.0 < short.t_end < 20.0
+    assert short.message == f"spent its budget of {n - 1} steps at {short.t_end!r}"
+    monkeypatch.setattr(_numerics, "MAX_STEPS", 10)
+    with pytest.raises(StepFailure, match="failed toward 20.0: spent its budget of 10 steps at"):
+        TwoSidedMarch(lambda t, y: [np.cos(t)], 0.0, (0.0, 20.0), [0.0], 1e-10)
 
 
 def _bits(values) -> bytes:

@@ -262,6 +262,37 @@ def test_worker_count_env_override(monkeypatch):
     assert default_workers() >= 1
 
 
+def _rows(P, lo, hi):
+    """Rows lo..hi-1 of a prepared grid: each 2-D array sliced, all else kept."""
+    if isinstance(P, dict):
+        return {k: _rows(v, lo, hi) for k, v in P.items()}
+    return P[lo:hi] if isinstance(P, np.ndarray) and P.ndim == 2 else P
+
+
+def _parts(x):
+    """The float parts of x with every NaN made the same NaN: any NaN equals any NaN."""
+    v = np.ascontiguousarray(x).view(np.float64)
+    return np.where(np.isnan(v), np.nan, v).tobytes()
+
+
+@pytest.mark.parametrize("n", [101, 161])   # complex grid arrays below and above 256 KiB
+def test_residual_bits_do_not_depend_on_the_array_size(n):
+    # numpy evaluates some products in place, in swapped operand order, once
+    # an operand reaches 256 KiB; a residual's bits must not see that
+    P = verify._prepare(build_family(n).fields)
+    band = 24   # rows per band, 67 KiB with its halo rows at 161; the last band is short
+    assert (n % band) not in (0, 1)
+    for eq, reading in TASKS:
+        e = EQUATIONS[eq]
+        whole = e.residual(P) if reading is None else e.residual(P, reading)
+        for lo in range(0, n, band):
+            hi = min(lo + band, n)
+            q_lo, q_hi = max(lo - 1, 0), min(hi + 1, n)   # one halo row for the stencils
+            Q = _rows(P, q_lo, q_hi)
+            part = e.residual(Q) if reading is None else e.residual(Q, reading)
+            assert _parts(part[lo - q_lo:hi - q_lo]) == _parts(whole[lo:hi]), (eq, reading, lo)
+
+
 def test_repeated_verify_runs_match_bitwise(locus_pair):
     rep1, rep2 = verify_suite(*locus_pair), verify_suite(*locus_pair)
     assert len(rep1.rows) == len(rep2.rows)
