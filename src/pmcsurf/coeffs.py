@@ -100,10 +100,14 @@ def t2_value(alpha, a, abar, params: ModelParams):
         + 1.5 * params.rho * np.sin(alpha) * np.cos(alpha)
 
 
+def phase_E(alpha, params: ModelParams):
+    """E = (rho/2)(3 sin^2(alpha) - 2) = |c|^2 - |a|^2, the Ricci identity's right side."""
+    return 0.5 * params.rho * (3.0 * np.sin(alpha) ** 2 - 2.0)
+
+
 def phase_D(alpha, a, params: ModelParams):
-    """|c|^2 = |a|^2 + (rho/2)(3 sin^2(alpha) - 2), the phase denominator D."""
-    s2 = np.sin(alpha) ** 2
-    return np.abs(a) ** 2 + 0.5 * params.rho * (3.0 * s2 - 2.0)
+    """|c|^2 = |a|^2 + E, the phase denominator D."""
+    return np.abs(a) ** 2 + phase_E(alpha, params)
 
 
 def phase_W(alpha, a, lam, D, valid, t1, t2, params: ModelParams):

@@ -20,7 +20,7 @@ from ._numerics import cumulative_simpson
 from .coeffs import ModelParams, cascade_ok, phase_D, phase_W, t1_value, t2_value
 from .errors import NonpositiveDenominator, PathInconsistency, RangeMismatch
 from .fields import (GAUSS_STEP, MASK_DOMAIN, MASK_NUPATH, MASK_SINGULAR, Grid,
-                     HarmonicInput, SurfaceFields)
+                     HarmonicInput, SurfaceFields, laplacian)
 from .profile import Potential, ProfileSolution
 
 # two-path disagreement beyond 10 h^2 marks a node; a structural violation
@@ -132,9 +132,9 @@ def build_c(alpha, a, nu, nu0: float, params: ModelParams):
 def gauss_curvature(alpha, a, lam, params: ModelParams, grid: Grid):
     """Curvature two ways: the cascade formula and the metric Laplacian.
 
-    The metric value uses an interior five-point stencil of log|lambda| at
-    spacing GAUSS_STEP * h and is NaN on the frame; both curvatures are
-    stored for the verifier. The widened spacing is the standard step choice
+    The metric value is fields.laplacian of log|lambda| at spacing
+    GAUSS_STEP * h, NaN on the frame; both curvatures are stored for the
+    verifier. The widened spacing is the standard step choice
     for differencing data with last-bit float noise: the field values carry
     relative noise of a few eps, the second difference amplifies it by
     4/(step^2 |lambda|^2), and at one-node spacing that floor overtakes the
@@ -143,13 +143,8 @@ def gauss_curvature(alpha, a, lam, params: ModelParams, grid: Grid):
     """
     b, rho = params.b, params.rho
     K_formula = -4.0 * (np.abs(a) ** 2 - b * b) + 6.0 * rho * np.cos(alpha) ** 2
-    loglam = np.log(np.abs(lam))
     m = min(GAUSS_STEP, (min(alpha.shape) - 1) // 2)
-    lap = np.full(alpha.shape, np.nan)
-    hx, hy = m * grid.hx, m * grid.hy
-    c = loglam[m:-m, m:-m]
-    lap[m:-m, m:-m] = ((loglam[2 * m:, m:-m] - 2 * c + loglam[:-2 * m, m:-m]) / hx**2
-                       + (loglam[m:-m, 2 * m:] - 2 * c + loglam[m:-m, :-2 * m]) / hy**2)
+    lap = laplacian(np.log(np.abs(lam)), grid.hx, grid.hy, m)
     K_metric = -4.0 / np.abs(lam) ** 2 * 0.25 * lap
     return K_formula, K_metric
 

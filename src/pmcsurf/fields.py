@@ -1,4 +1,4 @@
-"""Grid, harmonic input, and the on-disk surface-field bundle.
+"""Grid and its stencils, harmonic input, and the on-disk surface-field bundle.
 
 A surface run produces nodewise fields over a uniform rectangle: the Kaehler
 angle alpha, the amplitude a, the frame factor lambda, the phase integral nu,
@@ -72,7 +72,8 @@ class Grid:
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ConfigError("grid rectangle is degenerate")
         # the stencils divide by h^2 and by (GAUSS_STEP h)^2; a square that
-        # underflows or overflows turns every difference into NaN or inf
+        # underflows or overflows turns every difference into NaN or inf.
+        # Products, since float ** raises OverflowError where * gives inf
         for h in (self.hx, self.hy):
             wide = GAUSS_STEP * h
             if not (h * h >= sys.float_info.min and math.isfinite(wide * wide)):
@@ -101,6 +102,39 @@ class Grid:
     def zmesh(self):
         X, Y = self.mesh()
         return X + 1j * Y
+
+
+# ---- grid stencils: every finite difference that construct and verify take ----
+
+def _wirtinger(op):
+    """The stencil of 0.5 op(F_x, i F_y) by central differences: NaN on a frame
+    of 1 node, rounding in F amplified by 1/h."""
+    def stencil(F, hx, hy):
+        out = np.full(F.shape, np.nan, dtype=np.complex128)
+        fx = (F[2:, 1:-1] - F[:-2, 1:-1]) / (2.0 * hx)
+        fy = (F[1:-1, 2:] - F[1:-1, :-2]) / (2.0 * hy)
+        out[1:-1, 1:-1] = 0.5 * op(fx, 1j * fy)
+        return out
+    return stencil
+
+
+dz, dzbar = _wirtinger(np.subtract), _wirtinger(np.add)
+
+
+def laplacian(F, hx, hy, m=1):
+    """F_xx + F_yy by the five-point stencil at a spacing of m nodes, in F's dtype: NaN
+    on a frame of m nodes, rounding in F amplified by 1/(m h)^2. Spacings are squared
+    by pow, as K_metric always was: the product differs in the last bit for some h."""
+    out = np.full(F.shape, np.nan, dtype=F.dtype)
+    c = F[m:-m, m:-m]
+    out[m:-m, m:-m] = ((F[2 * m:, m:-m] - 2.0 * c + F[:-2 * m, m:-m]) / (m * hx) ** 2
+                       + (F[m:-m, 2 * m:] - 2.0 * c + F[m:-m, :-2 * m]) / (m * hy) ** 2)
+    return out
+
+
+def dzdzbar(F, hx, hy):
+    """d^2 F / dz dzbar, a quarter of the one-node laplacian, in F's dtype."""
+    return 0.25 * laplacian(F, hx, hy)
 
 
 @dataclass(frozen=True)
@@ -240,7 +274,7 @@ def write_meta(meta: dict, directory: str) -> str:
 # rows per np.loadtxt call: the reader holds the bundle plus one block, and
 # the first block, longer than MAX_SIDE, holds the whole y axis
 _READ_BLOCK = 4096
-# bytes per read or write of fields.csv's hash and of a twin member
+# bytes per read or write of fields.csv (its row count and hash) and of a twin member
 _IO_BLOCK = 1 << 18
 _MASK_MESSAGE = f"mask cells must be integers in 0..{_MASK_MAX}"
 # what reading a zip member can raise on a file that is not a well-formed twin
@@ -252,7 +286,7 @@ def _count_rows(path: str) -> int:
     CR, LF and CRLF each end a line, and empty lines are skipped."""
     rows, after_end = 0, True
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 16):
+        while chunk := fh.read(_IO_BLOCK):
             end = np.frombuffer(chunk, np.uint8)
             end = (end == 10) | (end == 13)
             # a line starts at each byte that is no line end but follows one

@@ -21,9 +21,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._cascade_gen import T_IDS, cascade_values
-from .coeffs import T9_READINGS, CoeffCache, EvalPoint, ModelParams, cascade_ok, phase_D, phase_W
+from .coeffs import T9_READINGS, CoeffCache, EvalPoint, cascade_ok, phase_D, phase_E, phase_W
 from .errors import ConfigError, ZeroDenominator
-from .fields import MASK_DOMAIN, MASK_SINGULAR, MASK_NUPATH, SurfaceFields
+from .fields import MASK_DOMAIN, MASK_SINGULAR, MASK_NUPATH, SurfaceFields, dz, dzbar, dzdzbar
 from .profile import F_eval
 
 MARGIN = 2           # frame nodes excluded from every statistic
@@ -37,75 +37,41 @@ class Thresholds:
     order_band: tuple = (1.7, 2.3)
 
 
-# ---- Wirtinger stencils ----
-
-def _wirtinger(op):
-    """The stencil of 0.5 op(F_x, i F_y) by central differences, NaN on the frame."""
-    def stencil(F, hx, hy):
-        out = np.full(F.shape, np.nan, dtype=np.complex128)
-        fx = (F[2:, 1:-1] - F[:-2, 1:-1]) / (2.0 * hx)
-        fy = (F[1:-1, 2:] - F[1:-1, :-2]) / (2.0 * hy)
-        out[1:-1, 1:-1] = 0.5 * op(fx, 1j * fy)
-        return out
-    return stencil
-
-
-dz, dzbar = _wirtinger(np.subtract), _wirtinger(np.add)
-
-
-def dzdzbar(F, hx, hy):
-    out = np.full(F.shape, np.nan, dtype=np.complex128)
-    xx = (F[2:, 1:-1] - 2.0 * F[1:-1, 1:-1] + F[:-2, 1:-1]) / (hx * hx)
-    yy = (F[1:-1, 2:] - 2.0 * F[1:-1, 1:-1] + F[1:-1, :-2]) / (hy * hy)
-    out[1:-1, 1:-1] = 0.25 * (xx + yy)
-    return out
-
-
-# ---- cascade values over a field grid ----
-
-def _cascade_values(alpha, a, params: ModelParams) -> list:
-    """t1, t2, the T_IDS values and t9 under each reading at one chunk of points.
-
-    The values built on partials come from the straight-line function that
-    scripts/gen_cascade.py derives from coeffs.py's cascade. t1 and t2 need
-    no partials and are read from the jet cascade at order 0, which costs a
-    few percent: OMEGA_CLOSED's phase density multiplies a one-ulp change in
-    t1 about a hundredfold, which moves its order on the c1 = -1 family by
-    2e-3.
-    """
-    if params.rho == 0:
-        raise ZeroDenominator("rho = 0 makes t6 undefined")
-    cache = CoeffCache(EvalPoint(alpha, a, params=params))
-    return ([cache.get(1).value(), cache.get(2).value()]
-            + list(cascade_values(alpha, a, np.conj(a), params.rho, params.b)))
-
-
 def _prepare(fields: SurfaceFields) -> dict:
     """Everything the residuals read on one grid, the shared stencils included.
 
-    Cascade evaluation runs on every node that clears the singularity guards
-    and is not singularity-masked; phase-stage mask bits do not block it,
-    since the angle and Hopf columns stay valid there. The evaluable nodes go
-    through the cascade in chunks of CHUNK, which bounds its temporaries, and
-    each chunk's values are written straight into their nodes of one
-    preallocated row per value; the cascade is nodewise, so the result does
-    not depend on the chunking. conj t1 is the conjugate of t1: the nodes
-    are conjugate pairs (abar = conj a), so no chunk builds a mirror cascade.
+    rho = 0 leaves t6 undefined and stops the grid at once. The cascade runs
+    on every node that clears the singularity guards and is not
+    singularity-masked (phase-stage bits leave the angle and Hopf columns
+    valid), in chunks of CHUNK that bound its temporaries; each value goes
+    straight into its node of one preallocated row, so the chunking changes
+    no bit. The T_IDS and t9 values come from the straight-line function of
+    scripts/gen_cascade.py; t1 and t2 from the jet cascade at order 0, at a
+    few percent of the cost: OMEGA_CLOSED multiplies a one-ulp change in t1
+    about a hundredfold, which moves its order on the c1 = -1 family by
+    2e-3. The nodes are conjugate pairs (abar = conj a), so conj t1 needs no
+    mirror cascade.
     """
     hx, hy, params = fields.grid.hx, fields.grid.hy, fields.params
+    if params.rho == 0:
+        raise ZeroDenominator("rho = 0 makes t6 undefined")
     al, a, lam, c, mask = fields.alpha, fields.a, fields.lam, fields.c, fields.mask
     ok = cascade_ok(al) & ((mask & MASK_SINGULAR) == 0)
     at = np.flatnonzero(ok)
     vals = np.full((2 + len(T_IDS) + len(T9_READINGS), al.size), np.nan, dtype=np.complex128)
-    for k in range(0, max(at.size, 1), CHUNK):   # one empty chunk when nothing is evaluable
+    for k in range(0, at.size, CHUNK):
         nodes = at[k:k + CHUNK]
-        for row, v in zip(vals, _cascade_values(al.flat[nodes], a.flat[nodes], params)):
+        al_k, a_k = al.flat[nodes], a.flat[nodes]
+        cache = CoeffCache(EvalPoint(al_k, a_k, params=params))
+        values = [cache.get(1).value(), cache.get(2).value(),
+                  *cascade_values(al_k, a_k, np.conj(a_k), params.rho, params.b)]
+        for row, v in zip(vals, values):
             row[nodes] = v   # row by row: no (rows x CHUNK) temporary
+        del al_k, a_k, cache, values   # no chunk's arrays outlive it into the stencils
     t1, t2, *cols = vals.reshape(len(vals), *al.shape)
     t = {1: t1, 2: t2, **dict(zip(T_IDS, cols))}
     t9 = dict(zip(T9_READINGS, cols[len(T_IDS):]))
 
-    s = np.sin(al)
     alc = al.astype(np.complex128)
     dz_a, dzbar_a = dz(a, hx, hy), dzbar(a, hx, hy)
     # phase one-form density from point data alone (the construction's W);
@@ -115,9 +81,8 @@ def _prepare(fields: SurfaceFields) -> dict:
     w_ok = ok & ((mask & MASK_DOMAIN) == 0) & (D > 0)
     return {
         "hx": hx, "hy": hy, "params": params, "b": params.b, "alpha": al, "a": a,
-        "lam": lam, "c": c, "cot": np.cos(al) / s, "mask": mask,
+        "lam": lam, "c": c, "cot": np.cos(al) / np.sin(al), "mask": mask,
         "K_formula": fields.K_formula, "K_metric": fields.K_metric,
-        "E": 0.5 * params.rho * (3.0 * (s * s) - 2.0),
         "dz_alpha": dz(alc, hx, hy), "dzbar_alpha": dzbar(alc, hx, hy),
         "dz_a": dz_a, "dzbar_a": dzbar_a, "t": t, "t9": t9,
         "a1": dz_a / lam - a * t1,
@@ -169,7 +134,7 @@ EQUATIONS = {
         dz(P["c"], P["hx"], P["hy"]) - 2.0 * P["c"] * (P["a"] - P["b"]) * P["cot"] * P["lam"])),
     # |c|^2 - |a|^2 = (rho/2)(3 sin^2 - 2), relative to 1 + |a|^2 + |c|^2
     "E2_6_ricci": Equation("identity", _PHASE_BITS, lambda P: (
-        (np.abs(P["c"]) ** 2 - np.abs(P["a"]) ** 2 - P["E"])
+        (np.abs(P["c"]) ** 2 - np.abs(P["a"]) ** 2 - phase_E(P["alpha"], P["params"]))
         / (1.0 + np.abs(P["a"]) ** 2 + np.abs(P["c"]) ** 2))),
     # c conj(c1) = abar a1
     "E2_8": Equation("stencil", MASK_SINGULAR | _PHASE_BITS, lambda P: (

@@ -329,6 +329,16 @@ def test_grid_spacings_must_square_to_normal_floats(side, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+def test_metric_curvature_squares_its_spacing_by_pow(tmp_path):
+    # with h = 1.645 / 16, (3 * h) ** 2 is 0.09513369140625001 and the product ...003:
+    # K_metric has always been divided by the pow square, and these bytes pin it
+    out = tmp_path / "fam"
+    assert main(["family", "--c1", "2", "--grid", "17", "17", "--rect", "0", "1.645", "0", "1",
+                 "--out", str(out), "--quiet"]) == 0
+    assert hashlib.sha256((out / "fields.csv").read_bytes()).hexdigest() == \
+        "b7d3e28010362364d2c4ec36a07abaea071557cd8d3390ba9fffbca453e5fd50"
+
+
 def test_a_small_rectangle_still_builds(tmp_path):
     out = tmp_path / "fam"
     assert main(["family", "--c1", "2", "--grid", "9", "9", "--rect", "0", "1e-3", "0", "1e-3",
@@ -1149,7 +1159,8 @@ def test_malformed_field_bundle_exits_with_json(case, family_bundle, tmp_path):
 
 
 def test_flat_ambient_space_in_a_bundle_exits_with_zero_denominator(tmp_path):
-    # a bundle may claim rho = 0; verify stops at t6 as the jet cascade did
+    # a bundle may claim rho = 0; verify stops at t6 as the jet cascade did, also
+    # when every node is singularity-masked and none reaches the cascade
     dirs = []
     for n in (9, 17):
         out = tmp_path / f"fam{n}"
@@ -1158,13 +1169,18 @@ def test_flat_ambient_space_in_a_bundle_exits_with_zero_denominator(tmp_path):
         meta = json.loads((out / "meta.json").read_text())
         meta["config"]["params"]["rho"] = 0
         (out / "meta.json").write_text(json.dumps(meta))
-        dirs.append(str(out))
-    proc = subprocess.run([sys.executable, "-m", "pmcsurf", "verify", *dirs],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    err = json.loads(proc.stderr)
-    assert err["error"] == "ZeroDenominator"
-    assert err["message"] == "rho = 0 makes t6 undefined"
+        dirs.append(out)
+    for all_masked in (False, True):
+        for out in dirs if all_masked else ():
+            header, *rows = (out / "fields.csv").read_text().splitlines()
+            rows = [row.rsplit(",", 1)[0] + ",1" for row in rows]   # mask = MASK_SINGULAR
+            (out / "fields.csv").write_text("\n".join([header, *rows]) + "\n")
+        proc = subprocess.run([sys.executable, "-m", "pmcsurf", "verify", *map(str, dirs)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "ZeroDenominator"
+        assert err["message"] == "rho = 0 makes t6 undefined"
 
 
 @pytest.mark.parametrize("route", ["construct", "verify --config", "bundle meta.json"])

@@ -9,8 +9,7 @@ from pmcsurf.construct import (GAUSS_STEP, cascade_mask, gauss_curvature, integr
                                omega_W, surface_columns)
 from pmcsurf.errors import ConfigError, RangeMismatch
 from pmcsurf.fields import (MAX_SIDE, Grid, HarmonicInput, MASK_DOMAIN, MASK_NUPATH,
-                            MASK_SINGULAR, read_fields, write_fields, write_meta)
-from pmcsurf.verify import dz, dzbar
+                            MASK_SINGULAR, dz, dzbar, read_fields, write_fields, write_meta)
 
 from conftest import MODEL, build_generic, generic_harmonic
 

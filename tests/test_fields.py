@@ -164,8 +164,10 @@ def written(fields: SurfaceFields, directory, twin: bool = True) -> str:
 @pytest.fixture(params=[40, READ_BLOCK], ids=["block-40", "block-default"])
 def read_block(request, monkeypatch):
     """Blocks of 40 rows hold the y axis of every grid below, and split the rest
-    of the grid mid-column."""
+    of the grid mid-column; with them, byte reads of 40 bytes split lines."""
     monkeypatch.setattr(fields_module, "_READ_BLOCK", request.param)
+    if request.param == 40:
+        monkeypatch.setattr(fields_module, "_IO_BLOCK", 40)
     return request.param
 
 

@@ -11,9 +11,10 @@ import pytest
 from pmcsurf import verify
 from pmcsurf.coeffs import T9_READINGS, ModelParams, cascade_ok
 from pmcsurf.errors import ConfigError
-from pmcsurf.fields import Grid, MASK_DOMAIN, MASK_NUPATH, MASK_SINGULAR
+from pmcsurf.fields import (GAUSS_STEP, Grid, MASK_DOMAIN, MASK_NUPATH, MASK_SINGULAR, dz, dzbar,
+                            dzdzbar, laplacian)
 from pmcsurf.verify import (EQUATIONS, MARGIN, TASKS, Thresholds, _max_stat, default_workers,
-                            dz, dzbar, dzdzbar, verify_suite)
+                            verify_suite)
 
 from conftest import build_family
 
@@ -28,14 +29,17 @@ def _analytic_errors(n):
     e1 = np.abs(dz(F.astype(complex), g.hx, g.hy) - 0.5 * (fx - 1j * fy))[inner]
     e2 = np.abs(dzbar(F.astype(complex), g.hx, g.hy) - 0.5 * (fx + 1j * fy))[inner]
     e3 = np.abs(dzdzbar(F.astype(complex), g.hx, g.hy) + 0.5 * F)[inner]
-    return (float(np.max(e1)), float(np.max(e2)), float(np.max(e3)))
+    m = GAUSS_STEP   # the metric curvature's spacing
+    e4 = np.abs(laplacian(F, g.hx, g.hy, m) + 2.0 * F)[m:-m, m:-m]
+    return tuple(float(np.max(e)) for e in (e1, e2, e3, e4))
 
 
 def test_wirtinger_stencils_against_analytic_derivatives():
     coarse = _analytic_errors(33)
     fine = _analytic_errors(65)
-    for mc, mf in zip(coarse, fine):
-        assert mc <= 1e-4
+    # the laplacian at GAUSS_STEP nodes has a GAUSS_STEP^2 larger truncation constant
+    for mc, mf, bound in zip(coarse, fine, (1e-4, 1e-4, 1e-4, 2e-3)):
+        assert mc <= bound
         order = np.log2(mc / mf)
         assert 1.8 <= order <= 2.2
 
