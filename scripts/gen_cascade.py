@@ -10,8 +10,8 @@ conj t1 need none; verify reads them from the jets at order 0). The formulas
 are not transcribed here. The jet cascade's own methods
 (coeffs._Cascade._t1.._t10) run on sympy symbols instead of jets: the base
 point is the symbols (alpha real, a, abar), the trig block is sympy sin/cos,
-a partial is sp.diff, and the swap mirror's swap_vars() is the simultaneous
-substitution a <-> abar. One sp.cse pass turns the seven expressions into
+a partial is sp.diff, a reciprocal is 1 / x, and the swap mirror's
+swap_vars() is the simultaneous substitution a <-> abar. One sp.cse pass turns the seven expressions into
 one function of (alpha, a, abar, rho, b).
 
 Development only: it needs sympy, which pmcsurf does not depend on. The
@@ -24,7 +24,6 @@ import difflib
 import sys
 import types
 from pathlib import Path
-from unittest import mock
 
 import sympy as sp
 from sympy.printing.numpy import NumPyPrinter
@@ -88,13 +87,15 @@ class SymbolicCascade(coeffs._Cascade):
     def mirror(self):
         return _Mirror(self)
 
+    def reciprocal(self, x):
+        return 1 / x
+
 
 def outputs() -> list:
     """(name, expression) in the order verify reads them."""
-    with mock.patch.object(coeffs, "reciprocal", lambda x: 1 / x):
-        cas = SymbolicCascade()
-        out = [(f"t{i}", cas.t(i, 0)) for i in T_IDS]
-        out += [(f"t9 {m}", cas.t(9, 0, reading=m)) for m in coeffs.T9_READINGS]
+    cas = SymbolicCascade()
+    out = [(f"t{i}", cas.t(i, 0)) for i in T_IDS]
+    out += [(f"t9 {m}", cas.t(9, 0, reading=m)) for m in coeffs.T9_READINGS]
     # the cascade's float literals are small dyadic numbers: keep them exact
     return [(name, e.xreplace({f: sp.Rational(f) for f in e.atoms(sp.Float)}))
             for name, e in out]

@@ -64,7 +64,7 @@ import numpy as np
 EPS = float(np.finfo(float).eps)
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 # accepted steps a march may take, like DOP853's NMAX: it bounds a march's time
-# and its segment list (the largest march of the test suite takes 300 steps)
+# and its record table (the largest march of the test suite takes 300 steps)
 MAX_STEPS = 20000
 BRENT_TOL = 4 * EPS   # xtol = rtol of the event root, as solve_ivp asks brentq for it
 BRENT_MAXITER = 100
@@ -221,18 +221,6 @@ def _error_norm(K, h, scale):
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def _interpolate(x: float, coef) -> list:
-    """DOP853 interpolant at x (in units of the step) on Python floats; coef holds, per
-    component, y_old and the 7 coefficient rows, last first, the leading one as 0.0 + row."""
-    xm = 1 - x
-    out = []
-    for k in range(0, len(coef), 8):
-        y_old, f0, f1, f2, f3, f4, f5, f6 = coef[k:k + 8]
-        out.append(((((((f0 * x + f1) * xm + f2) * x + f3) * xm + f4) * x + f5) * xm
-                    + f6) * x + y_old)
-    return out
-
-
 def _rk_step(fun, t, y, f, h, K):
     """One DOP853 step of size h; K receives the 13 stage slopes."""
     K[0] = f
@@ -245,19 +233,24 @@ def _rk_step(fun, t, y, f, h, K):
     return y_new, f_new
 
 
-def _dense_rows(fun, t_old, y_old, y, f, h, K):
-    """Coefficients of the interpolant over the step just taken from (t_old, y_old)."""
+def _record(fun, t_old, y_old, y, f, h, K) -> np.ndarray:
+    """The interpolant over the step just taken from (t_old, y_old), as one record:
+    t_old, h, then per component y_old and the 7 coefficient rows, last first."""
     for s, a, c in _DENSE_STAGES:
         dy = np.dot(K[:s].T, a) * h
         K[s] = fun(t_old + c * h, y_old + dy)
-    F = np.empty((7, y.size))
+    record = np.empty(2 + 8 * y.size)
+    record[:2] = t_old, h
+    rows = record[2:].reshape(y.size, 8).T
     f_old = K[0]
     delta_y = y - y_old
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * np.dot(D, K)
-    return F
+    rows[0] = y_old
+    rows[7] = delta_y
+    rows[6] = h * f_old - delta_y
+    rows[5] = 2 * delta_y - h * (f + f_old)
+    rows[4:0:-1] = h * np.dot(D, K)
+    rows[1] += 0.0   # SciPy's "0.0 + row": turns -0.0 into +0.0 and keeps every other bit
+    return record
 
 
 class DenseMarch:
@@ -272,12 +265,13 @@ class DenseMarch:
     or MAX_STEPS steps did not reach the end (message says why); t_end is
     where it stopped. A march within the budget is SciPy's, bit for bit.
 
-    Called on an array of points the march returns the interpolated state,
-    shape (n,) + t.shape: one searchsorted picks each point's step, then each
-    state component gathers its coefficient rows from a (7, n, steps) table,
-    contiguous per component. Called on one point (a float or any 0-d value)
-    it returns a list of n Python floats, read by bisect from a flat
-    ``array('d')`` of the same coefficients; the right-hand sides of other
+    The dense output is one flat ``array('d')`` that gets one record per
+    accepted step (_record), and every call reads it. Called on an array of
+    points the march returns the interpolated state, shape (n,) + t.shape:
+    one searchsorted picks each point's step, then each state component
+    gathers its coefficient rows from a transposed view of the record table.
+    Called on one point (a float or any 0-d value) it returns a list of n
+    Python floats from the record bisect picks; the right-hand sides of other
     marches take this path once per stage, and so does the event's root
     search on the step it stopped in. Both paths make SciPy's IEEE operations
     in its order, so they agree with each other and with SciPy's
@@ -293,10 +287,11 @@ class DenseMarch:
         K = np.empty((16, y.size))
         g = event(t0, y) if event is not None else None
         t = t0
-        ts, segments = [t0], []
+        self._records, self._stride = array("d"), 2 + 8 * y.size
         self.status, self.message = None, None
         while self.status is None:
-            if len(segments) == MAX_STEPS:
+            steps = len(self._records) // self._stride
+            if steps == MAX_STEPS:
                 self.status = -1
                 self.message = f"spent its budget of {MAX_STEPS} steps at {float(t)!r}"
                 break
@@ -306,47 +301,29 @@ class DenseMarch:
                 break
             t_old, y_old = t, y
             t, y, f, h, h_abs = step
-            F = _dense_rows(fun, t_old, y_old, y, f, h, K)
-            segments.append((t_old, t - t_old, y_old, F))
+            self._records.frombytes(_record(fun, t_old, y_old, y, f, h, K).tobytes())
             if direction * (t - t_bound) >= 0:
                 self.status = 0
             if event is not None:
                 g_new = event(t, y)
                 if g <= 0 <= g_new or g >= 0 >= g_new:
-                    t_seg, h_seg, y_seg, F_seg = segments[-1]
-                    coef = np.vstack([y_seg, F_seg[6] + 0.0, F_seg[5::-1]]).T.ravel().tolist()
-                    t = brentq(lambda s: event(s, np.array(_interpolate((s - t_seg) / h_seg, coef))),
-                               t_old, t)
+                    t = brentq(lambda s: event(s, np.array(self._interpolate(steps, s))), t_old, t)
                     self.status = 1
-                    if len(ts) > 1 and ts[-1] == t:
-                        segments.pop()
-                        break
+                    if steps and t == t_old:   # the root ends the previous step: drop this one
+                        del self._records[-self._stride:]
                 g = g_new
-            ts.append(t)
-        self.t_end = float(ts[-1])
+        self.t_end = float(t)
         if self.status == -1:   # nothing to interpolate: callers report the failure
             return
-        ts = np.array(ts, dtype=float)
-        n = y.size
-        self._ascending = bool(ts[-1] >= ts[0])
-        # OdeSolution's rule: the breakpoints between steps, searched from the
-        # left when marching up and from the right when marching down
-        self._inner = (ts if self._ascending else ts[::-1])[1:-1]
+        table = np.frombuffer(self._records).reshape(-1, self._stride)
+        self._ascending = bool(self.t_end >= t0)
+        # OdeSolution's rule: the breakpoints between steps are the records' t_old
+        # after the first, searched from the left when marching up and from the
+        # right when marching down
+        self._inner_list = (table[1:, 0] if self._ascending else table[:0:-1, 0]).tolist()
+        self._inner = np.array(self._inner_list)
         self._side = "left" if self._ascending else "right"
-        self._inner_list = self._inner.tolist()
-        self._t_old = np.array([s[0] for s in segments])
-        self._h = np.array([s[1] for s in segments])
-        self._y_old = np.array([s[2] for s in segments]).T.copy()   # (n, steps)
-        # (7, n, steps), last coefficient first; the leading row takes SciPy's
-        # "0.0 + row" here once, which turns -0.0 into +0.0 and keeps every other bit
-        F = np.array([s[3][::-1] for s in segments]).transpose(1, 2, 0)
-        F[0] += 0.0
-        self._F = np.ascontiguousarray(F)
-        # one-point table: per step t_old, h, then per component y_old and the 7 rows
-        rows = np.concatenate([self._y_old.T[:, :, None], F.transpose(2, 1, 0)], axis=2)
-        self._stride = 2 + 8 * n
-        self._flat = array("d", np.hstack([self._t_old[:, None], self._h[:, None],
-                                           rows.reshape(len(segments), -1)]).tobytes())
+        self._columns = table.T   # (stride, steps) view: t_old, h, then 8 rows per component
 
     @staticmethod
     def _step(fun, t, y, f, h_abs, direction, t_bound, tol, max_step, K):
@@ -381,23 +358,25 @@ class DenseMarch:
 
     def __call__(self, t):
         if is_point(t):
-            return self._at(float(t))
+            t = float(t)
+            return self._interpolate(self._step_of(t), t)
         t = np.asarray(t, dtype=float)
         seg = self._steps_of(t)
-        x = self._t_old.take(seg)
+        t_old, h, *rows = self._columns
+        x = t_old.take(seg)
         np.subtract(t, x, out=x)
-        x /= self._h.take(seg)
+        x /= h.take(seg)
         xm = 1 - x
-        out = np.empty((self._F.shape[1],) + t.shape)
+        out = np.empty((len(rows) // 8,) + t.shape)
         row = np.empty(t.shape)
         for j, y in enumerate(out):
-            F = self._F[:, j]
+            y_old, *F = rows[8 * j:8 * j + 8]
             F[0].take(seg, out=y, mode="clip")
             y *= x
             for i in range(1, 7):
                 y += F[i].take(seg, out=row, mode="clip")
                 y *= xm if i % 2 else x
-            y += self._y_old[j].take(seg, out=row, mode="clip")
+            y += y_old.take(seg, out=row, mode="clip")
         return out
 
     def _steps_of(self, t: np.ndarray) -> np.ndarray:
@@ -413,11 +392,18 @@ class DenseMarch:
             return bisect_left(self._inner_list, t)
         return len(self._inner_list) - bisect_right(self._inner_list, t)
 
-    def _at(self, t: float) -> list:
-        """The state at one point, on Python floats; see the class docstring."""
-        base = self._step_of(t) * self._stride
-        t_old, h, *coef = self._flat[base:base + self._stride]
-        return _interpolate((t - t_old) / h, coef)
+    def _interpolate(self, k: int, t: float) -> list:
+        """Record k's interpolant at one point, on Python floats."""
+        base = k * self._stride
+        t_old, h, *coef = self._records[base:base + self._stride]
+        x = (t - t_old) / h
+        xm = 1 - x
+        out = []
+        for j in range(0, len(coef), 8):
+            y_old, f0, f1, f2, f3, f4, f5, f6 = coef[j:j + 8]
+            out.append(((((((f0 * x + f1) * xm + f2) * x + f3) * xm + f4) * x + f5) * xm
+                        + f6) * x + y_old)
+        return out
 
 
 def brentq(f, xa: float, xb: float) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import os
 import re
 import shutil
@@ -29,8 +28,8 @@ from . import family4, verify as _verify
 from ._g17 import csv_chunks
 from .coeffs import T9_READINGS, CoeffCache, EvalPoint, ModelParams
 from .errors import EXIT_GUARD, EXIT_STDOUT_CLOSED, ConfigError, GuardError, PmcError
-from .fields import (BUNDLE_FILES, Grid, HarmonicInput, read_fields, read_json, write_fields,
-                     write_json, write_meta)
+from .fields import (BUNDLE_FILES, Grid, HarmonicInput, dump_json, read_fields, read_json,
+                     write_fields, write_json, write_meta)
 from .profile import build_potential, solve_profile
 from .verify import Thresholds, verify_suite
 
@@ -481,7 +480,7 @@ def _run(argv) -> int:
         if caught:
             payload["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
             caught = []   # reported in the JSON object, not issued again
-        json.dump(payload, sys.stderr)
+        dump_json(payload, sys.stderr)
         sys.stderr.write("\n")
         return err.exit_code
     finally:

@@ -131,8 +131,8 @@ class _Cascade:
     """Memoized jet evaluation of the cascade at one point batch.
 
     scripts/gen_cascade.py runs these same formulas on sympy symbols by
-    overriding base, trig, d and mirror, so a formula may reach the point
-    only through those, self.point.params and reciprocal.
+    overriding base, trig, d, mirror and reciprocal, so a formula may reach
+    the point only through those and self.point.params.
     """
 
     def __init__(self, point: EvalPoint, appendix: str, trig: dict | None = None):
@@ -167,9 +167,12 @@ class _Cascade:
             al, _, _ = self.base(order)
             s, cos = jsin(al), jcos(al)
             s2 = s * s
-            self._trig[order] = {"s": s, "s2": s2, "cot": cos * reciprocal(s),
-                                 "cos": cos, "inv_s2": reciprocal(s2)}
+            self._trig[order] = {"s": s, "s2": s2, "cot": cos * self.reciprocal(s),
+                                 "cos": cos, "inv_s2": self.reciprocal(s2)}
         return self._trig[order]
+
+    def reciprocal(self, x: Jet) -> Jet:
+        return reciprocal(x)
 
     # ---- partials of a lower coefficient, read one order up ----
 
@@ -206,7 +209,7 @@ class _Cascade:
         tr = self.trig(m)
         b = self.point.params.b
         num = (-4.0 * b) + (12.0 * b) * tr["s2"] + 4.0 * a + 3.0 * (a * tr["s2"])
-        return num * tr["cot"] * reciprocal(3.0 * tr["s2"] - 2.0)
+        return num * tr["cot"] * self.reciprocal(3.0 * tr["s2"] - 2.0)
 
     def _t2(self, m):
         _, a, ab = self.base(m)
@@ -253,7 +256,7 @@ class _Cascade:
         return self.t(3, m) * ab - self.t(4, m, conj=True) * self._D(m)
 
     def _t6(self, m):
-        return -(self.t(5, m) * self._D(m)) * reciprocal(self._E(m))
+        return -(self.t(5, m) * self._D(m)) * self.reciprocal(self._E(m))
 
     def _t7(self, m):
         return -self.t(3, m, conj=True) + self.d(6, 1, m)
@@ -307,7 +310,7 @@ class _Cascade:
         t10 = self.t(10, m)
         disc = t10 * t10 - 4.0 * (t9 * self.t(9, m, conj=True, reading=reading) * self.t(6, m))
         root = jsqrt(disc)
-        return (-t10 + float(branch) * root) * reciprocal(2.0 * t9)
+        return (-t10 + float(branch) * root) * self.reciprocal(2.0 * t9)
 
     def _t12(self, m, branch, reading):
         _, a, _ = self.base(m)

@@ -248,10 +248,23 @@ def write_fields(fields: SurfaceFields, directory: str) -> str:
     return path
 
 
+def dump_json(value, fh, **kw) -> None:
+    """json.dump(value, fh, **kw) as strict JSON: a non-finite float is written as null."""
+    def strict(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {k: strict(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [strict(x) for x in v]
+        return v
+    json.dump(strict(value), fh, allow_nan=False, **kw)
+
+
 def write_json(value, path: str) -> str:
-    """Write value to path as JSON: indent 2, sorted keys, a trailing newline."""
+    """Write value to path as JSON (dump_json): indent 2, sorted keys, a trailing newline."""
     with open(path, "w") as fh:
-        json.dump(value, fh, indent=2, sort_keys=True)
+        dump_json(value, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 

@@ -232,26 +232,24 @@ def compose(series, jet: Jet) -> Jet:
     return acc
 
 
-def jsin(jet: Jet) -> Jet:
+def _trig(fn, jet: Jet) -> Jet:
+    """fn(jet) for fn np.sin or np.cos, whose k-th derivative is fn shifted by k pi/2."""
     v = jet.value()
     fact = 1.0
     series = []
     for k in range(jet.order + 1):
         if k:
             fact *= k
-        series.append(np.sin(v + k * np.pi / 2) / fact)
+        series.append(fn(v + k * np.pi / 2) / fact)
     return compose(series, jet)
+
+
+def jsin(jet: Jet) -> Jet:
+    return _trig(np.sin, jet)
 
 
 def jcos(jet: Jet) -> Jet:
-    v = jet.value()
-    fact = 1.0
-    series = []
-    for k in range(jet.order + 1):
-        if k:
-            fact *= k
-        series.append(np.cos(v + k * np.pi / 2) / fact)
-    return compose(series, jet)
+    return _trig(np.cos, jet)
 
 
 def reciprocal(jet: Jet) -> Jet:

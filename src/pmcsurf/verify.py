@@ -37,15 +37,44 @@ class Thresholds:
     order_band: tuple = (1.7, 2.3)
 
 
+# the fields.csv columns of each field that must be finite, and the fields a
+# masked node may leave non-finite; K_metric is exempt: NaN on its GAUSS_STEP frame
+_COLUMNS = {"alpha": ("alpha",), "a": ("a_re", "a_im"), "lam": ("lambda_re", "lambda_im"),
+            "K_formula": ("K_formula",), "nu": ("nu",), "c": ("c_re", "c_im")}
+_MASKED_MAY_FAIL = ("nu", "c")
+
+
+def _check_finite(fields: SurfaceFields) -> None:
+    """ConfigError naming the first column and node holding a non-finite input.
+
+    The maxima skip NaN residuals, so a NaN that reached them would pass
+    unjudged; the bundle is refused instead.
+    """
+    clean = fields.mask == 0
+    for name, columns in _COLUMNS.items():
+        values = getattr(fields, name)
+        for column, part in zip(columns, (values.real, values.imag)):
+            bad = ~np.isfinite(part)
+            if name in _MASKED_MAY_FAIL:
+                bad &= clean
+            if bad.any():
+                i, j = np.unravel_index(np.argmax(bad), bad.shape)
+                g = fields.grid
+                x, y = (float(v[k]) for v, k in zip(g.axes(), (i, j)))
+                raise ConfigError(f"column {column} holds {float(part[i, j])!r} at node ({i}, {j}) "
+                                  f"of the {g.nx}x{g.ny} grid (x = {x!r}, y = {y!r})")
+
+
 def _prepare(fields: SurfaceFields) -> dict:
     """Everything the residuals read on one grid, the shared stencils included.
 
-    rho = 0 leaves t6 undefined and stops the grid at once. The cascade runs
-    on every node that clears the singularity guards and is not
-    singularity-masked (phase-stage bits leave the angle and Hopf columns
-    valid), in chunks of CHUNK that bound its temporaries; each value goes
-    straight into its node of one preallocated row, so the chunking changes
-    no bit. The T_IDS and t9 values come from the straight-line function of
+    A non-finite input is a ConfigError (_check_finite). rho = 0 leaves t6
+    undefined and stops the grid at once. The cascade runs on every node
+    that clears the singularity guards and is not singularity-masked
+    (phase-stage bits leave the angle and Hopf columns valid), in chunks of
+    CHUNK that bound its temporaries; each value goes straight into its node
+    of one preallocated row, so the chunking changes no bit. The T_IDS and
+    t9 values come from the straight-line function of
     scripts/gen_cascade.py; t1 and t2 from the jet cascade at order 0, at a
     few percent of the cost: OMEGA_CLOSED multiplies a one-ulp change in t1
     about a hundredfold, which moves its order on the c1 = -1 family by
@@ -53,6 +82,7 @@ def _prepare(fields: SurfaceFields) -> dict:
     mirror cascade.
     """
     hx, hy, params = fields.grid.hx, fields.grid.hy, fields.params
+    _check_finite(fields)
     if params.rho == 0:
         raise ZeroDenominator("rho = 0 makes t6 undefined")
     al, a, lam, c, mask = fields.alpha, fields.a, fields.lam, fields.c, fields.mask

@@ -23,7 +23,7 @@ from pmcsurf._numerics import MAX_STEPS
 from pmcsurf.cli import CONFIG, REQUIRED, build_parser, fmt_complex, main, parse_complex
 from pmcsurf.errors import ConfigError, GuardTripped
 from pmcsurf.family4 import family_amplitude
-from pmcsurf.fields import MAX_SIDE, HarmonicInput, read_fields
+from pmcsurf.fields import MAX_SIDE, HarmonicInput, read_fields, write_fields
 from pmcsurf.profile import build_potential, solve_profile
 
 from conftest import GENERIC_CONFIG, MODEL, generic_config
@@ -1183,6 +1183,59 @@ def test_flat_ambient_space_in_a_bundle_exits_with_zero_denominator(tmp_path):
         assert err["message"] == "rho = 0 makes t6 undefined"
 
 
+def test_a_nan_at_a_judged_node_exits_3_naming_its_column_and_node(tmp_path, capsys):
+    # the maxima skip NaN residuals, so a NaN angle and amplitude at a clear
+    # node used to pass unjudged: exit 0, "result: pass"
+    dirs = []
+    for n in (33, 65):
+        out = tmp_path / f"fam{n}"
+        assert main(["family", "--c1", "2", "--grid", str(n), str(n), "--out", str(out),
+                     "--quiet"]) == 0
+        surface = read_fields(str(out))
+        i, j = n // 2, n // 3
+        assert surface.mask[i, j] == 0
+        surface.alpha[i, j] = surface.a[i, j] = np.nan
+        write_fields(surface, str(out))
+        dirs.append(str(out))
+    capsys.readouterr()
+    assert main(["verify", *dirs]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)   # one object
+    assert err == {"error": "ConfigError", "message": "column alpha holds nan at node (16, 11) "
+                   "of the 33x33 grid (x = 0.5, y = 0.34375)"}
+
+
+def _strict_json(text: str):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_report_with_no_judged_node_is_strict_json(family_bundle, tmp_path, capsys):
+    # every node phase-masked leaves max_coarse undefined; it was written as NaN
+    bundle = tmp_path / "bundle"
+    shutil.copytree(family_bundle, bundle)
+    _rows(lambda rows: [row.rsplit(",", 1)[0] + ",2" if row else row for row in rows])(bundle)
+    assert main(["verify", str(bundle), "--out", str(tmp_path / "report"), "--quiet"]) == 1
+    report = _strict_json((tmp_path / "report" / "verify_report.json").read_text())
+    rows = {row["equation"]: row for row in report["rows"]}
+    assert rows["E2_6_ricci"]["max_coarse"] is None
+    assert rows["E2_6_ricci"]["note"] == "no evaluable nodes"
+
+
+def test_a_failed_run_writes_strict_json_on_stderr(monkeypatch, capsys):
+    from pmcsurf import cli
+
+    def trip(args):
+        raise GuardTripped("tripped", achieved=(float("nan"), float("inf")))
+
+    monkeypatch.setattr(cli, "cmd_tcoef", trip)
+    assert main(["tcoef", "--i", "1", "--alpha", "0.5", "--a", "0.3+0.1i"]) == 2
+    err = _strict_json(capsys.readouterr().err)
+    assert err == {"error": "GuardTripped", "message": "tripped", "achieved_range": [None, None]}
+
+
 @pytest.mark.parametrize("route", ["construct", "verify --config", "bundle meta.json"])
 def test_negative_identity_tol_is_a_config_error(route, family_bundle, tmp_path):
     # it used to make every identity check FAIL with exit 1, on a correct surface
@@ -1226,12 +1279,19 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def test_bench_tracer_finds_every_traced_name():
-    # the benchmark's tracer wraps pmcsurf functions by name, so a renamed
-    # one fails here rather than in a benchmark run
+    # the benchmark's tracer wraps pmcsurf functions by name, and its child
+    # process labels each run with verify.default_workers(), so a renamed or
+    # deleted one fails here rather than in a benchmark run
+    from pmcsurf import verify
+
     path = SCRIPTS.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    reached = [*tracing.FUNCTIONS.values(), *tracing.METHODS.values(), (verify, "default_workers")]
+    missing = [(getattr(owner, "__name__", owner), attr) for owner, attr in reached
+               if not callable(getattr(owner, attr, None))]
+    assert not missing
     tracer = tracing.Tracer("tier1")
     try:
         tracer.install()

@@ -3,6 +3,7 @@ conversion, write_fields against np.savetxt, byte for byte, and read_fields
 against the written bits."""
 from __future__ import annotations
 
+import json
 import math
 import shutil
 import tracemalloc
@@ -356,3 +357,21 @@ def test_a_twin_that_is_not_this_csvs_is_never_read(case, tmp_path):
     assert_same_bits(got, parsed(directory))
     if case == "csv-edited":
         assert got.alpha[0, 0] == 0.5
+
+
+def test_meta_writes_each_non_finite_float_as_null(tmp_path):
+    # nu.max_path_mismatch with no checkable node and witness.min_abs_c with no
+    # clear node are NaN; json.dump wrote them as the non-JSON token NaN
+    meta = {"nu": {"max_path_mismatch": math.nan, "path_tolerance": 0.25},
+            "witness": {"min_abs_c": math.nan}, "range": (-math.inf, 1.5, [math.inf, 2])}
+    text = Path(write_meta(meta, str(tmp_path))).read_text()
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    assert json.loads(text, parse_constant=refuse) == {
+        "nu": {"max_path_mismatch": None, "path_tolerance": 0.25},
+        "witness": {"min_abs_c": None}, "range": [None, 1.5, [None, 2]]}
+    finite = {"nu": {"path_tolerance": 0.25}, "range": [1.5, [2, True, None, "nan"]]}
+    assert Path(write_meta(finite, str(tmp_path))).read_text() == \
+        json.dumps(finite, indent=2, sort_keys=True) + "\n"

@@ -200,12 +200,12 @@ def test_a_march_within_its_step_budget_is_unchanged_and_one_over_it_stops(monke
         return DenseMarch(lambda t, y: [np.cos(t)], 0.0, [0.0], 20.0, 1e-10, 0.05)
 
     full = march()
-    n = full._h.size
+    n = len(full._records) // full._stride
     assert full.status == 0 and n >= 400
     monkeypatch.setattr(_numerics, "MAX_STEPS", n)   # just enough: the same march
     same = march()
     assert (same.status, same.t_end) == (0, 20.0)
-    assert same._F.tobytes() == full._F.tobytes() and same._h.tobytes() == full._h.tobytes()
+    assert same._records.tobytes() == full._records.tobytes()
     monkeypatch.setattr(_numerics, "MAX_STEPS", n - 1)
     short = march()
     assert short.status == -1 and 0.0 < short.t_end < 20.0

@@ -117,6 +117,30 @@ def test_tampered_amplitude_column_flags_its_equations(locus_pair):
     assert untouched.passed is True
 
 
+@pytest.mark.parametrize("name,column", [
+    ("alpha", "alpha"), ("a", "a_re"), ("a", "a_im"), ("lam", "lambda_re"),
+    ("lam", "lambda_im"), ("K_formula", "K_formula"), ("nu", "nu"), ("c", "c_re"), ("c", "c_im")])
+def test_a_non_finite_input_names_its_column_and_node(locus_pair, name, column):
+    coarse, fine = locus_pair
+    values = getattr(coarse, name).copy()
+    v = values[5, 7]
+    values[5, 7] = complex(v.real, np.inf) if column.endswith("_im") else v - np.inf
+    with pytest.raises(ConfigError, match=rf"^column {column} holds -?inf at node \(5, 7\) "
+                                          r"of the 33x33 grid \(x = 0.15625, y = 0.21875\)$"):
+        verify_suite(dataclasses.replace(coarse, **{name: values}), fine)
+
+
+def test_a_masked_node_may_leave_only_nu_and_c_non_finite(locus_pair):
+    coarse, fine = locus_pair
+    mask, nu, c, alpha = coarse.mask.copy(), coarse.nu.copy(), coarse.c.copy(), coarse.alpha.copy()
+    mask[5, 7] = MASK_NUPATH
+    nu[5, 7] = c[5, 7] = alpha[5, 7] = np.nan
+    masked = dataclasses.replace(coarse, mask=mask, nu=nu, c=c)
+    assert verify_suite(masked).rows   # K_metric is NaN on its frame as always
+    with pytest.raises(ConfigError, match="^column alpha holds nan at node"):
+        verify_suite(dataclasses.replace(masked, alpha=alpha))
+
+
 def test_exact_zero_residuals_pass_without_an_order():
     pair = (build_family(17, tilt=0.0).fields, build_family(33, tilt=0.0).fields)
     rep = verify_suite(*pair)
