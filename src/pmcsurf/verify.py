@@ -8,9 +8,12 @@ residuals (no stencil involved) must sit at rounding level outright;
 stencil-class residuals are judged by their convergence order across a grid
 pair, which separates genuine structure failure from discretization error.
 Two experimental diagnostics with unsettled source formulas are always
-computed and reported but never gate the outcome. Each grid is prepared and
-reduced to its per-equation maxima by itself (`_maxima`); the pair meets
-only through those maxima.
+computed and reported but never gate the outcome. Each grid is reduced to
+its per-equation maxima by itself (`_maxima`), in bands of rows that are
+prepared one at a time, so verify's live arrays are bounded by the band at
+any grid; a band reads its input two rows beyond itself and prepares one
+halo row each side, which every residual stencil on its rows needs. The
+pair meets only through the maxima.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from .fields import MASK_DOMAIN, MASK_SINGULAR, MASK_NUPATH, SurfaceFields, dz, 
 from .profile import F_eval
 
 MARGIN = 2           # frame nodes excluded from every statistic
-CHUNK = 2048         # evaluable nodes per cascade chunk: bounds the cascade's live temporaries
+CHUNK = 2048         # nodes per band of rows, one row at the least: bounds verify's live arrays
 ZERO_FLOOR = 1e-11   # residual pairs below this are degenerate-exact; no order is defined
 
 
@@ -65,58 +68,93 @@ def _check_finite(fields: SurfaceFields) -> None:
                                   f"of the {g.nx}x{g.ny} grid (x = {x!r}, y = {y!r})")
 
 
-def _prepare(fields: SurfaceFields) -> dict:
-    """Everything the residuals read on one grid, the shared stencils included.
+def _band_rows(ny: int) -> int:
+    """Rows per band: about CHUNK nodes, one row at the least."""
+    return max(1, CHUNK // ny)
 
-    A non-finite input is a ConfigError (_check_finite). rho = 0 leaves t6
-    undefined and stops the grid at once. The cascade runs on every node
-    that clears the singularity guards and is not singularity-masked
-    (phase-stage bits leave the angle and Hopf columns valid), in chunks of
-    CHUNK that bound its temporaries; each value goes straight into its node
-    of one preallocated row, so the chunking changes no bit. The T_IDS and
-    t9 values come from the straight-line function of
-    scripts/gen_cascade.py; t1 and t2 from the jet cascade at order 0, at a
-    few percent of the cost: OMEGA_CLOSED multiplies a one-ulp change in t1
-    about a hundredfold, which moves its order on the c1 = -1 family by
-    2e-3. The nodes are conjugate pairs (abar = conj a), so conj t1 needs no
-    mirror cascade.
+
+def _cascade(al: np.ndarray, a: np.ndarray, ok: np.ndarray, own: slice, params) -> np.ndarray:
+    """The cascade rows t1, t2, T_IDS and the t9 readings over the prepared rows.
+
+    t1 and t2 come at every evaluable node (ok), the rest only at those in
+    the flat node range own; all else is NaN. Each runs in chunks of one
+    band with its two halo rows, one CoeffCache or one generated call per
+    chunk, so a band takes one of each. The values go straight into their
+    nodes of one preallocated row: the chunks change no bit, and no call
+    reaches the 256 KiB temporaries at which the generated function's own
+    bits start to move.
     """
-    hx, hy, params = fields.grid.hx, fields.grid.hy, fields.params
-    _check_finite(fields)
+    ny = ok.shape[1]
+    chunk = (_band_rows(ny) + 2) * ny
+    at = np.flatnonzero(ok)
+    vals = np.full((2 + len(T_IDS) + len(T9_READINGS), ok.size), np.nan, dtype=np.complex128)
+    for k in range(0, at.size, chunk):
+        nodes = at[k:k + chunk]
+        cache = CoeffCache(EvalPoint(al.flat[nodes], a.flat[nodes], params=params))
+        vals[0, nodes], vals[1, nodes] = cache.get(1).value(), cache.get(2).value()
+        del cache   # its jets die before the next chunk's are built
+    at = at[np.searchsorted(at, own.start):np.searchsorted(at, own.stop)]
+    for k in range(0, at.size, chunk):
+        nodes = at[k:k + chunk]
+        a_k = a.flat[nodes]
+        for row, v in zip(vals[2:], cascade_values(al.flat[nodes], a_k, np.conj(a_k),
+                                                   params.rho, params.b)):
+            row[nodes] = v   # row by row: no (rows x chunk) temporary
+    return vals.reshape(len(vals), *ok.shape)
+
+
+def _prepare(fields: SurfaceFields, lo: int = 0, hi: int | None = None) -> dict:
+    """Everything the residuals read on rows lo..hi-1 of one grid (all of
+    them by default), the shared stencils included.
+
+    Halo rule: the arrays cover the band and one row each side, cut from
+    stencils over the input rows two beyond the band. A residual stencil
+    reaches one row, and those of E2_12 and OMEGA_CLOSED read a1 and W on
+    the halo rows, so every residual has on the band's rows the bits it has
+    on the whole grid; "rows" says where the band's judged rows sit. rho =
+    0 leaves t6 undefined and stops the grid at once. The cascade runs on
+    the nodes that clear the singularity guards and are not
+    singularity-masked (phase-stage bits leave the angle and Hopf columns
+    valid): t1 and t2 on every prepared row, which a1, c1 and W need, and
+    the T_IDS and t9 values on the band's own rows only, since no residual
+    differences them. The T_IDS and t9 values come from the straight-line
+    function of scripts/gen_cascade.py; t1 and t2 from the jet cascade at
+    order 0, at a few percent of the cost: OMEGA_CLOSED multiplies a one-ulp
+    change in t1 about a hundredfold, which moves its order on the c1 = -1
+    family by 2e-3. The nodes are conjugate pairs (abar = conj a), so conj
+    t1 needs no mirror cascade.
+    """
+    g, params = fields.grid, fields.params
     if params.rho == 0:
         raise ZeroDenominator("rho = 0 makes t6 undefined")
-    al, a, lam, c, mask = fields.alpha, fields.a, fields.lam, fields.c, fields.mask
+    hx, hy, hi = g.hx, g.hy, g.nx if hi is None else hi
+    p0, p1 = max(lo - 1, 0), min(hi + 1, g.nx)   # the prepared rows: the band and its halo
+    r0, r1 = max(lo - 2, 0), min(hi + 2, g.nx)   # the input rows their stencils read
+    halo = slice(p0 - r0, p1 - r0)                # the prepared rows among the input rows
+    al, a, lam, c, mask = (v[p0:p1] for v in (fields.alpha, fields.a, fields.lam, fields.c,
+                                              fields.mask))
     ok = cascade_ok(al) & ((mask & MASK_SINGULAR) == 0)
-    at = np.flatnonzero(ok)
-    vals = np.full((2 + len(T_IDS) + len(T9_READINGS), al.size), np.nan, dtype=np.complex128)
-    for k in range(0, at.size, CHUNK):
-        nodes = at[k:k + CHUNK]
-        al_k, a_k = al.flat[nodes], a.flat[nodes]
-        cache = CoeffCache(EvalPoint(al_k, a_k, params=params))
-        values = [cache.get(1).value(), cache.get(2).value(),
-                  *cascade_values(al_k, a_k, np.conj(a_k), params.rho, params.b)]
-        for row, v in zip(vals, values):
-            row[nodes] = v   # row by row: no (rows x CHUNK) temporary
-        del al_k, a_k, cache, values   # no chunk's arrays outlive it into the stencils
-    t1, t2, *cols = vals.reshape(len(vals), *al.shape)
+    t1, t2, *cols = _cascade(al, a, ok, slice((lo - p0) * g.ny, (hi - p0) * g.ny), params)
     t = {1: t1, 2: t2, **dict(zip(T_IDS, cols))}
     t9 = dict(zip(T9_READINGS, cols[len(T_IDS):]))
 
-    alc = al.astype(np.complex128)
-    dz_a, dzbar_a = dz(a, hx, hy), dzbar(a, hx, hy)
+    alc, a_in, c_in = fields.alpha[r0:r1].astype(np.complex128), fields.a[r0:r1], fields.c[r0:r1]
+    dz_a = dz(a_in, hx, hy)[halo]
     # phase one-form density from point data alone (the construction's W);
     # defined wherever the amplitude is admissible, whether or not the phase
     # integration succeeded downstream
     D = phase_D(al, a, params)
     w_ok = ok & ((mask & MASK_DOMAIN) == 0) & (D > 0)
+    judged = max(lo, MARGIN) - p0
     return {
         "hx": hx, "hy": hy, "params": params, "b": params.b, "alpha": al, "a": a,
         "lam": lam, "c": c, "cot": np.cos(al) / np.sin(al), "mask": mask,
-        "K_formula": fields.K_formula, "K_metric": fields.K_metric,
-        "dz_alpha": dz(alc, hx, hy), "dzbar_alpha": dzbar(alc, hx, hy),
-        "dz_a": dz_a, "dzbar_a": dzbar_a, "t": t, "t9": t9,
+        "rows": slice(judged, max(judged, min(hi, g.nx - MARGIN) - p0)),
+        "K_formula": fields.K_formula[p0:p1], "K_metric": fields.K_metric[p0:p1],
+        "dz_alpha": dz(alc, hx, hy)[halo], "dzbar_alpha": dzbar(alc, hx, hy)[halo],
+        "dz_a": dz_a, "dzbar_a": dzbar(a_in, hx, hy)[halo], "t": t, "t9": t9,
         "a1": dz_a / lam - a * t1,
-        "c1": dzbar(c, hx, hy) / np.conj(lam) - np.multiply(c, np.conj(t1)),
+        "c1": dzbar(c_in, hx, hy)[halo] / np.conj(lam) - np.multiply(c, np.conj(t1)),
         "W": phase_W(al, a, lam, D, w_ok, t1[w_ok], t2[w_ok], params),
     }
 
@@ -197,24 +235,41 @@ EQUATIONS = {
 TASKS = tuple((eq, m) for eq, e in EQUATIONS.items() for m in e.readings)
 
 
-def _max_stat(res: np.ndarray, mask: np.ndarray, relevant: int) -> float:
-    core = res[MARGIN:-MARGIN, MARGIN:-MARGIN].copy()
-    keep = (mask[MARGIN:-MARGIN, MARGIN:-MARGIN] & relevant) == 0
-    core[~keep] = np.nan
-    if not np.any(np.isfinite(core)):
-        return float("nan")
-    return float(np.nanmax(np.abs(core)))
+def _max_stat(res: np.ndarray, mask: np.ndarray, relevant: int,
+              rows: slice = slice(MARGIN, -MARGIN)) -> tuple:
+    """(largest |residual| at the judged nodes of rows, NaN when none holds a
+    number; whether one holds a finite number). The frame columns never count."""
+    cols = slice(MARGIN, -MARGIN)
+    core = np.abs(res[rows, cols])
+    core[(mask[rows, cols] & relevant) != 0] = np.nan
+    return float(np.fmax.reduce(core, axis=None, initial=np.nan)), bool(np.isfinite(core).any())
+
+
+def _band_maxima(fields: SurfaceFields, lo: int, hi: int) -> list:
+    """_max_stat of every task over rows lo..hi-1, in TASKS order; the band's
+    arrays die with the call."""
+    P = _prepare(fields, lo, hi)
+    return [_max_stat(e.residual(P) if m is None else e.residual(P, m), P["mask"], e.mask,
+                      P["rows"]) for e in EQUATIONS.values() for m in e.readings]
 
 
 def _maxima(fields: SurfaceFields) -> list:
-    """Each task's largest judged residual on one grid, in TASKS order.
+    """Each task's largest judged residual on one grid, in TASKS order: NaN
+    when no judged node holds a finite residual.
 
-    The grid's prepared arrays die with the call, so a pair holds one
-    grid's at a time: the two grids meet only through these maxima.
+    A non-finite input is a ConfigError (_check_finite). The grid is walked
+    in bands of _band_rows(ny) rows, each prepared by itself and freed
+    before the next, so one band's arrays are alive at a time whatever the
+    grid, and a pair meets only through these maxima. A maximum is exact,
+    so the bands change no bit: a band with no judged number is skipped.
     """
-    P = _prepare(fields)
-    return [_max_stat(e.residual(P) if m is None else e.residual(P, m), P["mask"], e.mask)
-            for e in EQUATIONS.values() for m in e.readings]
+    _check_finite(fields)
+    nx, step = fields.grid.nx, _band_rows(fields.grid.ny)
+    top, finite = np.full(len(TASKS), np.nan), np.zeros(len(TASKS), dtype=bool)
+    for lo in range(0, nx, step):
+        band_top, band_finite = zip(*_band_maxima(fields, lo, min(lo + step, nx)))
+        top, finite = np.fmax(top, band_top), finite | band_finite
+    return [float(m) if f else float("nan") for m, f in zip(top, finite)]
 
 
 @dataclass

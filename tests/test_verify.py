@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -60,19 +61,29 @@ def test_equation_registry_is_consistent():
 
 
 def test_max_stat_respects_relevant_bits_only():
+    # (largest judged |residual|, whether a judged residual is finite)
     res = np.ones((7, 7), dtype=complex)
     res[3, 3] = 5.0
     mask = np.zeros((7, 7), dtype=np.uint8)
     mask[3, 3] = MASK_NUPATH
-    assert _max_stat(res, mask, 0) == 5.0
-    assert _max_stat(res, mask, MASK_NUPATH) == 1.0
-    assert _max_stat(res, mask, MASK_NUPATH | MASK_DOMAIN) == 1.0
+    assert _max_stat(res, mask, 0) == (5.0, True)
+    assert _max_stat(res, mask, MASK_NUPATH) == (1.0, True)
+    assert _max_stat(res, mask, MASK_NUPATH | MASK_DOMAIN) == (1.0, True)
     mask[:] = MASK_SINGULAR
-    assert np.isnan(_max_stat(res, mask, MASK_SINGULAR))
+    top, finite = _max_stat(res, mask, MASK_SINGULAR)
+    assert np.isnan(top) and not finite
     # the two-node frame never contributes
     res[0, 0] = 100.0
     mask[:] = 0
-    assert _max_stat(res, mask, 0) == 5.0
+    assert _max_stat(res, mask, 0) == (5.0, True)
+    # a band's judged rows, and a band holding no judged row
+    assert _max_stat(res, mask, 0, slice(4, 5)) == (1.0, True)
+    top, finite = _max_stat(res, mask, 0, slice(2, 2))
+    assert np.isnan(top) and not finite
+    # an infinite residual counts, but only a finite one makes the maximum a number
+    res[4, 2:5] = np.inf
+    assert _max_stat(res, mask, 0, slice(4, 5)) == (np.inf, False)
+    assert _max_stat(res, mask, 0) == (np.inf, True)
 
 
 def test_single_surface_mode_judges_identities_only(locus_pair):
@@ -174,15 +185,36 @@ def test_report_serialization_and_table(locus_pair):
     assert "pass" in text and "recorded" in text and "E2_13[alternate]" in text
 
 
+def _evaluable(fields):
+    return cascade_ok(fields.alpha) & ((fields.mask & MASK_SINGULAR) == 0)
+
+
+def _bands(fields):
+    """(lo, hi) of each band that _maxima walks."""
+    nx, step = fields.grid.nx, verify._band_rows(fields.grid.ny)
+    return [(lo, min(lo + step, nx)) for lo in range(0, nx, step)]
+
+
+def _band_counts(fields):
+    """Per band, the evaluable nodes of its prepared rows (the band and one
+    halo row each side) and of its own rows; bands with none are left out."""
+    ok, nx = _evaluable(fields), fields.grid.nx
+    window = [int(ok[max(lo - 1, 0):min(hi + 1, nx)].sum()) for lo, hi in _bands(fields)]
+    own = [int(ok[lo:hi].sum()) for lo, hi in _bands(fields)]
+    return [n for n in window if n], [n for n in own if n]
+
+
 def _chunk_sizes(fields):
-    ok = cascade_ok(fields.alpha) & ((fields.mask & MASK_SINGULAR) == 0)
-    n = int(np.count_nonzero(ok))
-    return [min(verify.CHUNK, n - k) for k in range(0, n, verify.CHUNK)]
+    """The chunks of one whole-grid _prepare: a band with its halo rows each."""
+    ny, n = fields.grid.ny, int(_evaluable(fields).sum())
+    chunk = (verify._band_rows(ny) + 2) * ny
+    return [min(chunk, n - k) for k in range(0, n, chunk)]
 
 
-def test_one_coefficient_cache_per_grid(locus_pair, monkeypatch):
-    # per chunk of each grid's evaluable nodes: one call of the generated
-    # straight-line cascade, and one cache giving t1 and t2 from the jets at order 0
+def test_one_cascade_call_and_cache_per_band(locus_pair, monkeypatch):
+    # per band of each grid: one cache giving t1 and t2 from the jets at order
+    # 0 on its prepared rows, and one call of the generated straight-line
+    # cascade on its own rows
     calls, built, jets = [], [], []
     generated = verify.cascade_values
 
@@ -202,14 +234,18 @@ def test_one_coefficient_cache_per_grid(locus_pair, monkeypatch):
     monkeypatch.setattr(verify, "cascade_values", counting)
     monkeypatch.setattr(verify, "CoeffCache", Recording)
     rep = verify_suite(*locus_pair)
-    sizes = [_chunk_sizes(f) for f in locus_pair]
-    assert len(sizes[1]) > 1                      # the fine grid spans several chunks
-    assert calls == sizes[0] + sizes[1]
-    assert built == [(n, {}) for n in calls]
-    assert jets == [(n, i, 0, kw) for n in calls
-                    for i, kw in ((1, {}), (2, {}))]
+    counts = [_band_counts(f) for f in locus_pair]
+    assert len(counts[1][1]) > 1                      # the fine grid spans several bands
+    assert calls == counts[0][1] + counts[1][1]
+    assert built == [(n, {}) for n in counts[0][0] + counts[1][0]]
+    assert jets == [(n, i, 0, kw) for n, _ in built for i, kw in ((1, {}), (2, {}))]
     assert sorted(r.variant for r in rep.rows if r.equation == "E2_13") == ["alternate", "as_printed"]
     assert "t9_mode" not in rep.to_dict()
+    # the whole grid at once takes one of each per chunk of a band with its halo rows
+    calls.clear()
+    built.clear()
+    verify._prepare(locus_pair[1])
+    assert calls == [n for n, _ in built] == _chunk_sizes(locus_pair[1])
 
 
 def _same_bits(x, y) -> bool:
@@ -252,21 +288,33 @@ def test_chunk_cascades_are_freed_without_the_collector(locus_pair, monkeypatch,
         assert len(alive) == 2 * len(_chunk_sizes(fields))   # a cache and its mirror per chunk
         assert all(ref() is None for ref in alive)
         verify_suite(*locus_pair)
+        assert len(alive) == 2 * (len(_chunk_sizes(fields))
+                                  + sum(len(_band_counts(f)[0]) for f in locus_pair))
         assert all(ref() is None for ref in alive)
     finally:
         if enabled:
             gc.enable()
 
 
-def test_one_prepared_grid_is_alive_at_a_time(locus_pair, monkeypatch):
-    # the pair meets only through its maxima, so the coarse grid's arrays are
-    # freed, by refcounting alone, before the fine grid is prepared
-    prepare, alive = verify._prepare, []
+def _arrays(P):
+    """Every array of a prepared band, those in its t and t9 rows included."""
+    for v in P.values():
+        if isinstance(v, dict):
+            yield from _arrays(v)
+        elif isinstance(v, np.ndarray):
+            yield v
 
-    def recording(fields):
+
+def test_one_prepared_band_is_alive_at_a_time(locus_pair, monkeypatch):
+    # a band meets the next only through its maxima, so its arrays are freed,
+    # by refcounting alone, before the next band or grid is prepared
+    prepare, alive, bands = verify._prepare, [], []
+
+    def recording(fields, lo, hi):
         assert all(ref() is None for ref in alive)
-        prep = prepare(fields)
-        alive.append(weakref.ref(prep["dz_alpha"]))
+        prep = prepare(fields, lo, hi)
+        alive.extend(weakref.ref(v) for v in _arrays(prep))
+        bands.append((fields.grid.nx, lo, hi))
         return prep
 
     monkeypatch.setattr(verify, "_prepare", recording)
@@ -277,7 +325,94 @@ def test_one_prepared_grid_is_alive_at_a_time(locus_pair, monkeypatch):
     finally:
         if enabled:
             gc.enable()
-    assert len(alive) == 2 and all(ref() is None for ref in alive)
+    assert bands == [(f.grid.nx, lo, hi) for f in locus_pair for lo, hi in _bands(f)]
+    assert len(alive) > len(bands) and all(ref() is None for ref in alive)
+
+
+def _bits(values):
+    return ["nan" if np.isnan(v) else np.float64(v).tobytes() for v in values]
+
+
+def _whole_grid_maxima(fields):
+    """Each task's maximum from one prepared whole grid: the reference for the bands."""
+    P = verify._prepare(fields)
+    stats = [_max_stat(EQUATIONS[eq].residual(P) if m is None else EQUATIONS[eq].residual(P, m),
+                       P["mask"], EQUATIONS[eq].mask) for eq, m in TASKS]
+    return [top if finite else float("nan") for top, finite in stats]
+
+
+def _masked_rows(fields, rows):
+    """fields with every mask bit set on the given rows."""
+    mask = fields.mask.copy()
+    mask[rows] |= MASK_SINGULAR | MASK_NUPATH | MASK_DOMAIN
+    return dataclasses.replace(fields, mask=mask)
+
+
+# rows per band: one (band edges inside the MARGIN rows), two (a band of
+# just the MARGIN rows, short last bands), five and seven (short last bands)
+# and 65 (one band per grid)
+@pytest.mark.parametrize("rows", [1, 2, 5, 7, 65])
+def test_banded_maxima_equal_the_whole_grid_bitwise(locus_pair, monkeypatch, rows):
+    masked = _masked_rows(locus_pair[0], slice(8, 16))   # bands with every judged node masked
+    for fields in (*locus_pair, masked):
+        whole = _whole_grid_maxima(fields)
+        monkeypatch.setattr(verify, "CHUNK", rows * fields.grid.ny)
+        assert verify._band_rows(fields.grid.ny) == rows
+        assert _bits(verify._maxima(fields)) == _bits(whole)
+    if rows < 8:   # a band inside the masked rows: every task with a mask bit is NaN there
+        stats = verify._band_maxima(masked, 8, 8 + rows)
+        assert [np.isnan(top) and not finite for top, finite in stats] == \
+            [EQUATIONS[eq].mask != 0 for eq, _ in TASKS]
+    # a task is NaN only when every band is
+    nowhere = _masked_rows(locus_pair[0], slice(None))
+    maxima = verify._maxima(nowhere)
+    assert [np.isnan(m) for m in maxima] == [EQUATIONS[eq].mask != 0 for eq, _ in TASKS]
+    assert _bits(maxima) == _bits(_whole_grid_maxima(nowhere))
+
+
+def test_banded_reports_equal_the_whole_grid_bitwise(locus_pair, monkeypatch):
+    # the pair and the single-grid (degraded) mode, row for row
+    monkeypatch.setattr(verify, "CHUNK", 10 ** 6)   # one band per grid
+    whole = [verify_suite(*locus_pair).to_dict(), verify_suite(locus_pair[0]).to_dict()]
+    monkeypatch.setattr(verify, "CHUNK", 1)         # one row per band
+    banded = [verify_suite(*locus_pair).to_dict(), verify_suite(locus_pair[0]).to_dict()]
+    assert repr(banded) == repr(whole)
+    assert whole[1]["degraded"] and any(r.get("note") for r in whole[1]["rows"])
+
+
+def test_a_band_prepares_the_rows_of_the_whole_grid_bitwise(locus_pair):
+    # the halo rule: a band's arrays hold the whole grid's bits on its rows
+    # and one row each side, but the T_IDS and t9 values on its own rows only
+    fields = locus_pair[1]
+    whole, nx = verify._prepare(fields), fields.grid.nx
+    for lo, hi in ((0, 1), (1, 4), (2, 3), (20, 27), (nx - 3, nx), (nx - 1, nx)):
+        band, p0, p1 = verify._prepare(fields, lo, hi), max(lo - 1, 0), min(hi + 1, nx)
+        assert band.keys() == whole.keys()
+        for key in whole.keys() - {"t", "t9", "rows"}:
+            assert _same_bits(band[key], _rows(whole[key], p0, p1)), (lo, key)
+        rows = {**{(i, None): row for i, row in band["t"].items()},
+                **{(9, m): row for m, row in band["t9"].items()}}
+        for (i, m), row in rows.items():
+            r0, r1 = (p0, p1) if i in (1, 2) else (lo, hi)   # t1 and t2 on the halo rows too
+            ref = whole["t"][i] if m is None else whole["t9"][m]
+            assert _same_bits(row[r0 - p0:r1 - p0], ref[r0:r1]), (lo, i, m)
+        judged = np.arange(p0, p1)[band["rows"]]
+        assert list(judged) == [r for r in range(lo, hi) if MARGIN <= r < nx - MARGIN]
+
+
+def _traced_peak(fields) -> int:
+    tracemalloc.start()
+    try:
+        verify._maxima(fields)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_memory_is_bounded_by_the_band():
+    # four times the nodes, about the same peak: the band bounds it, not the grid
+    small, large = (_traced_peak(build_family(n).fields) for n in (161, 321))
+    assert large <= 1.25 * small, (small, large)
 
 
 def test_worker_count_env_override(monkeypatch):
