@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .coeffs import CoeffCache, EvalPoint, ModelParams, eval_t, t4_skew_residual, t11_roots
 from .construct import ConstructResult, construct_surface
-from .errors import (ConfigError, GuardError, GuardTripped, InadmissibleC1,
+from .errors import (ConfigError, DegenerateFrame, GuardError, GuardTripped, InadmissibleC1,
                      NonpositiveDenominator, OutOfInterval, PathInconsistency,
                      PmcError, QuadratureFailure, RangeMismatch, SingularPoint,
                      StepFailure, UnresolvedFormula, ZeroDenominator)
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CoeffCache", "EvalPoint", "ModelParams", "eval_t", "t4_skew_residual",
     "t11_roots", "ConstructResult", "construct_surface", "ConfigError",
-    "GuardError", "GuardTripped", "InadmissibleC1", "NonpositiveDenominator",
+    "DegenerateFrame", "GuardError", "GuardTripped", "InadmissibleC1", "NonpositiveDenominator",
     "OutOfInterval", "PathInconsistency", "PmcError", "QuadratureFailure",
     "RangeMismatch", "SingularPoint", "StepFailure", "UnresolvedFormula",
     "ZeroDenominator", "FamilyParams", "family_amplitude", "family_potential",

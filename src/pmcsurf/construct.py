@@ -18,9 +18,9 @@ import numpy as np
 
 from ._numerics import cumulative_simpson
 from .coeffs import ModelParams, cascade_ok, phase_D, phase_W, t1_value, t2_value
-from .errors import NonpositiveDenominator, PathInconsistency, RangeMismatch
-from .fields import (GAUSS_STEP, MASK_DOMAIN, MASK_NUPATH, MASK_SINGULAR, Grid,
-                     HarmonicInput, SurfaceFields, laplacian)
+from .errors import DegenerateFrame, NonpositiveDenominator, PathInconsistency, RangeMismatch
+from .fields import (MASK_DOMAIN, MASK_NUPATH, MASK_SINGULAR, Grid,
+                     HarmonicInput, SurfaceFields, gauss_frame, laplacian)
 from .profile import Potential, ProfileSolution
 
 # two-path disagreement beyond 10 h^2 marks a node; a structural violation
@@ -85,8 +85,9 @@ def integrate_nu(W: np.ndarray, grid: Grid, mask: np.ndarray):
     Returns (nu, mask_out, info, event). Both integration orders are
     computed; the node value is their mean. Nodes whose paths disagree by
     more than 10 h^2 get the path mask bit and NaN. A structural
-    disagreement (over half of the checkable interior) makes event the
-    PathInconsistency payload; it is None otherwise.
+    disagreement (over half of the checkable interior), or no checkable
+    node off the x = x0 and y = y0 edges, where both paths are the same
+    sum, makes event the PathInconsistency payload; it is None otherwise.
     """
     hx, hy = grid.hx, grid.hy
     Q, P = W.imag, W.real          # d nu/dx, d nu/dy
@@ -104,8 +105,9 @@ def integrate_nu(W: np.ndarray, grid: Grid, mask: np.ndarray):
 
     nu = 0.5 * (nu_a + nu_b)
     nu[mask_out != 0] = np.nan
+    compared = checkable[1:, 1:]   # the edges' mismatch is 0 wherever it is finite
     info = {
-        "max_path_mismatch": float(np.max(mismatch[checkable])) if checkable.any() else float("nan"),
+        "max_path_mismatch": float(np.fmax.reduce(mismatch[1:, 1:][compared], initial=np.nan)),
         "path_tolerance": tol,
         "nodes_masked": int(np.count_nonzero(mask_out & MASK_NUPATH)),
         "nodes_checkable": int(np.count_nonzero(checkable)),
@@ -113,11 +115,15 @@ def integrate_nu(W: np.ndarray, grid: Grid, mask: np.ndarray):
     }
     event = None
     n_checkable = info["nodes_checkable"]
-    if n_checkable == 0 or info["nodes_violating"] > NU_STRUCTURAL_FRACTION * n_checkable:
+    if not compared.any():
+        event = PathInconsistency("no node off the x = x0 and y = y0 edges is checkable: "
+                                  "the two integration paths are never compared").payload()
+    elif info["nodes_violating"] > NU_STRUCTURAL_FRACTION * n_checkable:
         event = PathInconsistency(
             "phase one-form is not closed: two-path integrals disagree on "
             f"{info['nodes_violating']} of {n_checkable} checkable nodes "
             f"(max {info['max_path_mismatch']:.3g} vs tolerance {tol:.3g})").payload()
+    if event:
         event.update(info)
     return nu, mask_out, info, event
 
@@ -143,7 +149,7 @@ def gauss_curvature(alpha, a, lam, params: ModelParams, grid: Grid):
     """
     b, rho = params.b, params.rho
     K_formula = -4.0 * (np.abs(a) ** 2 - b * b) + 6.0 * rho * np.cos(alpha) ** 2
-    m = min(GAUSS_STEP, (min(alpha.shape) - 1) // 2)
+    m = gauss_frame(grid)
     lap = laplacian(np.log(np.abs(lam)), grid.hx, grid.hy, m)
     K_metric = -4.0 / np.abs(lam) ** 2 * 0.25 * lap
     return K_formula, K_metric
@@ -162,12 +168,18 @@ def surface_columns(harmonic: HarmonicInput, grid: Grid, potential: Potential,
 
     The angle is the harmonic input warped through the potential, the
     amplitude is amplitude(alpha); then come the frame factor, the cascade
-    singularity mask and both curvatures.
+    singularity mask and both curvatures. A zero lambda, a critical point of
+    the harmonic input (f_z = 0), or a non-finite one is a DegenerateFrame.
     """
     Z = grid.zmesh()
     alpha = build_alpha(harmonic.f(Z), potential)
     a = amplitude(alpha)
     lam = build_lambda(alpha, a, harmonic.fz(Z), potential, params)
+    bad = (lam == 0) | ~np.isfinite(lam)
+    if bad.any():
+        at, node = grid.first_node(bad)
+        raise DegenerateFrame(f"frame factor lambda is {complex(lam[at])!r} at {node}: "
+                              "the surface is not immersed there")
     K_formula, K_metric = gauss_curvature(alpha, a, lam, params, grid)
     return SurfaceFields(grid=grid, params=params, alpha=alpha, a=a, lam=lam, nu=None,
                          c=None, K_formula=K_formula, K_metric=K_metric,

@@ -78,6 +78,10 @@ class RangeMismatch(GuardError):
     """Harmonic input leaves the domain the angle map covers."""
 
 
+class DegenerateFrame(GuardError):
+    """The frame factor lambda is zero or not finite at a node: the surface is not immersed."""
+
+
 class NonpositiveDenominator(GuardError):
     """|c|^2 = |a|^2 + (rho/2)(3 sin^2(alpha) - 2) is not positive somewhere."""
 

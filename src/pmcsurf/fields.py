@@ -26,8 +26,12 @@ from ._g17 import csv_chunks
 from .coeffs import ModelParams
 from .errors import ConfigError
 
-CSV_COLUMNS = ("x", "y", "alpha", "a_re", "a_im", "lambda_re", "lambda_im",
-               "nu", "c_re", "c_im", "K_formula", "K_metric", "mask")
+# the fields.csv columns of each SurfaceFields array, in file order: a complex
+# array is a real and an imaginary column
+FIELD_COLUMNS = {"alpha": ("alpha",), "a": ("a_re", "a_im"), "lam": ("lambda_re", "lambda_im"),
+                 "nu": ("nu",), "c": ("c_re", "c_im"), "K_formula": ("K_formula",),
+                 "K_metric": ("K_metric",)}
+CSV_COLUMNS = ("x", "y", *(c for columns in FIELD_COLUMNS.values() for c in columns), "mask")
 
 # mask bits
 MASK_SINGULAR = 1   # node too close to the cascade singularity sin^2(alpha) = 2/3
@@ -103,6 +107,13 @@ class Grid:
         X, Y = self.mesh()
         return X + 1j * Y
 
+    def first_node(self, bad: np.ndarray) -> tuple:
+        """((i, j), name): the first node in row order where bad holds, and its name
+        for a message, with its x and y."""
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        x, y = (float(v[k]) for v, k in zip(self.axes(), (i, j)))
+        return (i, j), f"node ({i}, {j}) of the {self.nx}x{self.ny} grid (x = {x!r}, y = {y!r})"
+
 
 # ---- grid stencils: every finite difference that construct and verify take ----
 
@@ -119,6 +130,12 @@ def _wirtinger(op):
 
 
 dz, dzbar = _wirtinger(np.subtract), _wirtinger(np.add)
+
+
+def gauss_frame(grid: Grid) -> int:
+    """Nodes in the frame on which the metric curvature is NaN: its stencil
+    spacing, GAUSS_STEP nodes, cut to fit a grid too small for it."""
+    return min(GAUSS_STEP, (min(grid.nx, grid.ny) - 1) // 2)
 
 
 def laplacian(F, hx, hy, m=1):

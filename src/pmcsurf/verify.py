@@ -26,7 +26,8 @@ import numpy as np
 from ._cascade_gen import T_IDS, cascade_values
 from .coeffs import T9_READINGS, CoeffCache, EvalPoint, cascade_ok, phase_D, phase_E, phase_W
 from .errors import ConfigError, ZeroDenominator
-from .fields import MASK_DOMAIN, MASK_SINGULAR, MASK_NUPATH, SurfaceFields, dz, dzbar, dzdzbar
+from .fields import (FIELD_COLUMNS, MASK_DOMAIN, MASK_SINGULAR, MASK_NUPATH, SurfaceFields, dz,
+                     dzbar, dzdzbar, gauss_frame)
 from .profile import F_eval
 
 MARGIN = 2           # frame nodes excluded from every statistic
@@ -40,72 +41,55 @@ class Thresholds:
     order_band: tuple = (1.7, 2.3)
 
 
-# the fields.csv columns of each field that must be finite, and the fields a
-# masked node may leave non-finite; K_metric is exempt: NaN on its GAUSS_STEP frame
-_COLUMNS = {"alpha": ("alpha",), "a": ("a_re", "a_im"), "lam": ("lambda_re", "lambda_im"),
-            "K_formula": ("K_formula",), "nu": ("nu",), "c": ("c_re", "c_im")}
-_MASKED_MAY_FAIL = ("nu", "c")
-
-
 def _check_finite(fields: SurfaceFields) -> None:
     """ConfigError naming the first column and node holding a non-finite input.
 
-    The maxima skip NaN residuals, so a NaN that reached them would pass
-    unjudged; the bundle is refused instead.
+    nu and c need be finite only where the mask is 0, and K_metric only off
+    its frame (fields.gauss_frame), where construct leaves it NaN; every
+    other column at every node. The maxima skip NaN residuals, so a NaN that
+    reached them would pass unjudged; the bundle is refused instead.
     """
+    m = gauss_frame(fields.grid)
+    off_frame = np.zeros(fields.mask.shape, dtype=bool)
+    off_frame[m:-m, m:-m] = True
     clean = fields.mask == 0
-    for name, columns in _COLUMNS.items():
+    needed = {"nu": clean, "c": clean, "K_metric": off_frame}
+    for name, columns in FIELD_COLUMNS.items():
         values = getattr(fields, name)
         for column, part in zip(columns, (values.real, values.imag)):
             bad = ~np.isfinite(part)
-            if name in _MASKED_MAY_FAIL:
-                bad &= clean
+            if name in needed:
+                bad &= needed[name]
             if bad.any():
-                i, j = np.unravel_index(np.argmax(bad), bad.shape)
-                g = fields.grid
-                x, y = (float(v[k]) for v, k in zip(g.axes(), (i, j)))
-                raise ConfigError(f"column {column} holds {float(part[i, j])!r} at node ({i}, {j}) "
-                                  f"of the {g.nx}x{g.ny} grid (x = {x!r}, y = {y!r})")
-
-
-def _band_rows(ny: int) -> int:
-    """Rows per band: about CHUNK nodes, one row at the least."""
-    return max(1, CHUNK // ny)
+                at, node = fields.grid.first_node(bad)
+                raise ConfigError(f"column {column} holds {float(part[at])!r} at {node}")
 
 
 def _cascade(al: np.ndarray, a: np.ndarray, ok: np.ndarray, own: slice, params) -> np.ndarray:
     """The cascade rows t1, t2, T_IDS and the t9 readings over the prepared rows.
 
-    t1 and t2 come at every evaluable node (ok), the rest only at those in
-    the flat node range own; all else is NaN. Each runs in chunks of one
-    band with its two halo rows, one CoeffCache or one generated call per
-    chunk, so a band takes one of each. The values go straight into their
-    nodes of one preallocated row: the chunks change no bit, and no call
-    reaches the 256 KiB temporaries at which the generated function's own
-    bits start to move.
+    t1 and t2 come at every evaluable node (ok), from one CoeffCache; the
+    rest only at those in the flat node range own, from one generated call.
+    All else is NaN. The values go straight into their nodes of one
+    preallocated row. A band keeps the generated call below the 256 KiB
+    temporaries at which its own bits start to move.
     """
-    ny = ok.shape[1]
-    chunk = (_band_rows(ny) + 2) * ny
     at = np.flatnonzero(ok)
     vals = np.full((2 + len(T_IDS) + len(T9_READINGS), ok.size), np.nan, dtype=np.complex128)
-    for k in range(0, at.size, chunk):
-        nodes = at[k:k + chunk]
-        cache = CoeffCache(EvalPoint(al.flat[nodes], a.flat[nodes], params=params))
-        vals[0, nodes], vals[1, nodes] = cache.get(1).value(), cache.get(2).value()
-        del cache   # its jets die before the next chunk's are built
+    cache = CoeffCache(EvalPoint(al.flat[at], a.flat[at], params=params))
+    vals[0, at], vals[1, at] = cache.get(1).value(), cache.get(2).value()
+    del cache   # its jets die before the generated call's temporaries are made
     at = at[np.searchsorted(at, own.start):np.searchsorted(at, own.stop)]
-    for k in range(0, at.size, chunk):
-        nodes = at[k:k + chunk]
-        a_k = a.flat[nodes]
-        for row, v in zip(vals[2:], cascade_values(al.flat[nodes], a_k, np.conj(a_k),
-                                                   params.rho, params.b)):
-            row[nodes] = v   # row by row: no (rows x chunk) temporary
+    a_own = a.flat[at]
+    for row, v in zip(vals[2:], cascade_values(al.flat[at], a_own, np.conj(a_own),
+                                               params.rho, params.b)):
+        row[at] = v   # row by row: no (rows x nodes) temporary
     return vals.reshape(len(vals), *ok.shape)
 
 
-def _prepare(fields: SurfaceFields, lo: int = 0, hi: int | None = None) -> dict:
-    """Everything the residuals read on rows lo..hi-1 of one grid (all of
-    them by default), the shared stencils included.
+def _prepare(fields: SurfaceFields, lo: int, hi: int) -> dict:
+    """Everything the residuals read on rows lo..hi-1 of one grid, the band,
+    the shared stencils included.
 
     Halo rule: the arrays cover the band and one row each side, cut from
     stencils over the input rows two beyond the band. A residual stencil
@@ -127,7 +111,7 @@ def _prepare(fields: SurfaceFields, lo: int = 0, hi: int | None = None) -> dict:
     g, params = fields.grid, fields.params
     if params.rho == 0:
         raise ZeroDenominator("rho = 0 makes t6 undefined")
-    hx, hy, hi = g.hx, g.hy, g.nx if hi is None else hi
+    hx, hy = g.hx, g.hy
     p0, p1 = max(lo - 1, 0), min(hi + 1, g.nx)   # the prepared rows: the band and its halo
     r0, r1 = max(lo - 2, 0), min(hi + 2, g.nx)   # the input rows their stencils read
     halo = slice(p0 - r0, p1 - r0)                # the prepared rows among the input rows
@@ -235,14 +219,13 @@ EQUATIONS = {
 TASKS = tuple((eq, m) for eq, e in EQUATIONS.items() for m in e.readings)
 
 
-def _max_stat(res: np.ndarray, mask: np.ndarray, relevant: int,
-              rows: slice = slice(MARGIN, -MARGIN)) -> tuple:
-    """(largest |residual| at the judged nodes of rows, NaN when none holds a
-    number; whether one holds a finite number). The frame columns never count."""
+def _max_stat(res: np.ndarray, mask: np.ndarray, relevant: int, rows: slice) -> float:
+    """The largest |residual| at the judged nodes of rows, an infinite one
+    included; NaN when none holds a number. The frame columns never count."""
     cols = slice(MARGIN, -MARGIN)
     core = np.abs(res[rows, cols])
     core[(mask[rows, cols] & relevant) != 0] = np.nan
-    return float(np.fmax.reduce(core, axis=None, initial=np.nan)), bool(np.isfinite(core).any())
+    return float(np.fmax.reduce(core, axis=None, initial=np.nan))
 
 
 def _band_maxima(fields: SurfaceFields, lo: int, hi: int) -> list:
@@ -255,21 +238,21 @@ def _band_maxima(fields: SurfaceFields, lo: int, hi: int) -> list:
 
 def _maxima(fields: SurfaceFields) -> list:
     """Each task's largest judged residual on one grid, in TASKS order: NaN
-    when no judged node holds a finite residual.
+    when no judged node holds a number.
 
     A non-finite input is a ConfigError (_check_finite). The grid is walked
-    in bands of _band_rows(ny) rows, each prepared by itself and freed
-    before the next, so one band's arrays are alive at a time whatever the
-    grid, and a pair meets only through these maxima. A maximum is exact,
-    so the bands change no bit: a band with no judged number is skipped.
+    in bands of about CHUNK nodes, one row at the least, each prepared by
+    itself and freed before the next, so one band's arrays are alive at a
+    time whatever the grid, and a pair meets only through these maxima. A
+    maximum is exact, so the bands change no bit: np.fmax skips a band with
+    no judged number.
     """
     _check_finite(fields)
-    nx, step = fields.grid.nx, _band_rows(fields.grid.ny)
-    top, finite = np.full(len(TASKS), np.nan), np.zeros(len(TASKS), dtype=bool)
+    nx, step = fields.grid.nx, max(1, CHUNK // fields.grid.ny)
+    top = np.full(len(TASKS), np.nan)
     for lo in range(0, nx, step):
-        band_top, band_finite = zip(*_band_maxima(fields, lo, min(lo + step, nx)))
-        top, finite = np.fmax(top, band_top), finite | band_finite
-    return [float(m) if f else float("nan") for m, f in zip(top, finite)]
+        top = np.fmax(top, _band_maxima(fields, lo, min(lo + step, nx)))
+    return [float(m) for m in top]
 
 
 @dataclass
@@ -357,8 +340,10 @@ def verify_suite(coarse: SurfaceFields, fine: SurfaceFields | None = None,
     With a pair, stencil-class equations are judged by convergence order
     inside the band; residual pairs at rounding level are degenerate-exact
     and pass without an order. Single-surface mode judges identity-class
-    equations only and records the rest. Experimental diagnostics never
-    gate; the t9-sensitive one is reported under both readings.
+    equations only and records the rest. A judged row fails when a maximum
+    is NaN ("no evaluable nodes") or infinite ("non-finite residual").
+    Experimental diagnostics never gate; the t9-sensitive one is reported
+    under both readings.
     """
     degraded = fine is None
     if not degraded:
@@ -371,22 +356,23 @@ def verify_suite(coarse: SurfaceFields, fine: SurfaceFields | None = None,
     for (eq, variant), mc, mf in zip(TASKS, max_c, max_f):
         kind = EQUATIONS[eq].kind
         rep = EquationReport(eq, kind, mc, mf, variant=variant)
-        paired = not degraded and np.isfinite(mc) and np.isfinite(mf)
+        judged = [m for m in (mc, mf) if m is not None]
+        paired = not degraded and np.isfinite(judged).all()
         if kind != "identity" and paired and (mc > ZERO_FLOOR or mf > ZERO_FLOOR):
             rep.order = float(np.log(mc / mf) / np.log(coarse.grid.h / fine.grid.h))
-        if kind == "identity":
-            rep.passed = bool(all(np.isfinite(m) and m <= thresholds.identity_tol
-                                  for m in (mc, mf) if m is not None))
-            if not np.isfinite(mc):
-                rep.note = "no evaluable nodes"
-        elif kind == "stencil":
-            if degraded:
-                rep.note = "order requires a grid pair"
-            elif not paired:
-                rep.passed, rep.note = False, "no evaluable nodes"
-            elif rep.order is None:
-                rep.passed, rep.note = True, "residual at rounding floor"
-            else:
-                rep.passed = bool(lo_band <= rep.order <= hi_band)
+        if kind == "experimental":
+            pass   # recorded only
+        elif kind == "stencil" and degraded:
+            rep.note = "order requires a grid pair"
+        elif np.isnan(judged).any():
+            rep.passed, rep.note = False, "no evaluable nodes"
+        elif np.isinf(judged).any():
+            rep.passed, rep.note = False, "non-finite residual"
+        elif kind == "identity":
+            rep.passed = max(judged) <= thresholds.identity_tol
+        elif rep.order is None:
+            rep.passed, rep.note = True, "residual at rounding floor"
+        else:
+            rep.passed = bool(lo_band <= rep.order <= hi_band)
         rows.append(rep)
     return VerifyReport(rows=rows, degraded=degraded, thresholds=thresholds)

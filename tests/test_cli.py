@@ -180,6 +180,40 @@ def test_guard_trip_inside_the_range_exits_2_with_the_achieved_range(tmp_path, c
     assert not out.exists()
 
 
+def test_a_critical_point_of_the_harmonic_input_exits_2_naming_its_node(tmp_path, capsys):
+    # Re(0.3 z^2) has f_z = 0.3 z, so lambda vanishes at the origin, node (10, 10):
+    # the bundle used to be written, its K_metric infinite or NaN around that node
+    cfg = generic_config(21, harmonic={"coeffs": [[0, 0], [0, 0], [0.3, 0]]})
+    cfg["grid"].update(x0=-0.5, x1=0.5, y0=-0.5, y1=0.5)
+    cfg_path = tmp_path / "critical.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main(["construct", "--config", str(cfg_path), "--out", str(out)])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 2
+    assert err["error"] == "DegenerateFrame"
+    assert "lambda is 0j at node (10, 10) of the 21x21 grid (x = 0.0, y = 0.0)" in err["message"]
+    assert "warnings" not in err   # no division by |lambda|^2 = 0 was made
+    assert not out.exists()
+
+
+def test_a_grid_with_no_admissible_node_records_a_path_inconsistency(tmp_path, capsys):
+    # every node is domain-masked; only the x = x0 and y = y0 edges stay
+    # checkable, where both paths are the same sum, so no path is compared
+    cfg_path = tmp_path / "none.json"
+    cfg_path.write_text(json.dumps(generic_config(9, harmonic={"coeffs": [[0.8, 0], [0.17, 0]]})))
+    out = tmp_path / "out"
+    rc = main(["construct", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    err = json.loads(capsys.readouterr().err)
+    meta = json.loads((out / "meta.json").read_text())
+    assert rc == 2
+    assert [e["error"] for e in err["events"]] == ["NonpositiveDenominator", "PathInconsistency"]
+    assert meta["guard_events"] == err["events"]
+    assert meta["nu"]["max_path_mismatch"] is None
+    assert (meta["nu"]["nodes_checkable"], meta["nu"]["nodes_violating"]) == (9, 0)
+    assert err["events"][1]["max_path_mismatch"] is None
+
+
 def test_construct_rejects_unknown_config_key(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(generic_config(9, extra={"x": 1})))

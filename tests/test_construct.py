@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from pmcsurf.coeffs import phase_D
-from pmcsurf.construct import (GAUSS_STEP, cascade_mask, gauss_curvature, integrate_nu,
-                               omega_W, surface_columns)
+from pmcsurf.construct import (cascade_mask, gauss_curvature, integrate_nu, omega_W,
+                               surface_columns)
 from pmcsurf.errors import ConfigError, RangeMismatch
-from pmcsurf.fields import (MAX_SIDE, Grid, HarmonicInput, MASK_DOMAIN, MASK_NUPATH,
+from pmcsurf.fields import (GAUSS_STEP, MAX_SIDE, Grid, HarmonicInput, MASK_DOMAIN, MASK_NUPATH,
                             MASK_SINGULAR, dz, dzbar, read_fields, write_fields, write_meta)
 
 from conftest import MODEL, build_generic, generic_harmonic

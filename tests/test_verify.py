@@ -13,7 +13,7 @@ from pmcsurf import verify
 from pmcsurf.coeffs import T9_READINGS, ModelParams, cascade_ok
 from pmcsurf.errors import ConfigError
 from pmcsurf.fields import (GAUSS_STEP, Grid, MASK_DOMAIN, MASK_NUPATH, MASK_SINGULAR, dz, dzbar,
-                            dzdzbar, laplacian)
+                            dzdzbar, gauss_frame, laplacian)
 from pmcsurf.verify import (EQUATIONS, MARGIN, TASKS, Thresholds, _max_stat, default_workers,
                             verify_suite)
 
@@ -61,29 +61,29 @@ def test_equation_registry_is_consistent():
 
 
 def test_max_stat_respects_relevant_bits_only():
-    # (largest judged |residual|, whether a judged residual is finite)
+    # the largest judged |residual|, NaN when no judged node holds a number
     res = np.ones((7, 7), dtype=complex)
     res[3, 3] = 5.0
     mask = np.zeros((7, 7), dtype=np.uint8)
     mask[3, 3] = MASK_NUPATH
-    assert _max_stat(res, mask, 0) == (5.0, True)
-    assert _max_stat(res, mask, MASK_NUPATH) == (1.0, True)
-    assert _max_stat(res, mask, MASK_NUPATH | MASK_DOMAIN) == (1.0, True)
+    rows = slice(MARGIN, -MARGIN)
+    assert _max_stat(res, mask, 0, rows) == 5.0
+    assert _max_stat(res, mask, MASK_NUPATH, rows) == 1.0
+    assert _max_stat(res, mask, MASK_NUPATH | MASK_DOMAIN, rows) == 1.0
     mask[:] = MASK_SINGULAR
-    top, finite = _max_stat(res, mask, MASK_SINGULAR)
-    assert np.isnan(top) and not finite
+    assert np.isnan(_max_stat(res, mask, MASK_SINGULAR, rows))
     # the two-node frame never contributes
     res[0, 0] = 100.0
     mask[:] = 0
-    assert _max_stat(res, mask, 0) == (5.0, True)
+    assert _max_stat(res, mask, 0, rows) == 5.0
     # a band's judged rows, and a band holding no judged row
-    assert _max_stat(res, mask, 0, slice(4, 5)) == (1.0, True)
-    top, finite = _max_stat(res, mask, 0, slice(2, 2))
-    assert np.isnan(top) and not finite
-    # an infinite residual counts, but only a finite one makes the maximum a number
+    assert _max_stat(res, mask, 0, slice(4, 5)) == 1.0
+    assert np.isnan(_max_stat(res, mask, 0, slice(2, 2)))
+    # an infinite residual counts, also where every judged residual is infinite
     res[4, 2:5] = np.inf
-    assert _max_stat(res, mask, 0, slice(4, 5)) == (np.inf, False)
-    assert _max_stat(res, mask, 0) == (np.inf, True)
+    assert _max_stat(res, mask, 0, slice(4, 5)) == np.inf
+    assert _max_stat(res, mask, 0, rows) == np.inf
+    assert all(type(_max_stat(res, mask, 0, r)) is float for r in (rows, slice(2, 2)))
 
 
 def test_single_surface_mode_judges_identities_only(locus_pair):
@@ -130,7 +130,8 @@ def test_tampered_amplitude_column_flags_its_equations(locus_pair):
 
 @pytest.mark.parametrize("name,column", [
     ("alpha", "alpha"), ("a", "a_re"), ("a", "a_im"), ("lam", "lambda_re"),
-    ("lam", "lambda_im"), ("K_formula", "K_formula"), ("nu", "nu"), ("c", "c_re"), ("c", "c_im")])
+    ("lam", "lambda_im"), ("K_formula", "K_formula"), ("nu", "nu"), ("c", "c_re"), ("c", "c_im"),
+    ("K_metric", "K_metric")])
 def test_a_non_finite_input_names_its_column_and_node(locus_pair, name, column):
     coarse, fine = locus_pair
     values = getattr(coarse, name).copy()
@@ -150,6 +151,49 @@ def test_a_masked_node_may_leave_only_nu_and_c_non_finite(locus_pair):
     assert verify_suite(masked).rows   # K_metric is NaN on its frame as always
     with pytest.raises(ConfigError, match="^column alpha holds nan at node"):
         verify_suite(dataclasses.replace(masked, alpha=alpha))
+
+
+@pytest.fixture(scope="module")
+def pair_41_81():
+    return build_family(41).fields, build_family(81).fields
+
+
+def test_a_non_finite_metric_curvature_off_its_frame_is_refused(pair_41_81):
+    # NaN blocks off the frame used to be skipped by the maxima: the pair
+    # passed with E2_3_gauss bit for bit the clean pair's
+    coarse, fine = pair_41_81
+    kc, kf = coarse.K_metric.copy(), fine.K_metric.copy()
+    kc[10:30, 10:30] = np.nan
+    kf[20:60, 20:60] = np.nan
+    with pytest.raises(ConfigError, match=r"^column K_metric holds nan at node \(10, 10\) "
+                                          r"of the 41x41 grid \(x = 0.25, y = 0.25\)$"):
+        verify_suite(dataclasses.replace(coarse, K_metric=kc),
+                     dataclasses.replace(fine, K_metric=kf))
+    # construct leaves it NaN on exactly its frame, which verify reads as such
+    m = gauss_frame(coarse.grid)
+    assert np.isnan(coarse.K_metric[m - 1, m:-m]).all()
+    assert np.isfinite(coarse.K_metric[m:-m, m:-m]).all()
+    kc = coarse.K_metric.copy()
+    kc[m, m] = np.nan
+    with pytest.raises(ConfigError, match=rf"^column K_metric holds nan at node \({m}, {m}\) "):
+        verify_suite(dataclasses.replace(coarse, K_metric=kc))
+
+
+def test_an_infinite_maximum_fails_as_a_non_finite_residual(pair_41_81):
+    # used to read "no evaluable nodes", which is the note of a NaN maximum
+    coarse, fine = pair_41_81
+    a = coarse.a.copy()
+    a[20, 20] = 1e200
+    with np.errstate(all="ignore"):
+        rep = verify_suite(dataclasses.replace(coarse, a=a), fine)
+    rows = {r.equation: r for r in rep.rows}
+    for eq in ("E2_8", "E2_10", "E2_11"):
+        row = rows[eq]
+        assert (row.max_coarse, row.order, row.passed, row.note) == \
+            (np.inf, None, False, "non-finite residual"), eq
+        assert np.isfinite(row.max_fine), eq
+    assert rep.exit_code == 1
+    assert not any(r.note == "no evaluable nodes" for r in rep.rows)
 
 
 def test_exact_zero_residuals_pass_without_an_order():
@@ -191,24 +235,17 @@ def _evaluable(fields):
 
 def _bands(fields):
     """(lo, hi) of each band that _maxima walks."""
-    nx, step = fields.grid.nx, verify._band_rows(fields.grid.ny)
+    nx, step = fields.grid.nx, max(1, verify.CHUNK // fields.grid.ny)
     return [(lo, min(lo + step, nx)) for lo in range(0, nx, step)]
 
 
 def _band_counts(fields):
     """Per band, the evaluable nodes of its prepared rows (the band and one
-    halo row each side) and of its own rows; bands with none are left out."""
+    halo row each side) and of its own rows."""
     ok, nx = _evaluable(fields), fields.grid.nx
     window = [int(ok[max(lo - 1, 0):min(hi + 1, nx)].sum()) for lo, hi in _bands(fields)]
     own = [int(ok[lo:hi].sum()) for lo, hi in _bands(fields)]
-    return [n for n in window if n], [n for n in own if n]
-
-
-def _chunk_sizes(fields):
-    """The chunks of one whole-grid _prepare: a band with its halo rows each."""
-    ny, n = fields.grid.ny, int(_evaluable(fields).sum())
-    chunk = (verify._band_rows(ny) + 2) * ny
-    return [min(chunk, n - k) for k in range(0, n, chunk)]
+    return window, own
 
 
 def test_one_cascade_call_and_cache_per_band(locus_pair, monkeypatch):
@@ -241,11 +278,12 @@ def test_one_cascade_call_and_cache_per_band(locus_pair, monkeypatch):
     assert jets == [(n, i, 0, kw) for n, _ in built for i, kw in ((1, {}), (2, {}))]
     assert sorted(r.variant for r in rep.rows if r.equation == "E2_13") == ["alternate", "as_printed"]
     assert "t9_mode" not in rep.to_dict()
-    # the whole grid at once takes one of each per chunk of a band with its halo rows
-    calls.clear()
-    built.clear()
-    verify._prepare(locus_pair[1])
-    assert calls == [n for n, _ in built] == _chunk_sizes(locus_pair[1])
+    # the whole grid as one band takes one of each, a band with no evaluable node too
+    for fields in (locus_pair[1], _masked_rows(locus_pair[0], slice(None))):
+        calls.clear()
+        built.clear()
+        verify._prepare(fields, 0, fields.grid.nx)
+        assert calls == [n for n, _ in built] == [int(_evaluable(fields).sum())]
 
 
 def _same_bits(x, y) -> bool:
@@ -258,20 +296,8 @@ def _same_bits(x, y) -> bool:
 
 
 @pytest.mark.parametrize("grid", [1, 2])
-def test_chunked_preparation_matches_one_chunk_bitwise(locus_pair, monkeypatch, grid):
-    fields = locus_pair[grid - 1]
-    monkeypatch.setattr(verify, "CHUNK", fields.alpha.size)
-    whole = verify._prepare(fields)
-    monkeypatch.setattr(verify, "CHUNK", 7)
-    chunked = verify._prepare(fields)
-    assert whole.keys() == chunked.keys()
-    for key in whole:
-        assert _same_bits(whole[key], chunked[key]), key
-
-
-@pytest.mark.parametrize("grid", [1, 2])
 def test_chunk_cascades_are_freed_without_the_collector(locus_pair, monkeypatch, grid):
-    # the swap mirror points back weakly, so refcounting alone frees a chunk's jets
+    # the swap mirror points back weakly, so refcounting alone frees a band's jets
     alive = []
 
     class Recording(verify.CoeffCache):
@@ -284,12 +310,11 @@ def test_chunk_cascades_are_freed_without_the_collector(locus_pair, monkeypatch,
     gc.disable()
     try:
         fields = locus_pair[grid - 1]
-        verify._prepare(fields)   # no gc.collect() to hide a cycle
-        assert len(alive) == 2 * len(_chunk_sizes(fields))   # a cache and its mirror per chunk
+        verify._prepare(fields, 0, fields.grid.nx)   # no gc.collect() to hide a cycle
+        assert len(alive) == 2   # a cache and its mirror for the one band
         assert all(ref() is None for ref in alive)
         verify_suite(*locus_pair)
-        assert len(alive) == 2 * (len(_chunk_sizes(fields))
-                                  + sum(len(_band_counts(f)[0]) for f in locus_pair))
+        assert len(alive) == 2 * (1 + sum(len(_bands(f)) for f in locus_pair))
         assert all(ref() is None for ref in alive)
     finally:
         if enabled:
@@ -334,11 +359,10 @@ def _bits(values):
 
 
 def _whole_grid_maxima(fields):
-    """Each task's maximum from one prepared whole grid: the reference for the bands."""
-    P = verify._prepare(fields)
-    stats = [_max_stat(EQUATIONS[eq].residual(P) if m is None else EQUATIONS[eq].residual(P, m),
-                       P["mask"], EQUATIONS[eq].mask) for eq, m in TASKS]
-    return [top if finite else float("nan") for top, finite in stats]
+    """Each task's maximum from the whole grid as one band: the reference for the bands."""
+    P = verify._prepare(fields, 0, fields.grid.nx)
+    return [_max_stat(EQUATIONS[eq].residual(P) if m is None else EQUATIONS[eq].residual(P, m),
+                      P["mask"], EQUATIONS[eq].mask, P["rows"]) for eq, m in TASKS]
 
 
 def _masked_rows(fields, rows):
@@ -357,12 +381,10 @@ def test_banded_maxima_equal_the_whole_grid_bitwise(locus_pair, monkeypatch, row
     for fields in (*locus_pair, masked):
         whole = _whole_grid_maxima(fields)
         monkeypatch.setattr(verify, "CHUNK", rows * fields.grid.ny)
-        assert verify._band_rows(fields.grid.ny) == rows
         assert _bits(verify._maxima(fields)) == _bits(whole)
     if rows < 8:   # a band inside the masked rows: every task with a mask bit is NaN there
         stats = verify._band_maxima(masked, 8, 8 + rows)
-        assert [np.isnan(top) and not finite for top, finite in stats] == \
-            [EQUATIONS[eq].mask != 0 for eq, _ in TASKS]
+        assert [np.isnan(top) for top in stats] == [EQUATIONS[eq].mask != 0 for eq, _ in TASKS]
     # a task is NaN only when every band is
     nowhere = _masked_rows(locus_pair[0], slice(None))
     maxima = verify._maxima(nowhere)
@@ -384,7 +406,8 @@ def test_a_band_prepares_the_rows_of_the_whole_grid_bitwise(locus_pair):
     # the halo rule: a band's arrays hold the whole grid's bits on its rows
     # and one row each side, but the T_IDS and t9 values on its own rows only
     fields = locus_pair[1]
-    whole, nx = verify._prepare(fields), fields.grid.nx
+    nx = fields.grid.nx
+    whole = verify._prepare(fields, 0, nx)
     for lo, hi in ((0, 1), (1, 4), (2, 3), (20, 27), (nx - 3, nx), (nx - 1, nx)):
         band, p0, p1 = verify._prepare(fields, lo, hi), max(lo - 1, 0), min(hi + 1, nx)
         assert band.keys() == whole.keys()
@@ -411,7 +434,7 @@ def _traced_peak(fields) -> int:
 
 def test_verify_memory_is_bounded_by_the_band():
     # four times the nodes, about the same peak: the band bounds it, not the grid
-    small, large = (_traced_peak(build_family(n).fields) for n in (161, 321))
+    small, large = (_traced_peak(build_family(n).fields) for n in (81, 161))
     assert large <= 1.25 * small, (small, large)
 
 
@@ -442,7 +465,7 @@ def _parts(x):
 def test_residual_bits_do_not_depend_on_the_array_size(n):
     # numpy evaluates some products in place, in swapped operand order, once
     # an operand reaches 256 KiB; a residual's bits must not see that
-    P = verify._prepare(build_family(n).fields)
+    P = verify._prepare(build_family(n).fields, 0, n)
     band = 24   # rows per band, 67 KiB with its halo rows at 161; the last band is short
     assert (n % band) not in (0, 1)
     for eq, reading in TASKS:
