@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._cascade_gen import T_IDS, cascade_values
+from ._cascade_gen import NC, NF, T_IDS, cascade_values
 from .coeffs import T9_READINGS, CoeffCache, EvalPoint, cascade_ok, phase_D, phase_E, phase_W
 from .errors import ConfigError, ZeroDenominator
 from .fields import (FIELD_COLUMNS, MASK_DOMAIN, MASK_SINGULAR, MASK_NUPATH, SurfaceFields, dz,
@@ -65,31 +65,39 @@ def _check_finite(fields: SurfaceFields) -> None:
                 raise ConfigError(f"column {column} holds {float(part[at])!r} at {node}")
 
 
-def _cascade(al: np.ndarray, a: np.ndarray, ok: np.ndarray, own: slice, params) -> np.ndarray:
+def _arena(nodes: int) -> tuple:
+    """The rows cascade_values writes its temporaries to, for up to nodes nodes."""
+    return np.empty((NF, nodes)), np.empty((NC, nodes), dtype=np.complex128)
+
+
+def _cascade(al: np.ndarray, a: np.ndarray, ok: np.ndarray, own: slice, params,
+             arena: tuple) -> np.ndarray:
     """The cascade rows t1, t2, T_IDS and the t9 readings over the prepared rows.
 
     t1 and t2 come at every evaluable node (ok), from one CoeffCache; the
-    rest only at those in the flat node range own, from one generated call.
-    All else is NaN. The values go straight into their nodes of one
-    preallocated row. A band keeps the generated call below the 256 KiB
-    temporaries at which its own bits start to move.
+    rest only at those in the flat node range own, from one generated call
+    into arena (_arena, at least that many nodes). All else is NaN. The
+    values go straight into their nodes of one preallocated row, out of the
+    arena rows the next call reuses. The call allocates no array, so a band
+    faults in no fresh pages, and its bits do not depend on how many nodes
+    it takes.
     """
     at = np.flatnonzero(ok)
     vals = np.full((2 + len(T_IDS) + len(T9_READINGS), ok.size), np.nan, dtype=np.complex128)
     cache = CoeffCache(EvalPoint(al.flat[at], a.flat[at], params=params))
     vals[0, at], vals[1, at] = cache.get(1).value(), cache.get(2).value()
-    del cache   # its jets die before the generated call's temporaries are made
     at = at[np.searchsorted(at, own.start):np.searchsorted(at, own.stop)]
-    a_own = a.flat[at]
-    for row, v in zip(vals[2:], cascade_values(al.flat[at], a_own, np.conj(a_own),
-                                               params.rho, params.b)):
+    a_own, (F, C) = a.flat[at], arena
+    for row, v in zip(vals[2:], cascade_values(al.flat[at], a_own, np.conj(a_own), params.rho,
+                                               params.b, F[:, :at.size], C[:, :at.size])):
         row[at] = v   # row by row: no (rows x nodes) temporary
     return vals.reshape(len(vals), *ok.shape)
 
 
-def _prepare(fields: SurfaceFields, lo: int, hi: int) -> dict:
+def _prepare(fields: SurfaceFields, lo: int, hi: int, arena: tuple) -> dict:
     """Everything the residuals read on rows lo..hi-1 of one grid, the band,
-    the shared stencils included.
+    the shared stencils included; arena holds the generated cascade's
+    temporaries (_cascade).
 
     Halo rule: the arrays cover the band and one row each side, cut from
     stencils over the input rows two beyond the band. A residual stencil
@@ -118,7 +126,8 @@ def _prepare(fields: SurfaceFields, lo: int, hi: int) -> dict:
     al, a, lam, c, mask = (v[p0:p1] for v in (fields.alpha, fields.a, fields.lam, fields.c,
                                               fields.mask))
     ok = cascade_ok(al) & ((mask & MASK_SINGULAR) == 0)
-    t1, t2, *cols = _cascade(al, a, ok, slice((lo - p0) * g.ny, (hi - p0) * g.ny), params)
+    t1, t2, *cols = _cascade(al, a, ok, slice((lo - p0) * g.ny, (hi - p0) * g.ny), params,
+                             arena)
     t = {1: t1, 2: t2, **dict(zip(T_IDS, cols))}
     t9 = dict(zip(T9_READINGS, cols[len(T_IDS):]))
 
@@ -228,10 +237,10 @@ def _max_stat(res: np.ndarray, mask: np.ndarray, relevant: int, rows: slice) -> 
     return float(np.fmax.reduce(core, axis=None, initial=np.nan))
 
 
-def _band_maxima(fields: SurfaceFields, lo: int, hi: int) -> list:
+def _band_maxima(fields: SurfaceFields, lo: int, hi: int, arena: tuple) -> list:
     """_max_stat of every task over rows lo..hi-1, in TASKS order; the band's
     arrays die with the call."""
-    P = _prepare(fields, lo, hi)
+    P = _prepare(fields, lo, hi, arena)
     return [_max_stat(e.residual(P) if m is None else e.residual(P, m), P["mask"], e.mask,
                       P["rows"]) for e in EQUATIONS.values() for m in e.readings]
 
@@ -243,15 +252,17 @@ def _maxima(fields: SurfaceFields) -> list:
     A non-finite input is a ConfigError (_check_finite). The grid is walked
     in bands of about CHUNK nodes, one row at the least, each prepared by
     itself and freed before the next, so one band's arrays are alive at a
-    time whatever the grid, and a pair meets only through these maxima. A
-    maximum is exact, so the bands change no bit: np.fmax skips a band with
-    no judged number.
+    time whatever the grid, and a pair meets only through these maxima.
+    Every band's generated cascade writes into one arena, sized to a band's
+    nodes and dropped with the grid. A maximum is exact, so the bands
+    change no bit: np.fmax skips a band with no judged number.
     """
     _check_finite(fields)
-    nx, step = fields.grid.nx, max(1, CHUNK // fields.grid.ny)
-    top = np.full(len(TASKS), np.nan)
+    nx, ny = fields.grid.nx, fields.grid.ny
+    step = max(1, CHUNK // ny)
+    arena, top = _arena(min(step, nx) * ny), np.full(len(TASKS), np.nan)
     for lo in range(0, nx, step):
-        top = np.fmax(top, _band_maxima(fields, lo, min(lo + step, nx)))
+        top = np.fmax(top, _band_maxima(fields, lo, min(lo + step, nx), arena))
     return [float(m) for m in top]
 
 

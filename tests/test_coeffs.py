@@ -1,8 +1,10 @@
 """Coefficient cascade: pins, symmetries, derivative wiring, guard behavior."""
 from __future__ import annotations
 
+import ast
 import gc
 import subprocess
+import tracemalloc
 import sys
 import weakref
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmcsurf import _cascade_gen, coeffs, jets
+from pmcsurf import _cascade_gen, coeffs, jets, verify
 from pmcsurf.coeffs import (CoeffCache, EvalPoint, ModelParams, check_guards,
                             eval_t, phase_quadratic_roots, t1_value, t2_value,
                             t4_skew_residual, t11_roots)
@@ -325,13 +327,98 @@ def test_generated_cascade_matches_the_jet_cascade(params, conjugate_pair):
     caches = [CoeffCache(pt, t9_mode=m) for m in coeffs.T9_READINGS]
     want = ([caches[0].get(i).value() for i in _cascade_gen.T_IDS]
             + [cache.get(9).value() for cache in caches])
-    got = _cascade_gen.cascade_values(pt.alpha, pt.a, pt.abar, params.rho, params.b)
+    got = _cascade_gen.cascade_values(pt.alpha, pt.a, pt.abar, params.rho, params.b,
+                                      *verify._arena(pt.alpha.size))
     assert len(got) == len(want)
     for k, (g, w) in enumerate(zip(got, want)):
         assert g.shape == w.shape
         assert np.all(np.abs(g - w) <= 1e-12 * (1.0 + np.abs(w))), k
     # the two t9 readings differ, so each output is checked against its own reading
     assert not np.allclose(want[-1], want[-2])
+
+
+def _generated(pt: EvalPoint, lo: int, hi: int) -> list:
+    """Copies of the generated values at nodes lo..hi-1 of pt, from one call."""
+    return [v.copy() for v in _cascade_gen.cascade_values(
+        pt.alpha[lo:hi], pt.a[lo:hi], pt.abar[lo:hi], MODEL.rho, MODEL.b,
+        *verify._arena(hi - lo))]
+
+
+@pytest.mark.parametrize("conjugate_pair", [True, False], ids=["pair", "off-pair"])
+def test_generated_cascade_bits_do_not_depend_on_the_batch_size(conjugate_pair):
+    # above 16384 complex nodes a numpy temporary reaches 256 KiB, where an
+    # operator may compute x * tmp in place as tmp * x; the arena's ufunc
+    # calls keep their written operand order at any size
+    pt = _arc_points(MODEL, conjugate_pair, n=5600)
+    n = pt.alpha.size
+    assert n > 16384
+    whole = _generated(pt, 0, n)
+    chunks = [_generated(pt, lo, min(lo + 2048, n)) for lo in range(0, n, 2048)]
+    for k, w in enumerate(whole):
+        assert np.concatenate([c[k] for c in chunks]).tobytes() == w.tobytes(), k
+    for i in range(0, n, 331):   # single nodes across the batch
+        assert [v.tobytes() for v in _generated(pt, i, i + 1)] == [w[i:i + 1].tobytes()
+                                                                 for w in whole], i
+
+
+def test_generated_cascade_allocates_no_array():
+    # every temporary is a row of the caller's arena, so one call's traced
+    # peak is the row views and numpy's casting buffers, not 200-odd arrays
+    pt = _arc_points(MODEL, True, n=700)
+    alpha, a, abar = pt.alpha[:2048].copy(), pt.a[:2048].copy(), pt.abar[:2048].copy()
+    arena = verify._arena(alpha.size)
+    tracemalloc.start()
+    try:
+        values = _cascade_gen.cascade_values(alpha, a, abar, MODEL.rho, MODEL.b, *arena)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.shares_memory(v, arena[1]) for v in values)
+    assert peak < 0.3 * 2 ** 20, peak
+
+
+def _slot_flow(node, slots: set, written: set):
+    """Walk node in Python's evaluation order, checking each ufunc call into
+    an arena row: no read of a row before it is written, and no call whose
+    out (its last argument) is a row it reads. The row node leaves its value
+    in, else None."""
+    if isinstance(node, ast.Name):
+        if node.id not in slots:
+            return None
+        assert node.id in written, f"{node.id} read before it is written"
+        return node.id
+    if isinstance(node, ast.Call) and isinstance(getattr(np, ast.unparse(node.func), None),
+                                                 np.ufunc):
+        *args, out = node.args
+        assert len(args) == getattr(np, node.func.id).nin and not node.keywords
+        read = {_slot_flow(x, slots, written) for x in args}
+        assert isinstance(out, ast.Name) and out.id in slots, ast.unparse(node)
+        assert out.id not in read, f"{ast.unparse(node)} writes a row it reads"
+        written.add(out.id)
+        return out.id
+    for child in ast.iter_child_nodes(node):
+        _slot_flow(child, slots, written)
+    return None
+
+
+def test_generated_cascade_never_writes_a_row_it_reads():
+    # with an out allowed to alias an input, t10 and t9 alternate moved bits
+    # at one node, so the rule is checked on the module's text
+    tree = ast.parse(Path(_cascade_gen.__file__).read_text())
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "cascade_values")
+    doc, unpack_f, unpack_c, *body = fn.body
+    rows = {}
+    for stmt, arena in ((unpack_f, "F"), (unpack_c, "C")):
+        assert isinstance(stmt, ast.Assign) and ast.unparse(stmt.value) == arena
+        rows[arena] = [t.id for t in stmt.targets[0].elts]
+    assert rows == {"F": [f"f{k}" for k in range(_cascade_gen.NF)],
+                    "C": [f"c{k}" for k in range(_cascade_gen.NC)]}
+    slots, written = set(rows["F"] + rows["C"]), set()
+    for stmt in body:
+        _slot_flow(stmt, slots, written)
+    assert written == slots   # NF and NC are the rows the calls use
+    assert isinstance(body[-1], ast.Return) and len(body[-1].value.elts) == (
+        len(_cascade_gen.T_IDS) + len(coeffs.T9_READINGS))
 
 
 def test_generated_cascade_module_is_up_to_date():

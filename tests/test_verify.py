@@ -239,6 +239,13 @@ def _bands(fields):
     return [(lo, min(lo + step, nx)) for lo in range(0, nx, step)]
 
 
+def _prepared(fields, lo=0, hi=None):
+    """verify._prepare of rows lo..hi-1, the whole grid by default, into an
+    arena of the band's own nodes."""
+    hi = fields.grid.nx if hi is None else hi
+    return verify._prepare(fields, lo, hi, verify._arena((hi - lo) * fields.grid.ny))
+
+
 def _band_counts(fields):
     """Per band, the evaluable nodes of its prepared rows (the band and one
     halo row each side) and of its own rows."""
@@ -251,13 +258,14 @@ def _band_counts(fields):
 def test_one_cascade_call_and_cache_per_band(locus_pair, monkeypatch):
     # per band of each grid: one cache giving t1 and t2 from the jets at order
     # 0 on its prepared rows, and one call of the generated straight-line
-    # cascade on its own rows
-    calls, built, jets = [], [], []
+    # cascade on its own rows, into the grid's one arena
+    calls, built, jets, arenas = [], [], [], []
     generated = verify.cascade_values
 
-    def counting(alpha, *args):
+    def counting(alpha, a, abar, rho, b, F, C):
         calls.append(alpha.size)
-        return generated(alpha, *args)
+        arenas.append((F.base, C.base))
+        return generated(alpha, a, abar, rho, b, F, C)
 
     class Recording(verify.CoeffCache):
         def __init__(self, point, **kwargs):
@@ -276,13 +284,17 @@ def test_one_cascade_call_and_cache_per_band(locus_pair, monkeypatch):
     assert calls == counts[0][1] + counts[1][1]
     assert built == [(n, {}) for n in counts[0][0] + counts[1][0]]
     assert jets == [(n, i, 0, kw) for n, _ in built for i, kw in ((1, {}), (2, {}))]
+    coarse = len(counts[0][1])
+    for grid in (arenas[:coarse], arenas[coarse:]):
+        assert all(F is grid[0][0] and C is grid[0][1] for F, C in grid)
+    assert arenas[0][1] is not arenas[-1][1]
     assert sorted(r.variant for r in rep.rows if r.equation == "E2_13") == ["alternate", "as_printed"]
     assert "t9_mode" not in rep.to_dict()
     # the whole grid as one band takes one of each, a band with no evaluable node too
     for fields in (locus_pair[1], _masked_rows(locus_pair[0], slice(None))):
         calls.clear()
         built.clear()
-        verify._prepare(fields, 0, fields.grid.nx)
+        _prepared(fields)
         assert calls == [n for n, _ in built] == [int(_evaluable(fields).sum())]
 
 
@@ -310,7 +322,7 @@ def test_chunk_cascades_are_freed_without_the_collector(locus_pair, monkeypatch,
     gc.disable()
     try:
         fields = locus_pair[grid - 1]
-        verify._prepare(fields, 0, fields.grid.nx)   # no gc.collect() to hide a cycle
+        _prepared(fields)   # no gc.collect() to hide a cycle
         assert len(alive) == 2   # a cache and its mirror for the one band
         assert all(ref() is None for ref in alive)
         verify_suite(*locus_pair)
@@ -335,9 +347,9 @@ def test_one_prepared_band_is_alive_at_a_time(locus_pair, monkeypatch):
     # by refcounting alone, before the next band or grid is prepared
     prepare, alive, bands = verify._prepare, [], []
 
-    def recording(fields, lo, hi):
+    def recording(fields, lo, hi, arena):
         assert all(ref() is None for ref in alive)
-        prep = prepare(fields, lo, hi)
+        prep = prepare(fields, lo, hi, arena)
         alive.extend(weakref.ref(v) for v in _arrays(prep))
         bands.append((fields.grid.nx, lo, hi))
         return prep
@@ -360,7 +372,7 @@ def _bits(values):
 
 def _whole_grid_maxima(fields):
     """Each task's maximum from the whole grid as one band: the reference for the bands."""
-    P = verify._prepare(fields, 0, fields.grid.nx)
+    P = _prepared(fields)
     return [_max_stat(EQUATIONS[eq].residual(P) if m is None else EQUATIONS[eq].residual(P, m),
                       P["mask"], EQUATIONS[eq].mask, P["rows"]) for eq, m in TASKS]
 
@@ -383,7 +395,7 @@ def test_banded_maxima_equal_the_whole_grid_bitwise(locus_pair, monkeypatch, row
         monkeypatch.setattr(verify, "CHUNK", rows * fields.grid.ny)
         assert _bits(verify._maxima(fields)) == _bits(whole)
     if rows < 8:   # a band inside the masked rows: every task with a mask bit is NaN there
-        stats = verify._band_maxima(masked, 8, 8 + rows)
+        stats = verify._band_maxima(masked, 8, 8 + rows, verify._arena(rows * masked.grid.ny))
         assert [np.isnan(top) for top in stats] == [EQUATIONS[eq].mask != 0 for eq, _ in TASKS]
     # a task is NaN only when every band is
     nowhere = _masked_rows(locus_pair[0], slice(None))
@@ -407,9 +419,9 @@ def test_a_band_prepares_the_rows_of_the_whole_grid_bitwise(locus_pair):
     # and one row each side, but the T_IDS and t9 values on its own rows only
     fields = locus_pair[1]
     nx = fields.grid.nx
-    whole = verify._prepare(fields, 0, nx)
+    whole = _prepared(fields)
     for lo, hi in ((0, 1), (1, 4), (2, 3), (20, 27), (nx - 3, nx), (nx - 1, nx)):
-        band, p0, p1 = verify._prepare(fields, lo, hi), max(lo - 1, 0), min(hi + 1, nx)
+        band, p0, p1 = _prepared(fields, lo, hi), max(lo - 1, 0), min(hi + 1, nx)
         assert band.keys() == whole.keys()
         for key in whole.keys() - {"t", "t9", "rows"}:
             assert _same_bits(band[key], _rows(whole[key], p0, p1)), (lo, key)
@@ -465,7 +477,7 @@ def _parts(x):
 def test_residual_bits_do_not_depend_on_the_array_size(n):
     # numpy evaluates some products in place, in swapped operand order, once
     # an operand reaches 256 KiB; a residual's bits must not see that
-    P = verify._prepare(build_family(n).fields, 0, n)
+    P = _prepared(build_family(n).fields)
     band = 24   # rows per band, 67 KiB with its halo rows at 161; the last band is short
     assert (n % band) not in (0, 1)
     for eq, reading in TASKS:
