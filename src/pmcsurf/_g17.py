@@ -13,6 +13,20 @@ goes through b"%.17g" % v one at a time. Every cell holds exactly the bytes
 A cell is fixed-width and NUL-padded, and a NUL stands for "no character
 here": trailing zeros and an empty decimal point are zeroed where they sit,
 and a whole block of rows is compacted by one bytes.translate(None, b"\\0").
+
+csv_chunks formats a CSV of more than one block on two threads, the caller
+and one helper. Counting blocks from 0, the caller formats the even ones and
+the helper the odd ones: each odd block goes to the helper before the caller
+formats the even block before it, and the helper starts its next block as it
+hands one back, while the caller's consumer hashes and writes that one. Each
+thread formats into a buffer of its own, and the blocks come out in order, so
+the bytes are those one thread prints. The numpy kernels release the
+interpreter lock, so the two threads overlap when a second core is free; the
+Python between kernels and bytes.translate hold it and run one at a time.
+One helper, not a pool: more formatters than cores convoy on the lock
+(D. Beazley, "Understanding the Python GIL", PyCon 2010), and each adds a
+malloc arena and its block temporaries to the peak memory. A CSV of one block
+starts no thread.
 """
 from __future__ import annotations
 
@@ -21,10 +35,12 @@ import numpy as np
 # cell bytes: 0 sign, 1-5 "0.000" prefix, 7 the first digit, 8-24 the other
 # sixteen digits with the point among them, 25-28 "e-XX"
 WIDTH = 29
-# rows per block: the block's temporaries stay small enough to reuse freed heap
-# memory; at 8192 rows they reach fresh pages, whose first touch measured
-# dearer than the formatting
-BLOCK_ROWS = 1024
+# rows per block, each thread's unit of work. A block's temporaries must stay
+# small enough to reuse freed heap memory: at 3072 rows they reach fresh pages
+# (on the surfaces workload about 227k minor faults against 42k at 2048, and
+# three times the system time), and at 1024 rows the threads hand the lock
+# back and forth so often that the overlap gains nothing
+BLOCK_ROWS = 2048
 
 _KLO, _NK = -11, 28                  # the exact window: k in [_KLO, _KLO + _NK)
 
@@ -87,12 +103,16 @@ def _scaled(m, bexp, k):
     m = m << 11
     a1, a0 = m >> 32, m & 0xFFFFFFFF
     b1, b0 = f >> 32, f & 0xFFFFFFFF
+    del m, f
     cross = a0 * b1
     mid = cross + a1 * b0
     hi = a1 * b1 + (mid >> 32) + ((mid < cross).astype(np.uint64) << 32)
+    del a1, b1, cross
     mid <<= 32
     lo = a0 * b0 + mid
+    del a0, b0
     hi += lo < mid
+    del mid
     s = (_BY_K["s"][k] - bexp).astype(np.uint64)
     half = hi >> (s - 1)                                 # the quotient and one more bit
     floor = half >> 1
@@ -102,7 +122,12 @@ def _scaled(m, bexp, k):
 
 
 def g17_cells(values) -> np.ndarray:
-    """(n, WIDTH) uint8 cells: row i is b"%.17g" % values[i], NUL-padded."""
+    """(n, WIDTH) uint8 cells: row i is b"%.17g" % values[i], NUL-padded.
+
+    Each temporary is dropped once spent (here and in _scaled), so a call
+    peaks at about 113 bytes per value, not 283: a 2048-row block of the
+    writer on each of its two threads then reuses freed heap memory.
+    """
     v = np.ascontiguousarray(values, dtype=np.float64).ravel()
     bits = v.view(np.uint64)
     bexp = ((bits >> 52) & 0x7FF).astype(np.intp)
@@ -121,6 +146,7 @@ def g17_cells(values) -> np.ndarray:
         off = off[inside]
         D[off] = _scaled(m[off], bexp[off], k[off])[1]
         np.clip(k, 0, _NK - 1, out=k)
+    del m, bexp, normal, floor, off
     # D never rounds up to 10^17 here: the largest double below a power of ten
     # in the window falls at least 4.5e-17 (relative) short of it, and 17
     # digits resolve 5e-18
@@ -129,8 +155,10 @@ def g17_cells(values) -> np.ndarray:
     rest = D.view(np.int64) - d0 * 10**16
     h8 = rest // 10**8
     l8 = rest - h8 * 10**8
+    del D, rest
     g0, g2 = h8 // 10**4, l8 // 10**4
     g0, g1, g2, g3 = (_GROUP[g] for g in (g0, h8 - g0 * 10**4, g2, l8 - g2 * 10**4))
+    del h8, l8
     tz = g0 >> 32
     for g in (g1, g2, g3):                # trailing zeros of d1..d16
         tz = (g >> 32) + (g >> 34) * tz   # a group of four zeros counts 4 = 1 << 2
@@ -139,16 +167,22 @@ def g17_cells(values) -> np.ndarray:
     keep = np.maximum(nsig, _BY_K["keep"][k])
     w1 = ((g0 & 0xFFFFFFFF) | (g1 << 32)) & _BY_P["below0"][keep]
     w2 = ((g2 & 0xFFFFFFFF) | (g3 << 32)) & _BY_P["below1"][keep]
-    at = {name: table[point] for name, table in _BY_P.items() if name != "below2"}
+    del g0, g1, g2, g3, g, tz, keep
     dot = nsig > point
+    del nsig
 
     cell = np.empty((v.size, 4), np.uint64)
     cell[:, 0] = (_BY_K["head"][k] | ((bits >> 63) * ord("-"))
                   | ((d0 + ord("0")).astype(np.uint64) << 56))
-    cell[:, 1] = (w1 & at["below0"]) | ((w1 << 8) & at["above0"]) | at["dot0"] * dot
-    cell[:, 2] = ((w2 & at["below1"]) | (((w2 << 8) | (w1 >> 56)) & at["above1"])
-                  | at["dot1"] * dot)
-    cell[:, 3] = ((w2 >> 56) & at["above2"]) | at["dot2"] * dot | _BY_K["tail"][k]
+    # each word's masks by the point's place are looked up as the word is built
+    cell[:, 1] = ((w1 & _BY_P["below0"][point]) | ((w1 << 8) & _BY_P["above0"][point])
+                  | _BY_P["dot0"][point] * dot)
+    cell[:, 2] = ((w2 & _BY_P["below1"][point])
+                  | (((w2 << 8) | (w1 >> 56)) & _BY_P["above1"][point])
+                  | _BY_P["dot1"][point] * dot)
+    del w1
+    cell[:, 3] = (((w2 >> 56) & _BY_P["above2"][point]) | _BY_P["dot2"][point] * dot
+                  | _BY_K["tail"][k])
     cell = cell.view(np.uint8)[:, :WIDTH]
 
     other = np.flatnonzero(~fast)
@@ -168,22 +202,51 @@ def csv_chunks(header: str, columns, nrows: int):
 
     Each column is a length-nrows array, or a (values, rows) pair whose row r
     prints values[rows[r]], so that a repeated grid axis is formatted once.
+    The rows go out in blocks of BLOCK_ROWS, each block one chunk; with more
+    than one block, one helper thread formats the odd blocks (module
+    docstring). The helper is joined before the generator ends, whether it
+    is exhausted, closed or raises: close the generator when it is not
+    exhausted.
     """
     yield header.encode("ascii") + b"\n"
     tabled = {c: (g17_cells(col[0]), col[1]) for c, col in enumerate(columns)
               if isinstance(col, tuple)}
     plain = [c for c in range(len(columns)) if c not in tabled]
-    buf = np.zeros((min(BLOCK_ROWS, nrows), len(columns), WIDTH + 1), np.uint8)
-    buf[:, :, WIDTH] = ord(",")
-    buf[:, -1, WIDTH] = ord("\n")
-    vals = np.empty((len(buf), len(plain)))
-    for lo in range(0, nrows, BLOCK_ROWS):
+
+    starts = range(0, nrows, BLOCK_ROWS)
+    # even blocks are formatted in the first buffer, odd ones in the second: a
+    # fresh buffer per block faults its pages in afresh on the helper's heap
+    # (about 79k more minor faults per 449^2 bundle)
+    bufs = [np.empty((min(BLOCK_ROWS, nrows), len(columns), WIDTH + 1), np.uint8)
+            for _ in starts[:2]]
+    for buf in bufs:
+        buf[:, :, WIDTH] = ord(",")
+        buf[:, -1, WIDTH] = ord("\n")
+
+    def block(lo):
         rows = slice(lo, min(lo + BLOCK_ROWS, nrows))
-        out = buf[:rows.stop - lo]
+        out = bufs[lo // BLOCK_ROWS % 2][:rows.stop - lo]
         for c, (cells, index) in tabled.items():
             out[:, c, :WIDTH] = cells[index[rows]]
-        part = vals[:len(out)]
+        part = np.empty((len(out), len(plain)))
         for j, c in enumerate(plain):
             part[:, j] = columns[c][rows]
         out[:, plain, :WIDTH] = g17_cells(part).reshape(len(out), len(plain), WIDTH)
-        yield out.tobytes().translate(None, b"\0")
+        return out.tobytes().translate(None, b"\0")
+
+    if len(starts) < 2:
+        yield from map(block, starts)
+        return
+    # imported here, not at the top: it adds about 6 ms to every command's start-up
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1, thread_name_prefix="pmcsurf-csv") as helper:
+        odds = iter(starts[1::2])
+        future = helper.submit(block, next(odds))
+        for lo in starts[::2]:
+            yield block(lo)
+            if future is not None:
+                done = future.result()
+                odd = next(odds, None)
+                # the helper starts its next block before the caller's consumer takes this one
+                future = None if odd is None else helper.submit(block, odd)
+                yield done

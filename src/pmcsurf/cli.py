@@ -20,6 +20,7 @@ import shutil
 import sys
 import tempfile
 import warnings
+from contextlib import closing
 
 import numpy as np
 
@@ -338,13 +339,14 @@ def cmd_profile(args) -> int:
     pot = build_potential(prof, K0=args.K0, Kprime0=args.Kprime0)
     alphas = np.linspace(prof.alpha_range[0], prof.alpha_range[1], args.samples)
     av = prof.a(alphas)
-    table = csv_chunks("alpha,a_re,a_im,F,K",
-                       [alphas, av.real, av.imag, prof.F(alphas), pot.K(alphas)], args.samples)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.writelines(table)
-    else:
-        sys.stdout.writelines(chunk.decode("ascii") for chunk in table)
+    with closing(csv_chunks("alpha,a_re,a_im,F,K",
+                            [alphas, av.real, av.imag, prof.F(alphas), pot.K(alphas)],
+                            args.samples)) as table:
+        if args.out:
+            with open(args.out, "wb") as fh:
+                fh.writelines(table)
+        else:
+            sys.stdout.writelines(chunk.decode("ascii") for chunk in table)
     return 0
 
 

@@ -18,6 +18,7 @@ import os
 import sys
 import warnings
 import zipfile
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,8 +246,10 @@ def write_fields(fields: SurfaceFields, directory: str) -> str:
     # the uint8 mask indexes its 256 values; an integer prints the same under %.17g and %d
     cols.append((np.arange(256.0), fields.mask.reshape(-1)))
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for chunk in csv_chunks(",".join(CSV_COLUMNS), cols, x.size * y.size):
+    # closing: a failed write joins the writer's helper thread before raising
+    with open(path, "wb") as fh, closing(
+            csv_chunks(",".join(CSV_COLUMNS), cols, x.size * y.size)) as chunks:
+        for chunk in chunks:
             digest.update(chunk)
             fh.write(chunk)
     members = {"sha256": np.frombuffer(digest.digest(), np.uint8), "x": x, "y": y,

@@ -285,13 +285,19 @@ def test_invalid_ids_and_modes_rejected():
 
 # ---- order-0 evaluators ----
 
-@pytest.mark.parametrize("conjugate_pair", [True, False])
-def test_order_zero_values_match_the_cascade(conjugate_pair):
-    pt = random_points(200, seed=11, conjugate_pair=conjugate_pair)
+# b = 1 at MODEL hides a factor b that is multiplied where it should divide
+OFF_MODEL = ModelParams(rho=-1.5, b=0.5)
+
+
+@pytest.mark.parametrize("params,conjugate_pair",
+                         [(MODEL, True), (MODEL, False), (OFF_MODEL, True), (OFF_MODEL, False)],
+                         ids=["True", "False", "off-model-True", "off-model-False"])
+def test_order_zero_values_match_the_cascade(params, conjugate_pair):
+    pt = random_points(200, seed=11, params=params, conjugate_pair=conjugate_pair)
     cache = CoeffCache(pt)
-    np.testing.assert_allclose(t1_value(pt.alpha, pt.a, MODEL), cache.get(1).value(),
+    np.testing.assert_allclose(t1_value(pt.alpha, pt.a, params), cache.get(1).value(),
                                rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(t2_value(pt.alpha, pt.a, pt.abar, MODEL), cache.get(2).value(),
+    np.testing.assert_allclose(t2_value(pt.alpha, pt.a, pt.abar, params), cache.get(2).value(),
                                rtol=1e-12, atol=0.0)
 
 
@@ -320,7 +326,7 @@ def _arc_points(params: ModelParams, conjugate_pair: bool, n: int = 300, seed: i
     return EvalPoint(alpha, a, abar, params=params)
 
 
-@pytest.mark.parametrize("params", [MODEL, ModelParams(rho=-1.5, b=0.5)], ids=["model", "other"])
+@pytest.mark.parametrize("params", [MODEL, OFF_MODEL], ids=["model", "other"])
 @pytest.mark.parametrize("conjugate_pair", [True, False], ids=["pair", "off-pair"])
 def test_generated_cascade_matches_the_jet_cascade(params, conjugate_pair):
     pt = _arc_points(params, conjugate_pair)

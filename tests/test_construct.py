@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from pmcsurf.coeffs import phase_D
-from pmcsurf.construct import (cascade_mask, gauss_curvature, integrate_nu, omega_W,
-                               surface_columns)
+from pmcsurf import construct
+from pmcsurf.construct import (NU_PATH_FACTOR, NU_STRUCTURAL_FRACTION, cascade_mask,
+                               gauss_curvature, integrate_nu, omega_W, surface_columns)
 from pmcsurf.errors import ConfigError, RangeMismatch
 from pmcsurf.fields import (GAUSS_STEP, MAX_SIDE, Grid, HarmonicInput, MASK_DOMAIN, MASK_NUPATH,
                             MASK_SINGULAR, dz, dzbar, read_fields, write_fields, write_meta)
@@ -123,6 +124,42 @@ def test_phase_stage_returns_its_guard_events(generic_profile):
     assert info["nodes_violating"] > 0.5 * info["nodes_checkable"]
     assert np.isnan(nu[mask_out != 0]).all()
 
+
+def unclosed_phase(level: float):
+    """W, grid and a clean mask where the two integration paths of a 5 x 6
+    grid of spacing 1/4 disagree by about i 10^j tol / level at node (i, j),
+    i = 1..4, j = 1..5, and agree on the x = x0 and y = y0 edges: only the
+    x path sees Im W = q_j, and q_0 = 0. The 20 interior mismatches are distinct."""
+    grid = Grid(0.0, 1.0, 0.0, 1.25, 5, 6)
+    tol = NU_PATH_FACTOR * grid.h ** 2
+    q = 10.0 ** np.arange(grid.ny) * tol / (level * grid.hx)
+    q[0] = 0.0
+    W = np.broadcast_to(1j * q, (grid.nx, grid.ny)).copy()
+    return W, grid, np.zeros(W.shape, np.uint8)
+
+
+def test_a_path_mismatch_equal_to_the_tolerance_keeps_its_node(monkeypatch):
+    W, grid, mask = unclosed_phase(1e6)
+    worst = integrate_nu(W, grid, mask)[2]["max_path_mismatch"]
+    assert grid.h == 0.25            # so the tolerance factor h^2 is exact
+    for tol, flagged in ((worst, 0), (np.nextafter(worst, 0.0), 1)):
+        monkeypatch.setattr(construct, "NU_PATH_FACTOR", tol / grid.h ** 2)
+        nu, mask_out, info, event = integrate_nu(W, grid, mask)
+        assert info["path_tolerance"] == tol
+        assert info["nodes_violating"] == flagged
+        assert np.count_nonzero(mask_out & MASK_NUPATH) == flagged
+        assert bool(mask_out[-1, -1] & MASK_NUPATH) == bool(flagged)    # the worst node
+        assert np.isnan(nu[-1, -1]) == bool(flagged)
+
+
+@pytest.mark.parametrize("level,event", [(150.0, False), (70.0, True)],
+                         ids=["exactly-half", "one-over-half"])
+def test_path_inconsistency_needs_over_half_of_the_checkable_nodes(level, event):
+    W, grid, mask = unclosed_phase(level)
+    nu, mask_out, info, path = integrate_nu(W, grid, mask)
+    assert info["nodes_checkable"] == 30
+    assert info["nodes_violating"] == NU_STRUCTURAL_FRACTION * 30 + event
+    assert (path is not None) == event
 
 def test_field_bundle_round_trips_bitwise(generic_profile, tmp_path):
     f = build_generic(21, generic_profile).fields

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import shutil
+import threading
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pmcsurf._g17 import BLOCK_ROWS, g17_cells
+from pmcsurf._g17 import BLOCK_ROWS, csv_chunks, g17_cells
 from pmcsurf import fields as fields_module
 from pmcsurf.coeffs import ModelParams
 from pmcsurf.errors import ConfigError
@@ -116,16 +117,100 @@ def synthetic_fields(nx: int, ny: int, seed: int = 0) -> SurfaceFields:
     return f
 
 
-@pytest.mark.parametrize("nx,ny", [(5, 5), (7, 9), (2 * BLOCK_ROWS // 37 + 1, 37)],
-                         ids=["5x5", "7x9", "crosses-blocks"])
-def test_write_fields_matches_savetxt_bytes(nx, ny, tmp_path):
+@pytest.mark.parametrize("nx,ny,blocks", [
+    (5, 5, 1), (7, 9, 1),
+    (32, BLOCK_ROWS // 32, 1),                  # exactly one block: no helper thread
+    (64, 2 * BLOCK_ROWS // 64, 2),              # exactly two: the helper formats the last
+    (2 * BLOCK_ROWS // 37 + 1, 37, 3),          # an odd count, the last block short
+], ids=["5x5", "7x9", "one-block", "two-blocks", "crosses-blocks"])
+def test_write_fields_matches_savetxt_bytes(nx, ny, blocks, tmp_path):
     fields = synthetic_fields(nx, ny)
-    if nx * ny > BLOCK_ROWS:
+    assert -(-nx * ny // BLOCK_ROWS) == blocks
+    if blocks > 2:
         assert nx * ny % BLOCK_ROWS
     write_fields(fields, str(tmp_path / "new"))
     savetxt_reference(fields, tmp_path / "reference.csv")
     assert ((tmp_path / "new" / "fields.csv").read_bytes()
             == (tmp_path / "reference.csv").read_bytes())
+
+
+# ---- csv_chunks: the caller formats the even blocks, one helper thread the odd ones ----
+
+class ReadLog(np.ndarray):
+    """A column that logs the first row and thread of every block read from it,
+    and raises on a block that starts at row `poison`."""
+
+    def __getitem__(self, rows):
+        if isinstance(rows, slice):
+            self.reads.append((rows.start, threading.current_thread() is threading.main_thread()))
+            if rows.start == self.poison:
+                raise RuntimeError(f"poisoned block at row {rows.start}")
+        return super().__getitem__(rows)
+
+
+def logged_column(nrows: int, poison=None) -> ReadLog:
+    col = np.linspace(-1.0, 1.0, nrows).view(ReadLog)
+    col.reads, col.poison = [], poison
+    return col
+
+
+def reference_csv(columns) -> bytes:
+    rows = zip(*(c.tolist() for c in columns))
+    return b"h\n" + b"".join(b",".join(b"%.17g" % v for v in row) + b"\n" for row in rows)
+
+
+@pytest.mark.parametrize("nrows", [BLOCK_ROWS, 2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 5])
+def test_csv_chunks_give_even_blocks_to_the_caller_and_odd_ones_to_the_helper(nrows):
+    col = logged_column(nrows)
+    before = threading.active_count()
+    chunks = list(csv_chunks("h", [col, np.arange(nrows) * 0.1], nrows))
+    assert threading.active_count() == before
+    assert b"".join(chunks) == reference_csv([np.asarray(col), np.arange(nrows) * 0.1])
+    assert len(chunks) == 1 + -(-nrows // BLOCK_ROWS)
+    assert sorted(col.reads) == [(lo, lo // BLOCK_ROWS % 2 == 0)
+                                 for lo in range(0, nrows, BLOCK_ROWS)]
+
+
+def test_csv_chunks_raise_what_the_helper_raised():
+    nrows = 3 * BLOCK_ROWS
+    col = logged_column(nrows, poison=BLOCK_ROWS)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"poisoned block at row {BLOCK_ROWS}"):
+        list(csv_chunks("h", [col], nrows))
+    assert threading.active_count() == before
+    assert (BLOCK_ROWS, False) in col.reads
+
+
+def test_closing_csv_chunks_early_joins_the_helper():
+    nrows = 4 * BLOCK_ROWS
+    before = threading.active_count()
+    chunks = csv_chunks("h", [np.arange(nrows) * 0.5], nrows)
+    assert next(chunks) == b"h\n"
+    next(chunks)                              # block 0, with block 1 given to the helper
+    assert threading.active_count() == before + 1
+    chunks.close()
+    assert threading.active_count() == before
+
+
+def test_a_failed_write_leaves_no_writer_thread(monkeypatch, tmp_path):
+    class FailingDigest:
+        """sha256 whose second block fails, as a full disk fails a write."""
+        def __init__(self):
+            self.calls = 0
+
+        def update(self, chunk):
+            self.calls += 1
+            if self.calls == 3:
+                raise OSError(28, "No space left on device")
+
+    fields = synthetic_fields(64, 2 * BLOCK_ROWS // 64 + 1)
+    before = threading.active_count()
+    monkeypatch.setattr(fields_module.hashlib, "sha256", FailingDigest)
+    with pytest.raises(OSError, match="No space left") as failure:
+        write_fields(fields, str(tmp_path))
+    # checked while the traceback, and with it write_fields' frame, is still held
+    assert failure.tb is not None
+    assert threading.active_count() == before
 
 
 # ---- read_fields: blocks parsed into the bundle's own arrays ----
