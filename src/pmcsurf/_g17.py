@@ -35,11 +35,11 @@ import numpy as np
 # cell bytes: 0 sign, 1-5 "0.000" prefix, 7 the first digit, 8-24 the other
 # sixteen digits with the point among them, 25-28 "e-XX"
 WIDTH = 29
-# rows per block, each thread's unit of work. A block's temporaries must stay
-# small enough to reuse freed heap memory: at 3072 rows they reach fresh pages
-# (on the surfaces workload about 227k minor faults against 42k at 2048, and
-# three times the system time), and at 1024 rows the threads hand the lock
-# back and forth so often that the overlap gains nothing
+# rows per block, each thread's unit of work. On the surfaces workload 3072 and
+# 4096 rows ran within 4% of 2048 but raised peak RSS by 5.9% and 8.1% against
+# 3.7%; at 1024 rows the threads hand the interpreter lock back and forth so
+# often that two threads were 12% slower than one. (Before g17_cells dropped its
+# spent temporaries, 3072 rows reached fresh pages: 227k minor faults, not 42k.)
 BLOCK_ROWS = 2048
 
 _KLO, _NK = -11, 28                  # the exact window: k in [_KLO, _KLO + _NK)
