@@ -216,7 +216,6 @@ def csv_chunks(header: str, columns, nrows: int):
     starts = range(0, nrows, BLOCK_ROWS)
     # even blocks are formatted in the first buffer, odd ones in the second: a
     # fresh buffer per block faults its pages in afresh on the helper's heap
-    # (about 79k more minor faults per 449^2 bundle)
     bufs = [np.empty((min(BLOCK_ROWS, nrows), len(columns), WIDTH + 1), np.uint8)
             for _ in starts[:2]]
     for buf in bufs:
