@@ -22,17 +22,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pmcsurf.coeffs import ModelParams
 from pmcsurf.construct import construct_surface
-from pmcsurf.family4 import FamilyParams, family_potential, family_surface, valid_interval
+from pmcsurf.family4 import FamilyParams, default_window, family_potential, family_surface
 from pmcsurf.fields import Grid, HarmonicInput
 from pmcsurf.profile import build_potential, solve_profile
 from pmcsurf.verify import verify_suite
 
 
 def family_fields(n: int, c1: float, tilt: float):
-    lo, hi = valid_interval(c1)
-    span = hi - lo
-    harm = HarmonicInput.affine_window(lo + 0.08 * span, lo + 0.33 * span,
-                                       (0.0, 1.0, 0.0, 1.0), tilt=tilt)
+    harm = HarmonicInput.affine_window(*default_window(c1), (0.0, 1.0, 0.0, 1.0), tilt=tilt)
     grid = Grid(0.0, 1.0, 0.0, 1.0, n, n)
     return family_surface(harm, grid, FamilyParams(c1=c1)).fields
 

@@ -14,19 +14,19 @@ A cell is fixed-width and NUL-padded, and a NUL stands for "no character
 here": trailing zeros and an empty decimal point are zeroed where they sit,
 and a whole block of rows is compacted by one bytes.translate(None, b"\\0").
 
-csv_chunks formats a CSV of more than one block on two threads, the caller
+write_csv formats a CSV of more than one block on two threads, the caller
 and one helper. Counting blocks from 0, the caller formats the even ones and
 the helper the odd ones: each odd block goes to the helper before the caller
 formats the even block before it, and the helper starts its next block as it
-hands one back, while the caller's consumer hashes and writes that one. Each
-thread formats into a buffer of its own, and the blocks come out in order, so
-the bytes are those one thread prints. The numpy kernels release the
-interpreter lock, so the two threads overlap when a second core is free; the
-Python between kernels and bytes.translate hold it and run one at a time.
-One helper, not a pool: more formatters than cores convoy on the lock
-(D. Beazley, "Understanding the Python GIL", PyCon 2010), and each adds a
-malloc arena and its block temporaries to the peak memory. A CSV of one block
-starts no thread.
+hands one back, while the caller's write takes that one. Each thread formats
+into a buffer of its own, and the blocks go to write in order, so the bytes
+are those one thread prints; the helper is joined inside the one call. The
+numpy kernels release the interpreter lock, so the two threads overlap when
+a second core is free; the Python between kernels and bytes.translate hold
+it and run one at a time. One helper, not a pool: more formatters than cores
+convoy on the lock (D. Beazley, "Understanding the Python GIL", PyCon 2010),
+and each adds a malloc arena and its block temporaries to the peak memory. A
+CSV of one block starts no thread.
 """
 from __future__ import annotations
 
@@ -197,18 +197,16 @@ def g17_cells(values) -> np.ndarray:
     return cell
 
 
-def csv_chunks(header: str, columns, nrows: int):
-    """Yield a CSV as bytes: the header line, then nrows rows of '%.17g' cells.
+def write_csv(write, header: str, columns, nrows: int) -> None:
+    """Pass a CSV to write as bytes: the header line, then nrows rows of '%.17g' cells.
 
     Each column is a length-nrows array, or a (values, rows) pair whose row r
     prints values[rows[r]], so that a repeated grid axis is formatted once.
-    The rows go out in blocks of BLOCK_ROWS, each block one chunk; with more
+    The rows go to write in blocks of BLOCK_ROWS, one call each; with more
     than one block, one helper thread formats the odd blocks (module
-    docstring). The helper is joined before the generator ends, whether it
-    is exhausted, closed or raises: close the generator when it is not
-    exhausted.
+    docstring). The helper is joined before write_csv returns or raises.
     """
-    yield header.encode("ascii") + b"\n"
+    write(header.encode("ascii") + b"\n")
     tabled = {c: (g17_cells(col[0]), col[1]) for c, col in enumerate(columns)
               if isinstance(col, tuple)}
     plain = [c for c in range(len(columns)) if c not in tabled]
@@ -234,7 +232,8 @@ def csv_chunks(header: str, columns, nrows: int):
         return out.tobytes().translate(None, b"\0")
 
     if len(starts) < 2:
-        yield from map(block, starts)
+        for lo in starts:
+            write(block(lo))
         return
     # imported here, not at the top: it adds about 6 ms to every command's start-up
     from concurrent.futures import ThreadPoolExecutor
@@ -242,10 +241,10 @@ def csv_chunks(header: str, columns, nrows: int):
         odds = iter(starts[1::2])
         future = helper.submit(block, next(odds))
         for lo in starts[::2]:
-            yield block(lo)
+            write(block(lo))
             if future is not None:
                 done = future.result()
                 odd = next(odds, None)
-                # the helper starts its next block before the caller's consumer takes this one
+                # the helper starts its next block before write takes this one
                 future = None if odd is None else helper.submit(block, odd)
-                yield done
+                write(done)

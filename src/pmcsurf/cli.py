@@ -20,13 +20,12 @@ import shutil
 import sys
 import tempfile
 import warnings
-from contextlib import closing
 
 import numpy as np
 
 from . import construct as _construct
 from . import family4, verify as _verify
-from ._g17 import csv_chunks
+from ._g17 import write_csv
 from .coeffs import T9_READINGS, CoeffCache, EvalPoint, ModelParams
 from .errors import EXIT_GUARD, EXIT_STDOUT_CLOSED, ConfigError, GuardError, PmcError
 from .fields import (BUNDLE_FILES, Grid, HarmonicInput, dump_json, read_fields, read_json,
@@ -222,10 +221,11 @@ def _check_replaceable(out: str) -> None:
         return
     if os.path.islink(out) or not os.path.isdir(out):
         raise ConfigError(f"{out} exists and is not a bundle directory")
-    for entry in os.scandir(out):
-        if entry.name not in BUNDLE_FILES or not entry.is_file(follow_symlinks=False):
-            raise ConfigError(f"{entry.path} is not a file of a field bundle, "
-                              f"so {out} is not replaced")
+    with os.scandir(out) as entries:
+        for entry in entries:
+            if entry.name not in BUNDLE_FILES or not entry.is_file(follow_symlinks=False):
+                raise ConfigError(f"{entry.path} is not a file of a field bundle, "
+                                  f"so {out} is not replaced")
 
 
 # ---- subcommands ----
@@ -287,7 +287,7 @@ def cmd_verify(args) -> int:
 def cmd_family(args) -> int:
     params = family4.FamilyParams(c1=args.c1, c2=args.c2)
     lo, hi = family4.valid_interval(args.c1)
-    window = args.window or _default_family_window(args.c1)
+    window = args.window or family4.default_window(args.c1)
     if not (lo < window[0] < window[1] < hi):
         raise ConfigError(f"window must sit strictly inside the arc ({lo:.6g}, {hi:.6g})")
     rect = tuple(args.rect)
@@ -319,12 +319,6 @@ def cmd_family(args) -> int:
     return 0
 
 
-def _default_family_window(c1: float) -> tuple:
-    lo, hi = family4.valid_interval(c1)
-    length = hi - lo
-    return (lo + 0.08 * length, lo + 0.33 * length)
-
-
 MAX_SAMPLES = 1_000_000   # profile table rows; the table and its evaluation stay near 100 MB
 
 
@@ -339,14 +333,13 @@ def cmd_profile(args) -> int:
     pot = build_potential(prof, K0=args.K0, Kprime0=args.Kprime0)
     alphas = np.linspace(prof.alpha_range[0], prof.alpha_range[1], args.samples)
     av = prof.a(alphas)
-    with closing(csv_chunks("alpha,a_re,a_im,F,K",
-                            [alphas, av.real, av.imag, prof.F(alphas), pot.K(alphas)],
-                            args.samples)) as table:
-        if args.out:
-            with open(args.out, "wb") as fh:
-                fh.writelines(table)
-        else:
-            sys.stdout.writelines(chunk.decode("ascii") for chunk in table)
+    table = ("alpha,a_re,a_im,F,K", [alphas, av.real, av.imag, prof.F(alphas), pot.K(alphas)],
+             args.samples)
+    if args.out:
+        with open(args.out, "wb") as fh:
+            write_csv(fh.write, *table)
+    else:
+        write_csv(lambda chunk: sys.stdout.write(chunk.decode("ascii")), *table)
     return 0
 
 

@@ -63,6 +63,12 @@ def valid_interval(c1: float) -> tuple[float, float]:
     return (float(np.arcsin(np.sqrt(8.0 / 9.0))), float(np.pi / 2.0))
 
 
+def default_window(c1: float) -> tuple[float, float]:
+    """The t-window family's input spans unless given one: 0.08-0.33 of the arc."""
+    lo, hi = valid_interval(c1)
+    return tuple(lo + f * (hi - lo) for f in (0.08, 0.33))
+
+
 def _radicand(s2, c1):
     return 2.0 * (8.0 - 9.0 * s2) * (-1.0 + c1 * s2)
 

@@ -18,17 +18,16 @@ import os
 import sys
 import warnings
 import zipfile
-from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._g17 import csv_chunks
+from ._g17 import write_csv
 from .coeffs import ModelParams
 from .errors import ConfigError
 
-# the fields.csv columns of each SurfaceFields array, in file order: a complex
-# array is a real and an imaginary column
+# the fields.csv columns of each SurfaceFields array between y and mask, in file
+# order: a complex array is a real and an imaginary column (field_columns)
 FIELD_COLUMNS = {"alpha": ("alpha",), "a": ("a_re", "a_im"), "lam": ("lambda_re", "lambda_im"),
                  "nu": ("nu",), "c": ("c_re", "c_im"), "K_formula": ("K_formula",),
                  "K_metric": ("K_metric",)}
@@ -47,9 +46,8 @@ GAUSS_STEP = 3      # Laplacian stencil spacing in nodes; see construct.gauss_cu
 # fields.npz, the binary twin of fields.csv: one 1-D little-endian array per
 # member, the fields with one entry per CSV row
 TWIN_NAME = "fields.npz"
-_TWIN_FIELDS = {"alpha": np.dtype("<f8"), "a": np.dtype("<c16"), "lam": np.dtype("<c16"),
-                "nu": np.dtype("<f8"), "c": np.dtype("<c16"), "K_formula": np.dtype("<f8"),
-                "K_metric": np.dtype("<f8"), "mask": np.dtype("u1")}
+_TWIN_FIELDS = {**{name: np.dtype("<c16" if len(columns) == 2 else "<f8")
+                   for name, columns in FIELD_COLUMNS.items()}, "mask": np.dtype("u1")}
 _TWIN_MEMBERS = {"sha256": np.dtype("u1"), "x": np.dtype("<f8"), "y": np.dtype("<f8"),
                  **_TWIN_FIELDS}
 BUNDLE_FILES = ("meta.json", "fields.csv", TWIN_NAME)   # what write_meta and write_fields write
@@ -215,6 +213,17 @@ class SurfaceFields:
     meta: dict = field(default_factory=dict)
 
 
+def field_columns(arrays):
+    """(field, column, flat view) of each fields.csv column between y and mask,
+    in file order, over arrays keyed by field name (vars of a SurfaceFields
+    will do): a complex field gives its real and then its imaginary part."""
+    for name, columns in FIELD_COLUMNS.items():
+        values = arrays[name]
+        parts = (values.real, values.imag) if len(columns) == 2 else (values,)
+        # reshape, not ravel: the real and imaginary parts stay views
+        yield from ((name, column, part.reshape(-1)) for column, part in zip(columns, parts))
+
+
 def _as_parsed(flat: np.ndarray) -> np.ndarray:
     """flat as the CSV parse returns it: the writer prints every NaN as "nan",
     which np.loadtxt reads as np.nan, so every NaN part becomes np.nan;
@@ -239,19 +248,15 @@ def write_fields(fields: SurfaceFields, directory: str) -> str:
     path = os.path.join(directory, "fields.csv")
     x, y = fields.grid.axes()
     ix, iy = np.divmod(np.arange(x.size * y.size), y.size)
-    # reshape, not ravel: the real and imaginary parts stay views
-    cols = [(x, ix), (y, iy)] + [f.reshape(-1) for f in (
-        fields.alpha, fields.a.real, fields.a.imag, fields.lam.real, fields.lam.imag,
-        fields.nu, fields.c.real, fields.c.imag, fields.K_formula, fields.K_metric)]
+    cols = [(x, ix), (y, iy)] + [part for _, _, part in field_columns(vars(fields))]
     # the uint8 mask indexes its 256 values; an integer prints the same under %.17g and %d
     cols.append((np.arange(256.0), fields.mask.reshape(-1)))
     digest = hashlib.sha256()
-    # closing: a failed write joins the writer's helper thread before raising
-    with open(path, "wb") as fh, closing(
-            csv_chunks(",".join(CSV_COLUMNS), cols, x.size * y.size)) as chunks:
-        for chunk in chunks:
+    with open(path, "wb") as fh:
+        def write(chunk):
             digest.update(chunk)
             fh.write(chunk)
+        write_csv(write, ",".join(CSV_COLUMNS), cols, x.size * y.size)
     members = {"sha256": np.frombuffer(digest.digest(), np.uint8), "x": x, "y": y,
                **{name: getattr(fields, name) for name in _TWIN_FIELDS}}
     # ZipFile.open stamps a member with a fixed 1980 date, so equal fields
@@ -344,9 +349,7 @@ def _parse_csv(csv_path: str):
                 raise ConfigError("fields.csv holds no rows")
             out = {name: np.empty(n, dtype) for name, dtype in _TWIN_FIELDS.items()}
             # the destination of each CSV column after x and y
-            into = (out["alpha"], out["a"].real, out["a"].imag, out["lam"].real,
-                    out["lam"].imag, out["nu"], out["c"].real, out["c"].imag,
-                    out["K_formula"], out["K_metric"], out["mask"])
+            into = [part for _, _, part in field_columns(out)] + [out["mask"]]
             for r0 in range(0, n, _READ_BLOCK):
                 rows = min(_READ_BLOCK, n - r0)
                 # comments=None: a '#' line is an error
@@ -356,12 +359,12 @@ def _parse_csv(csv_path: str):
                                       f"got {block.shape[1]}")
                 if block.shape[0] != rows:
                     raise ConfigError("fields.csv changed while it was read")
+                xs, ys, *cells = block.T
                 # checked before the cast to uint8, which would wrap 257 to 1
-                if not np.isin(block[:, 12], range(_MASK_MAX + 1)).all():
+                if not np.isin(cells[-1], range(_MASK_MAX + 1)).all():
                     raise ConfigError(_MASK_MESSAGE)
-                for k, dst in enumerate(into, start=2):
-                    dst[r0:r0 + rows] = block[:, k]
-                xs, ys = block[:, 0], block[:, 1]
+                for dst, cell in zip(into, cells):
+                    dst[r0:r0 + rows] = cell
                 if r0 == 0:   # rows are x-major: the leading run of constant x is the y axis
                     if not math.isfinite(xs[0]):
                         raise ConfigError("grid axes are not uniformly increasing")
@@ -379,7 +382,7 @@ def _parse_csv(csv_path: str):
                 if off.any():
                     raise ConfigError(f"fields.csv data row {r0 + int(np.argmax(off)) + 1} "
                                       "is not at the grid node its position names")
-                del block, xs, ys   # free this block before the next one is parsed
+                del block, xs, ys, cells, cell   # free this block before the next one is parsed
     except ValueError as exc:
         raise ConfigError(f"fields.csv is malformed: {exc}") from None
     return x_ax, y_ax, out

@@ -26,8 +26,8 @@ import numpy as np
 from ._cascade_gen import NC, NF, T_IDS, cascade_values
 from .coeffs import T9_READINGS, CoeffCache, EvalPoint, cascade_ok, phase_D, phase_E, phase_W
 from .errors import ConfigError, ZeroDenominator
-from .fields import (FIELD_COLUMNS, MASK_DOMAIN, MASK_SINGULAR, MASK_NUPATH, SurfaceFields, dz,
-                     dzbar, dzdzbar, gauss_frame)
+from .fields import (MASK_DOMAIN, MASK_SINGULAR, MASK_NUPATH, SurfaceFields, dz, dzbar,
+                     dzdzbar, field_columns, gauss_frame)
 from .profile import F_eval
 
 MARGIN = 2           # frame nodes excluded from every statistic
@@ -54,15 +54,12 @@ def _check_finite(fields: SurfaceFields) -> None:
     off_frame[m:-m, m:-m] = True
     clean = fields.mask == 0
     needed = {"nu": clean, "c": clean, "K_metric": off_frame}
-    for name, columns in FIELD_COLUMNS.items():
-        values = getattr(fields, name)
-        for column, part in zip(columns, (values.real, values.imag)):
-            bad = ~np.isfinite(part)
-            if name in needed:
-                bad &= needed[name]
-            if bad.any():
-                at, node = fields.grid.first_node(bad)
-                raise ConfigError(f"column {column} holds {float(part[at])!r} at {node}")
+    for name, column, part in field_columns(vars(fields)):
+        part = part.reshape(fields.mask.shape)
+        bad = ~np.isfinite(part) & needed.get(name, True)
+        if bad.any():
+            at, node = fields.grid.first_node(bad)
+            raise ConfigError(f"column {column} holds {float(part[at])!r} at {node}")
 
 
 def _arena(nodes: int) -> tuple:

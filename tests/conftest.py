@@ -15,7 +15,7 @@ from hypothesis import settings
 
 from pmcsurf.coeffs import EvalPoint, ModelParams
 from pmcsurf.construct import construct_surface
-from pmcsurf.family4 import FamilyParams, family_amplitude, family_surface, valid_interval
+from pmcsurf.family4 import FamilyParams, default_window, family_amplitude, family_surface
 from pmcsurf.fields import Grid, HarmonicInput
 from pmcsurf.profile import build_potential, solve_profile
 
@@ -83,12 +83,8 @@ def richardson_fd(f, x0: float, h: float = 1e-4):
     return (4.0 * d2 - d1) / 3.0
 
 
-def family_harmonic(c1: float = 2.0, tilt: float = 0.5,
-                    frac: tuple[float, float] = (0.08, 0.33)) -> HarmonicInput:
-    lo, hi = valid_interval(c1)
-    span = hi - lo
-    return HarmonicInput.affine_window(lo + frac[0] * span, lo + frac[1] * span,
-                                       (0.0, 1.0, 0.0, 1.0), tilt=tilt)
+def family_harmonic(c1: float = 2.0, tilt: float = 0.5) -> HarmonicInput:
+    return HarmonicInput.affine_window(*default_window(c1), (0.0, 1.0, 0.0, 1.0), tilt=tilt)
 
 
 def build_family(n: int, c1: float = 2.0, c2: float = 0.0, tilt: float = 0.5):

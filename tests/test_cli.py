@@ -474,7 +474,10 @@ def test_a_family_run_and_its_verify_never_import_scipy(tmp_path):
     # it used to be reported as a ConfigError with exit 3
     ["profile", "--rho", "-3", "--alpha0", "0.6", "--a0", "0.3+0.4i", "--range", "0.4", "1.2",
      "--samples", "2000"],
-], ids=["verify", "profile"])
+    # five blocks: the failed write of block 0 meets the helper formatting block 1
+    ["profile", "--rho", "-3", "--alpha0", "0.6", "--a0", "0.3+0.4i", "--range", "0.4", "1.2",
+     "--samples", "9000"],
+], ids=["verify", "profile", "profile-five-blocks"])
 def test_closed_stdout_exits_141_without_a_traceback(argv, family_bundle):
     # the reader of `pmcsurf verify DIR | head -1` closes the pipe after one line;
     # here it is closed before the first, so every write finds it closed

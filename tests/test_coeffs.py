@@ -17,7 +17,7 @@ from pmcsurf.coeffs import (CoeffCache, EvalPoint, ModelParams, check_guards,
                             eval_t, phase_quadratic_roots, t1_value, t2_value,
                             t4_skew_residual, t11_roots)
 from pmcsurf.errors import ConfigError, SingularPoint, UnresolvedFormula, ZeroDenominator
-from pmcsurf.family4 import family_amplitude, valid_interval
+from pmcsurf.family4 import default_window, family_amplitude
 from pmcsurf.jets import Jet, jcos, jcot, jsin
 
 from conftest import MODEL, random_points, richardson_fd
@@ -305,7 +305,7 @@ def test_order_zero_values_match_the_cascade(params, conjugate_pair):
 
 def _arc_points(params: ModelParams, conjugate_pair: bool, n: int = 300, seed: int = 0):
     """Points on the family amplitude arcs of c1 = 2, 3 and -1, over the window
-    (0.08-0.33 of each arc) that family surfaces use.
+    (family4.default_window) that family surfaces use.
 
     t10 and t9 "alternate" are long sums that cancel: at generic points both
     the jets and the generated code lose digits alike (up to ~2e-8 relative,
@@ -315,8 +315,7 @@ def _arc_points(params: ModelParams, conjugate_pair: bool, n: int = 300, seed: i
     rng = np.random.default_rng(seed)
     alpha, a = [], []
     for c1 in (2.0, 3.0, -1.0):
-        lo, hi = valid_interval(c1)
-        t = rng.uniform(lo + 0.08 * (hi - lo), lo + 0.33 * (hi - lo), n)
+        t = rng.uniform(*default_window(c1), n)
         alpha.append(t)
         a.append(family_amplitude(t, c1))
     alpha, a = np.concatenate(alpha), np.concatenate(a)

@@ -3,6 +3,7 @@ conversion, write_fields against np.savetxt, byte for byte, and read_fields
 against the written bits."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import shutil
@@ -16,12 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pmcsurf._g17 import BLOCK_ROWS, csv_chunks, g17_cells
+from pmcsurf._g17 import BLOCK_ROWS, g17_cells, write_csv
 from pmcsurf import fields as fields_module
 from pmcsurf.coeffs import ModelParams
 from pmcsurf.errors import ConfigError
-from pmcsurf.fields import (_READ_BLOCK as READ_BLOCK, CSV_COLUMNS, MASK_DOMAIN, TWIN_NAME,
-                            Grid, SurfaceFields, read_fields, write_fields, write_meta)
+from pmcsurf.fields import (_READ_BLOCK as READ_BLOCK, CSV_COLUMNS, FIELD_COLUMNS, MASK_DOMAIN,
+                            TWIN_NAME, Grid, SurfaceFields, read_fields, write_fields, write_meta)
 
 
 def printed(values) -> list[bytes]:
@@ -134,7 +135,7 @@ def test_write_fields_matches_savetxt_bytes(nx, ny, blocks, tmp_path):
             == (tmp_path / "reference.csv").read_bytes())
 
 
-# ---- csv_chunks: the caller formats the even blocks, one helper thread the odd ones ----
+# ---- write_csv: the caller formats the even blocks, one helper thread the odd ones ----
 
 class ReadLog(np.ndarray):
     """A column that logs the first row and thread of every block read from it,
@@ -160,10 +161,11 @@ def reference_csv(columns) -> bytes:
 
 
 @pytest.mark.parametrize("nrows", [BLOCK_ROWS, 2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 5])
-def test_csv_chunks_give_even_blocks_to_the_caller_and_odd_ones_to_the_helper(nrows):
+def test_write_csv_gives_even_blocks_to_the_caller_and_odd_ones_to_the_helper(nrows):
     col = logged_column(nrows)
     before = threading.active_count()
-    chunks = list(csv_chunks("h", [col, np.arange(nrows) * 0.1], nrows))
+    chunks = []
+    write_csv(chunks.append, "h", [col, np.arange(nrows) * 0.1], nrows)
     assert threading.active_count() == before
     assert b"".join(chunks) == reference_csv([np.asarray(col), np.arange(nrows) * 0.1])
     assert len(chunks) == 1 + -(-nrows // BLOCK_ROWS)
@@ -171,24 +173,27 @@ def test_csv_chunks_give_even_blocks_to_the_caller_and_odd_ones_to_the_helper(nr
                                  for lo in range(0, nrows, BLOCK_ROWS)]
 
 
-def test_csv_chunks_raise_what_the_helper_raised():
+def test_write_csv_raises_what_the_helper_raised():
     nrows = 3 * BLOCK_ROWS
     col = logged_column(nrows, poison=BLOCK_ROWS)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"poisoned block at row {BLOCK_ROWS}"):
-        list(csv_chunks("h", [col], nrows))
+        write_csv(lambda chunk: None, "h", [col], nrows)
     assert threading.active_count() == before
     assert (BLOCK_ROWS, False) in col.reads
 
 
-def test_closing_csv_chunks_early_joins_the_helper():
+def test_write_csv_joins_the_helper_when_write_raises():
     nrows = 4 * BLOCK_ROWS
     before = threading.active_count()
-    chunks = csv_chunks("h", [np.arange(nrows) * 0.5], nrows)
-    assert next(chunks) == b"h\n"
-    next(chunks)                              # block 0, with block 1 given to the helper
-    assert threading.active_count() == before + 1
-    chunks.close()
+
+    def write(chunk):
+        if chunk != b"h\n":   # block 0, while the helper formats block 1
+            assert threading.active_count() == before + 1
+            raise OSError(32, "Broken pipe")
+
+    with pytest.raises(OSError, match="Broken pipe"):
+        write_csv(write, "h", [np.arange(nrows) * 0.5], nrows)
     assert threading.active_count() == before
 
 
@@ -216,6 +221,13 @@ def test_a_failed_write_leaves_no_writer_thread(monkeypatch, tmp_path):
 # ---- read_fields: blocks parsed into the bundle's own arrays ----
 
 FIELD_NAMES = ("alpha", "a", "lam", "nu", "c", "K_formula", "K_metric", "mask")
+
+
+def test_the_column_table_names_every_array_field_of_the_bundle():
+    # the CSV, the twin and the verifier's finiteness check all walk FIELD_COLUMNS
+    arrays = [f.name for f in dataclasses.fields(SurfaceFields)
+              if f.type in ("np.ndarray", np.ndarray)]
+    assert [*FIELD_COLUMNS, "mask"] == arrays
 
 
 def same_bits(x, y) -> bool:
