@@ -13,20 +13,6 @@ goes through b"%.17g" % v one at a time. Every cell holds exactly the bytes
 A cell is fixed-width and NUL-padded, and a NUL stands for "no character
 here": trailing zeros and an empty decimal point are zeroed where they sit,
 and a whole block of rows is compacted by one bytes.translate(None, b"\\0").
-
-write_csv formats a CSV of more than one block on two threads, the caller
-and one helper. Counting blocks from 0, the caller formats the even ones and
-the helper the odd ones: each odd block goes to the helper before the caller
-formats the even block before it, and the helper starts its next block as it
-hands one back, while the caller's write takes that one. Each thread formats
-into a buffer of its own, and the blocks go to write in order, so the bytes
-are those one thread prints; the helper is joined inside the one call. The
-numpy kernels release the interpreter lock, so the two threads overlap when
-a second core is free; the Python between kernels and bytes.translate hold
-it and run one at a time. One helper, not a pool: more formatters than cores
-convoy on the lock (D. Beazley, "Understanding the Python GIL", PyCon 2010),
-and each adds a malloc arena and its block temporaries to the peak memory. A
-CSV of one block starts no thread.
 """
 from __future__ import annotations
 
@@ -35,11 +21,10 @@ import numpy as np
 # cell bytes: 0 sign, 1-5 "0.000" prefix, 7 the first digit, 8-24 the other
 # sixteen digits with the point among them, 25-28 "e-XX"
 WIDTH = 29
-# rows per block, each thread's unit of work. On the surfaces workload 3072 and
-# 4096 rows ran within 4% of 2048 but raised peak RSS by 5.9% and 8.1% against
-# 3.7%; at 1024 rows the threads hand the interpreter lock back and forth so
-# often that two threads were 12% slower than one. (Before g17_cells dropped its
-# spent temporaries, 3072 rows reached fresh pages: 227k minor faults, not 42k.)
+# rows per block. write_fields of a 449^2 bundle, one fresh process per run
+# (2 vCPU, 12 runs each, same bytes): 2048 rows took 0.315 s (IQR 0.309-0.330)
+# and raised peak RSS 5.9 MiB over the read bundle with 1.9k minor faults; 4096
+# rows took 0.449 s (0.435-0.468) and raised it 9.0 MiB with 84k minor faults.
 BLOCK_ROWS = 2048
 
 _KLO, _NK = -11, 28                  # the exact window: k in [_KLO, _KLO + _NK)
@@ -125,8 +110,8 @@ def g17_cells(values) -> np.ndarray:
     """(n, WIDTH) uint8 cells: row i is b"%.17g" % values[i], NUL-padded.
 
     Each temporary is dropped once spent (here and in _scaled), so a call
-    peaks at about 113 bytes per value, not 283: a 2048-row block of the
-    writer on each of its two threads then reuses freed heap memory.
+    peaks at about 113 bytes per value, not 283, and each block of the
+    writer reuses the heap memory the block before it freed.
     """
     v = np.ascontiguousarray(values, dtype=np.float64).ravel()
     bits = v.view(np.uint64)
@@ -202,27 +187,22 @@ def write_csv(write, header: str, columns, nrows: int) -> None:
 
     Each column is a length-nrows array, or a (values, rows) pair whose row r
     prints values[rows[r]], so that a repeated grid axis is formatted once.
-    The rows go to write in blocks of BLOCK_ROWS, one call each; with more
-    than one block, one helper thread formats the odd blocks (module
-    docstring). The helper is joined before write_csv returns or raises.
+    The rows go to write in blocks of BLOCK_ROWS, one call each, every block
+    formatted on the calling thread into one reused buffer.
     """
     write(header.encode("ascii") + b"\n")
     tabled = {c: (g17_cells(col[0]), col[1]) for c, col in enumerate(columns)
               if isinstance(col, tuple)}
     plain = [c for c in range(len(columns)) if c not in tabled]
 
-    starts = range(0, nrows, BLOCK_ROWS)
-    # even blocks are formatted in the first buffer, odd ones in the second: a
-    # fresh buffer per block faults its pages in afresh on the helper's heap
-    bufs = [np.empty((min(BLOCK_ROWS, nrows), len(columns), WIDTH + 1), np.uint8)
-            for _ in starts[:2]]
-    for buf in bufs:
-        buf[:, :, WIDTH] = ord(",")
-        buf[:, -1, WIDTH] = ord("\n")
+    # one buffer for every block: a fresh one per block faults its pages in afresh
+    buf = np.empty((min(BLOCK_ROWS, nrows), len(columns), WIDTH + 1), np.uint8)
+    buf[:, :, WIDTH] = ord(",")
+    buf[:, -1, WIDTH] = ord("\n")
 
     def block(lo):
         rows = slice(lo, min(lo + BLOCK_ROWS, nrows))
-        out = bufs[lo // BLOCK_ROWS % 2][:rows.stop - lo]
+        out = buf[:rows.stop - lo]
         for c, (cells, index) in tabled.items():
             out[:, c, :WIDTH] = cells[index[rows]]
         part = np.empty((len(out), len(plain)))
@@ -231,20 +211,5 @@ def write_csv(write, header: str, columns, nrows: int) -> None:
         out[:, plain, :WIDTH] = g17_cells(part).reshape(len(out), len(plain), WIDTH)
         return out.tobytes().translate(None, b"\0")
 
-    if len(starts) < 2:
-        for lo in starts:
-            write(block(lo))
-        return
-    # imported here, not at the top: it adds about 6 ms to every command's start-up
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(1, thread_name_prefix="pmcsurf-csv") as helper:
-        odds = iter(starts[1::2])
-        future = helper.submit(block, next(odds))
-        for lo in starts[::2]:
-            write(block(lo))
-            if future is not None:
-                done = future.result()
-                odd = next(odds, None)
-                # the helper starts its next block before write takes this one
-                future = None if odd is None else helper.submit(block, odd)
-                write(done)
+    for lo in range(0, nrows, BLOCK_ROWS):
+        write(block(lo))

@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from . import construct as _construct
-from . import family4, verify as _verify
+from . import family4
 from ._g17 import write_csv
 from .coeffs import T9_READINGS, CoeffCache, EvalPoint, ModelParams
 from .errors import EXIT_GUARD, EXIT_STDOUT_CLOSED, ConfigError, GuardError, PmcError

@@ -120,8 +120,8 @@ def synthetic_fields(nx: int, ny: int, seed: int = 0) -> SurfaceFields:
 
 @pytest.mark.parametrize("nx,ny,blocks", [
     (5, 5, 1), (7, 9, 1),
-    (32, BLOCK_ROWS // 32, 1),                  # exactly one block: no helper thread
-    (64, 2 * BLOCK_ROWS // 64, 2),              # exactly two: the helper formats the last
+    (32, BLOCK_ROWS // 32, 1),                  # exactly one block
+    (64, 2 * BLOCK_ROWS // 64, 2),              # exactly two
     (2 * BLOCK_ROWS // 37 + 1, 37, 3),          # an odd count, the last block short
 ], ids=["5x5", "7x9", "one-block", "two-blocks", "crosses-blocks"])
 def test_write_fields_matches_savetxt_bytes(nx, ny, blocks, tmp_path):
@@ -135,7 +135,7 @@ def test_write_fields_matches_savetxt_bytes(nx, ny, blocks, tmp_path):
             == (tmp_path / "reference.csv").read_bytes())
 
 
-# ---- write_csv: the caller formats the even blocks, one helper thread the odd ones ----
+# ---- write_csv: every block formatted on the calling thread, in order ----
 
 class ReadLog(np.ndarray):
     """A column that logs the first row and thread of every block read from it,
@@ -160,41 +160,48 @@ def reference_csv(columns) -> bytes:
     return b"h\n" + b"".join(b",".join(b"%.17g" % v for v in row) + b"\n" for row in rows)
 
 
-@pytest.mark.parametrize("nrows", [BLOCK_ROWS, 2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 5])
-def test_write_csv_gives_even_blocks_to_the_caller_and_odd_ones_to_the_helper(nrows):
+NROWS = [BLOCK_ROWS, 2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 5]
+
+
+@pytest.mark.parametrize("nrows", NROWS)
+def test_write_csv_formats_every_block_on_the_calling_thread(nrows):
     col = logged_column(nrows)
     before = threading.active_count()
-    chunks = []
-    write_csv(chunks.append, "h", [col, np.arange(nrows) * 0.1], nrows)
-    assert threading.active_count() == before
-    assert b"".join(chunks) == reference_csv([np.asarray(col), np.arange(nrows) * 0.1])
-    assert len(chunks) == 1 + -(-nrows // BLOCK_ROWS)
-    assert sorted(col.reads) == [(lo, lo // BLOCK_ROWS % 2 == 0)
-                                 for lo in range(0, nrows, BLOCK_ROWS)]
-
-
-def test_write_csv_raises_what_the_helper_raised():
-    nrows = 3 * BLOCK_ROWS
-    col = logged_column(nrows, poison=BLOCK_ROWS)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"poisoned block at row {BLOCK_ROWS}"):
-        write_csv(lambda chunk: None, "h", [col], nrows)
-    assert threading.active_count() == before
-    assert (BLOCK_ROWS, False) in col.reads
-
-
-def test_write_csv_joins_the_helper_when_write_raises():
-    nrows = 4 * BLOCK_ROWS
-    before = threading.active_count()
+    chunks, counts = [], []
 
     def write(chunk):
-        if chunk != b"h\n":   # block 0, while the helper formats block 1
-            assert threading.active_count() == before + 1
+        counts.append(threading.active_count())
+        chunks.append(chunk)
+
+    write_csv(write, "h", [col, np.arange(nrows) * 0.1], nrows)
+    assert counts == [before] * len(chunks)
+    assert b"".join(chunks) == reference_csv([np.asarray(col), np.arange(nrows) * 0.1])
+    assert len(chunks) == 1 + -(-nrows // BLOCK_ROWS)
+    assert col.reads == [(lo, True) for lo in range(0, nrows, BLOCK_ROWS)]
+
+
+@pytest.mark.parametrize("nrows", NROWS)
+def test_a_column_that_raises_leaves_only_the_blocks_before_it(nrows):
+    for k in range(-(-nrows // BLOCK_ROWS)):
+        col = logged_column(nrows, poison=k * BLOCK_ROWS)
+        chunks = []
+        with pytest.raises(RuntimeError, match=f"poisoned block at row {k * BLOCK_ROWS}"):
+            write_csv(chunks.append, "h", [col], nrows)
+        assert len(chunks) == 1 + k
+        assert b"".join(chunks) == reference_csv([np.asarray(col)[:k * BLOCK_ROWS]])
+
+
+@pytest.mark.parametrize("nrows", NROWS)
+def test_a_write_that_raises_on_block_0_reads_no_later_block(nrows):
+    col = logged_column(nrows)
+
+    def write(chunk):
+        if chunk != b"h\n":
             raise OSError(32, "Broken pipe")
 
     with pytest.raises(OSError, match="Broken pipe"):
-        write_csv(write, "h", [np.arange(nrows) * 0.5], nrows)
-    assert threading.active_count() == before
+        write_csv(write, "h", [col], nrows)
+    assert col.reads == [(0, True)]
 
 
 def test_a_failed_write_leaves_no_writer_thread(monkeypatch, tmp_path):

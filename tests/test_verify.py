@@ -11,9 +11,11 @@ import pytest
 
 from pmcsurf import verify
 from pmcsurf.coeffs import T9_READINGS, ModelParams, cascade_ok
+from pmcsurf.construct import construct_surface
 from pmcsurf.errors import ConfigError
-from pmcsurf.fields import (GAUSS_STEP, Grid, MASK_DOMAIN, MASK_NUPATH, MASK_SINGULAR, dz, dzbar,
-                            dzdzbar, gauss_frame, laplacian)
+from pmcsurf.fields import (GAUSS_STEP, Grid, HarmonicInput, MASK_DOMAIN, MASK_NUPATH,
+                            MASK_SINGULAR, dz, dzbar, dzdzbar, gauss_frame, laplacian)
+from pmcsurf.profile import build_potential, solve_profile
 from pmcsurf.verify import (EQUATIONS, MARGIN, TASKS, Thresholds, _max_stat, default_workers,
                             verify_suite)
 
@@ -111,6 +113,33 @@ def test_locus_pair_passes_every_gated_equation(locus_pair):
             assert r.passed is None
     variants = [r.variant for r in rep.rows if r.equation == "E2_13"]
     assert sorted(variants) == ["alternate", "as_printed"]
+
+
+def test_an_off_locus_pair_off_the_model_point_fails_only_its_locus_rows():
+    # every other surface of the suite has rho = -3 and b = 1, where a formula
+    # error such as b * b for b / b in the curvature is an identity
+    params = ModelParams(rho=-2, b=0.5)
+    prof = solve_profile(params, 0.6, 0.5 + 0.2j, (0.55, 0.7))
+    pot = build_potential(prof)
+    tlo, thi = pot.t_range
+    span = thi - tlo
+    harm = HarmonicInput.affine_window(tlo + 0.1 * span, thi - 0.1 * span,
+                                       (0.0, 1.0, 0.0, 1.0), tilt=0.5)
+    coarse, fine = (construct_surface(prof, pot, harm, Grid(0.0, 1.0, 0.0, 1.0, n, n)).fields
+                    for n in (41, 81))
+    assert not coarse.mask.any()
+    rep = verify_suite(coarse, fine)
+    rows = {r.equation: r for r in rep.rows}
+    converging = ("E2_1", "E2_2", "E2_3_gauss", "E2_4_codazzi_a", "E3_2", "LEMMA1_WEDGE")
+    locus_bound = ("E2_5_codazzi_c", "E2_8", "E2_10", "E2_11", "OMEGA_CLOSED")
+    for eq in converging:
+        assert rows[eq].passed is True and 1.9 <= rows[eq].order <= 2.1, (eq, rows[eq].order)
+    assert rows["E2_6_ricci"].passed is True and rows["E2_6_ricci"].max_fine < 1e-14
+    for eq in locus_bound:
+        assert rows[eq].passed is False, eq
+    assert set(rows) == {*converging, *locus_bound, "E2_6_ricci", "E2_12", "E2_13"}
+    assert all(r.passed is None for r in rep.rows if r.kind == "experimental")
+    assert not rep.passed and rep.exit_code == 1
 
 
 def test_tampered_amplitude_column_flags_its_equations(locus_pair):
