@@ -474,7 +474,7 @@ def test_a_family_run_and_its_verify_never_import_scipy(tmp_path):
     # it used to be reported as a ConfigError with exit 3
     ["profile", "--rho", "-3", "--alpha0", "0.6", "--a0", "0.3+0.4i", "--range", "0.4", "1.2",
      "--samples", "2000"],
-    # five blocks: the failed write of block 0 meets the helper formatting block 1
+    # five blocks: the write of block 0 fails and no later block is formatted
     ["profile", "--rho", "-3", "--alpha0", "0.6", "--a0", "0.3+0.4i", "--range", "0.4", "1.2",
      "--samples", "9000"],
 ], ids=["verify", "profile", "profile-five-blocks"])
