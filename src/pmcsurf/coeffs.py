@@ -10,6 +10,10 @@ same cascade. Conjugated coefficients follow the swap rule
 implemented by a mirror evaluation at the swapped point plus an exponent
 permutation, never by assuming abar is the complex conjugate of a.
 
+t11 is a root x of the phase quadratic t9 x + tbar9 t6 / x + t10 = 0, the
+branch argument picking the sign of the square root; _Cascade._t11 is the
+one statement of the roots, and t11_roots reads both branches from a cache.
+
 Two readings of damaged source formulas are carried:
 
 * t9_mode: the last term of t9 is "as_printed" (a partial of t6) or
@@ -384,26 +388,7 @@ def t4_skew_residual(point: EvalPoint, cache: CoeffCache | None = None):
     return skew - closed
 
 
-def phase_quadratic_roots(t9, t10, t6, t9bar=None):
-    """Both roots x of t9*x + conj-pair(t9*x) + t10 = 0 with |x|^2 = t6.
-
-    Pure arithmetic on supplied values, usable with synthetic inputs. t9bar
-    defaults to the complex conjugate, which is the swap rule at
-    conjugate-pair points.
-    """
-    t9 = np.asarray(t9, dtype=np.complex128)
-    t10 = np.asarray(t10, dtype=np.complex128)
-    t6 = np.asarray(t6, dtype=np.complex128)
-    t9b = np.conj(t9) if t9bar is None else np.asarray(t9bar, dtype=np.complex128)
-    disc = t10 * t10 - 4.0 * t9 * t9b * t6
-    root = np.sqrt(disc)
-    return (-t10 + root) / (2.0 * t9), (-t10 - root) / (2.0 * t9)
-
-
 def t11_roots(cache: CoeffCache):
-    """Both quadratic-root branches of t11 at the cache's points, under its t9 reading."""
-    t9 = cache.get(9).value()
-    if np.any(np.abs(t9) <= T9_GUARD):
-        raise ZeroDenominator("|t9| below guard; quadratic roots undefined")
-    return phase_quadratic_roots(t9, cache.get(10).value(), cache.get(6).value(),
-                                 t9bar=cache.get(9, conjugated=True).value())
+    """Both quadratic-root branches of t11 (branch +1, then -1) at the cache's
+    points, under its t9 reading: the values of its t11 jets."""
+    return cache.get(11, branch=+1).value(), cache.get(11, branch=-1).value()

@@ -69,8 +69,12 @@ def default_window(c1: float) -> tuple[float, float]:
     return tuple(lo + f * (hi - lo) for f in (0.08, 0.33))
 
 
-def _radicand(s2, c1):
-    return 2.0 * (8.0 - 9.0 * s2) * (-1.0 + c1 * s2)
+def _amplitude_parts(s2, c1):
+    """The square root rt, numerator and denominator of a(t) = num / den at s2 = sin^2 t."""
+    rt = np.sqrt(2.0 * (8.0 - 9.0 * s2) * (-1.0 + c1 * s2))
+    num = -4.0 + (9.0 + 4.0 * c1) * s2 - 9.0 * c1 * s2 * s2 + 1j * rt
+    den = 4.0 * (-1.0 + c1 * s2) - 1j * rt
+    return rt, num, den
 
 
 def family_amplitude(t, c1: float):
@@ -78,10 +82,7 @@ def family_amplitude(t, c1: float):
     c1 = _check_c1(c1)
     if not is_point(t):
         t = np.asarray(t, dtype=np.float64)
-    s2 = np.sin(t) ** 2
-    rt = np.sqrt(_radicand(s2, c1))
-    num = -4.0 + (9.0 + 4.0 * c1) * s2 - 9.0 * c1 * s2 * s2 + 1j * rt
-    den = 4.0 * (-1.0 + c1 * s2) - 1j * rt
+    _, num, den = _amplitude_parts(np.sin(t) ** 2, c1)
     return num / den
 
 
@@ -91,11 +92,9 @@ def family_amplitude_derivative(t, c1: float):
     t = np.asarray(t, dtype=np.float64)
     s2 = np.sin(t) ** 2
     ds2 = np.sin(2.0 * t)
-    rt = np.sqrt(_radicand(s2, c1))
+    rt, num, den = _amplitude_parts(s2, c1)
     drt = (-9.0 * 2.0 * (-1.0 + c1 * s2) + 2.0 * (8.0 - 9.0 * s2) * c1) * ds2 / (2.0 * rt)
-    num = -4.0 + (9.0 + 4.0 * c1) * s2 - 9.0 * c1 * s2 * s2 + 1j * rt
     dnum = ((9.0 + 4.0 * c1) - 18.0 * c1 * s2) * ds2 + 1j * drt
-    den = 4.0 * (-1.0 + c1 * s2) - 1j * rt
     dden = 4.0 * c1 * ds2 - 1j * drt
     return (dnum * den - num * dden) / (den * den)
 

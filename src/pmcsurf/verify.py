@@ -2,14 +2,16 @@
 
 Every equation the construction promises is recast as a nodewise residual
 over the stored fields, using central Wirtinger stencils for the derivative
-terms. EQUATIONS holds one entry per equation: its kind, the mask bits that
-void a node, and its residual over one prepared grid. Identity-class
+terms. EQUATIONS holds one entry per report row, in report order: the
+equation, its kind, the mask bits that void a node, its residual over one
+prepared grid, and the variant, the t9 reading of each of E2_13's two
+rows. Identity-class
 residuals (no stencil involved) must sit at rounding level outright;
 stencil-class residuals are judged by their convergence order across a grid
 pair, which separates genuine structure failure from discretization error.
 Two experimental diagnostics with unsettled source formulas are always
 computed and reported but never gate the outcome. Each grid is reduced to
-its per-equation maxima by itself (`_maxima`), in bands of rows that are
+its per-row maxima by itself (`_maxima`), in bands of rows that are
 prepared one at a time, so verify's live arrays are bounded by the band at
 any grid; a band reads its input two rows beyond itself and prepares one
 halo row each side, which every residual stencil on its rows needs. The
@@ -74,10 +76,11 @@ def _cascade(al: np.ndarray, a: np.ndarray, ok: np.ndarray, own: slice, params,
     t1 and t2 come at every evaluable node (ok), from one CoeffCache; the
     rest only at those in the flat node range own, from one generated call
     into arena (_arena, at least that many nodes). All else is NaN. The
-    values go straight into their nodes of one preallocated row, out of the
-    arena rows the next call reuses. The call allocates no array, so a band
-    faults in no fresh pages, and its bits do not depend on how many nodes
-    it takes.
+    values go straight into their nodes of one NaN row block, out of the
+    arena rows the next call reuses. The generated call allocates no
+    temporary, so its bits do not depend on how many nodes it takes; the
+    call still allocates the row block, which it returns, and the cache's
+    jets.
     """
     at = np.flatnonzero(ok)
     vals = np.full((2 + len(T_IDS) + len(T9_READINGS), ok.size), np.nan, dtype=np.complex128)
@@ -151,16 +154,17 @@ def _prepare(fields: SurfaceFields, lo: int, hi: int, arena: tuple) -> dict:
 
 # ---- the equations ----
 
-def _e2_13(P: dict, reading: str) -> np.ndarray:
-    prod = P["t9"][reading] * P["a1"]
+def _e2_13(t9: np.ndarray, P: dict) -> np.ndarray:
+    prod = t9 * P["a1"]
     return prod + np.conj(prod) + P["t"][10]
 
 
 class Equation(NamedTuple):
+    equation: str              # the report row's name
     kind: str                  # identity | stencil | experimental
     mask: int                  # mask bits that void a node for this equation
-    residual: Callable         # prepared grid (and a t9 reading) -> nodewise residual
-    readings: tuple = (None,)  # the t9 readings it is evaluated under; only E2_13 reads t9
+    residual: Callable         # prepared grid -> nodewise residual
+    variant: str | None = None  # the t9 reading an E2_13 row reads
 
 
 # A node leaves an equation's statistic only when a mask bit its inputs
@@ -175,54 +179,54 @@ class Equation(NamedTuple):
 # temporary reaches 256 KiB, and a complex product's last bit depends on the
 # order, so the bits would depend on the grid size.
 _PHASE_BITS = MASK_NUPATH | MASK_DOMAIN
-EQUATIONS = {
+EQUATIONS = (
     # d alpha = (a+b) phi + (abar+b) phibar
-    "E2_1": Equation("stencil", 0, lambda P: P["dz_alpha"] - (P["a"] + P["b"]) * P["lam"]),
+    Equation("E2_1", "stencil", 0, lambda P: P["dz_alpha"] - (P["a"] + P["b"]) * P["lam"]),
     # frame factor antiholomorphic derivative
-    "E2_2": Equation("stencil", MASK_SINGULAR, lambda P: dzbar(P["lam"], P["hx"], P["hy"])
-                     + (np.conj(P["a"]) - P["b"]) * P["lam"] * np.conj(P["lam"]) * P["cot"]),
+    Equation("E2_2", "stencil", MASK_SINGULAR, lambda P: dzbar(P["lam"], P["hx"], P["hy"])
+             + (np.conj(P["a"]) - P["b"]) * P["lam"] * np.conj(P["lam"]) * P["cot"]),
     # cascade curvature vs metric curvature
-    "E2_3_gauss": Equation("stencil", 0, lambda P: (
+    Equation("E2_3_gauss", "stencil", 0, lambda P: (
         P["K_formula"] - P["K_metric"]).astype(np.complex128)),
     # abar-direction derivative of a
-    "E2_4_codazzi_a": Equation("stencil", MASK_SINGULAR,
-                               lambda P: P["dzbar_a"] - np.conj(P["lam"]) * P["t"][2]),
+    Equation("E2_4_codazzi_a", "stencil", MASK_SINGULAR,
+             lambda P: P["dzbar_a"] - np.conj(P["lam"]) * P["t"][2]),
     # z-direction derivative of c
-    "E2_5_codazzi_c": Equation("stencil", MASK_SINGULAR | _PHASE_BITS, lambda P: (
+    Equation("E2_5_codazzi_c", "stencil", MASK_SINGULAR | _PHASE_BITS, lambda P: (
         dz(P["c"], P["hx"], P["hy"]) - 2.0 * P["c"] * (P["a"] - P["b"]) * P["cot"] * P["lam"])),
     # |c|^2 - |a|^2 = (rho/2)(3 sin^2 - 2), relative to 1 + |a|^2 + |c|^2
-    "E2_6_ricci": Equation("identity", _PHASE_BITS, lambda P: (
+    Equation("E2_6_ricci", "identity", _PHASE_BITS, lambda P: (
         (np.abs(P["c"]) ** 2 - np.abs(P["a"]) ** 2 - phase_E(P["alpha"], P["params"]))
         / (1.0 + np.abs(P["a"]) ** 2 + np.abs(P["c"]) ** 2))),
     # c conj(c1) = abar a1
-    "E2_8": Equation("stencil", MASK_SINGULAR | _PHASE_BITS, lambda P: (
+    Equation("E2_8", "stencil", MASK_SINGULAR | _PHASE_BITS, lambda P: (
         np.multiply(P["c"], np.conj(P["c1"])) - np.conj(P["a"]) * P["a1"])),
     # |c1|^2 - |a1|^2 = t5
-    "E2_10": Equation("stencil", MASK_SINGULAR | _PHASE_BITS, lambda P: (
+    Equation("E2_10", "stencil", MASK_SINGULAR | _PHASE_BITS, lambda P: (
         np.abs(P["c1"]) ** 2 - np.abs(P["a1"]) ** 2 - P["t"][5])),
     # |a1|^2 = t6
-    "E2_11": Equation("stencil", MASK_SINGULAR, lambda P: np.abs(P["a1"]) ** 2 - P["t"][6]),
+    Equation("E2_11", "stencil", MASK_SINGULAR, lambda P: np.abs(P["a1"]) ** 2 - P["t"][6]),
     # second-derivative relation for a1
-    "E2_12": Equation("experimental", MASK_SINGULAR, lambda P: (
+    Equation("E2_12", "experimental", MASK_SINGULAR, lambda P: (
         np.multiply(dz(P["a1"], P["hx"], P["hy"]) / P["lam"], np.conj(P["a1"]))
         - (P["t"][7] * P["a1"] + P["t"][8]))),
-    # linear relation among t9, a1, t10, under each reading of t9
-    "E2_13": Equation("experimental", MASK_SINGULAR, _e2_13, T9_READINGS),
+    # linear relation among t9, a1, t10: t9 as printed, then its alternate reading
+    Equation("E2_13", "experimental", MASK_SINGULAR,
+             lambda P: _e2_13(P["t9"]["as_printed"], P), "as_printed"),
+    Equation("E2_13", "experimental", MASK_SINGULAR,
+             lambda P: _e2_13(P["t9"]["alternate"], P), "alternate"),
     # warped-angle PDE
-    "E3_2": Equation("stencil", MASK_SINGULAR, lambda P: (
+    Equation("E3_2", "stencil", MASK_SINGULAR, lambda P: (
         dzdzbar(P["alpha"].astype(np.complex128), P["hx"], P["hy"])
         - F_eval(P["alpha"], P["a"], params=P["params"])
         * P["dz_alpha"] * P["dzbar_alpha"])),
     # phase one-form closedness
-    "OMEGA_CLOSED": Equation("stencil", MASK_SINGULAR | MASK_DOMAIN, lambda P: (
+    Equation("OMEGA_CLOSED", "stencil", MASK_SINGULAR | MASK_DOMAIN, lambda P: (
         dzbar(P["W"], P["hx"], P["hy"]).real.astype(np.complex128))),
     # functional dependence of a on alpha
-    "LEMMA1_WEDGE": Equation("stencil", 0, lambda P: (
+    Equation("LEMMA1_WEDGE", "stencil", 0, lambda P: (
         P["dz_alpha"] * P["dzbar_a"] - P["dzbar_alpha"] * P["dz_a"])),
-}
-
-# one task per (equation, t9 reading), in report order
-TASKS = tuple((eq, m) for eq, e in EQUATIONS.items() for m in e.readings)
+)
 
 
 def _max_stat(res: np.ndarray, mask: np.ndarray, relevant: int, rows: slice) -> float:
@@ -235,15 +239,14 @@ def _max_stat(res: np.ndarray, mask: np.ndarray, relevant: int, rows: slice) -> 
 
 
 def _band_maxima(fields: SurfaceFields, lo: int, hi: int, arena: tuple) -> list:
-    """_max_stat of every task over rows lo..hi-1, in TASKS order; the band's
+    """_max_stat of every row of EQUATIONS over rows lo..hi-1; the band's
     arrays die with the call."""
     P = _prepare(fields, lo, hi, arena)
-    return [_max_stat(e.residual(P) if m is None else e.residual(P, m), P["mask"], e.mask,
-                      P["rows"]) for e in EQUATIONS.values() for m in e.readings]
+    return [_max_stat(e.residual(P), P["mask"], e.mask, P["rows"]) for e in EQUATIONS]
 
 
 def _maxima(fields: SurfaceFields) -> list:
-    """Each task's largest judged residual on one grid, in TASKS order: NaN
+    """Each row's largest judged residual on one grid, in EQUATIONS order: NaN
     when no judged node holds a number.
 
     A non-finite input is a ConfigError (_check_finite). The grid is walked
@@ -257,7 +260,7 @@ def _maxima(fields: SurfaceFields) -> list:
     _check_finite(fields)
     nx, ny = fields.grid.nx, fields.grid.ny
     step = max(1, CHUNK // ny)
-    arena, top = _arena(min(step, nx) * ny), np.full(len(TASKS), np.nan)
+    arena, top = _arena(min(step, nx) * ny), np.full(len(EQUATIONS), np.nan)
     for lo in range(0, nx, step):
         top = np.fmax(top, _band_maxima(fields, lo, min(lo + step, nx), arena))
     return [float(m) for m in top]
@@ -327,17 +330,8 @@ def _check_pair(coarse: SurfaceFields, fine: SurfaceFields):
 
 
 def default_workers() -> int:
-    """The thread count PMC_THREADS asks for, else the CPU count.
-
-    Nothing in pmcsurf reads it any more (verification is single-threaded);
-    it is kept for callers that label runs with it, such as perfbench.
-    """
-    env = os.environ.get("PMC_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"PMC_THREADS must be an integer, got {env!r}") from None
+    """The CPU count. pmcsurf runs in one thread and reads no setting for
+    this; perfbench labels its runs with the number."""
     return os.cpu_count() or 1
 
 
@@ -357,13 +351,13 @@ def verify_suite(coarse: SurfaceFields, fine: SurfaceFields | None = None,
     if not degraded:
         _check_pair(coarse, fine)
     max_c = _maxima(coarse)
-    max_f = [None] * len(TASKS) if degraded else _maxima(fine)
+    max_f = [None] * len(EQUATIONS) if degraded else _maxima(fine)
 
     lo_band, hi_band = thresholds.order_band
     rows = []
-    for (eq, variant), mc, mf in zip(TASKS, max_c, max_f):
-        kind = EQUATIONS[eq].kind
-        rep = EquationReport(eq, kind, mc, mf, variant=variant)
+    for e, mc, mf in zip(EQUATIONS, max_c, max_f):
+        kind = e.kind
+        rep = EquationReport(e.equation, kind, mc, mf, variant=e.variant)
         judged = [m for m in (mc, mf) if m is not None]
         paired = not degraded and np.isfinite(judged).all()
         if kind != "identity" and paired and (mc > ZERO_FLOOR or mf > ZERO_FLOOR):

@@ -1,6 +1,7 @@
 """End-to-end command line behaviour: exit codes, files on disk, determinism."""
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import importlib.util
@@ -10,6 +11,7 @@ import math
 import os
 import shutil
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -1310,6 +1312,22 @@ def test_harmonic_input_that_overflows_is_a_range_mismatch(tmp_path):
     assert not out.exists()
 
 
+# ---- the package reads no setting from the environment ----
+
+def test_no_module_reads_the_environment():
+    # every setting is an argument or a config key that the command states;
+    # a module reading os.environ or os.getenv would add one that none states
+    import pmcsurf
+    reads = []
+    for path in sorted(Path(pmcsurf.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     and node.module == "os" else [getattr(node, "attr", None)])
+            reads += [f"{path.name}:{node.lineno} {n}" for n in names
+                      if n in ("environ", "environb", "getenv", "getenvb")]
+    assert not reads
+
+
 # ---- the development scripts ----
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -1365,10 +1383,80 @@ def test_every_bundle_goes_through_the_cli_write_fields_name(monkeypatch, tmp_pa
     ((0.7, 1.0, 1.3), 1.3, True, "worse by more than bound"),
 ], ids=["within", "slower", "lower-rate", "higher-rate", "wide-parent", "wide-and-worse"])
 def test_ab_pairs_regression_verdict(parent, change, lower, expected):
-    spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPTS / "ab_pairs.py")
-    ab_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab_pairs)
-    assert ab_pairs.verdict(parent, change, 0.25, lower) == expected
+    assert _module(SCRIPTS / "ab_pairs.py").verdict(parent, change, 0.25, lower) == expected
+
+
+def _module(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# a stand-in for perfbench/run.py: its k-th call prints the k-th value of
+# each metric in values.json as run.py's last line
+STUB_RUN = """import json, pathlib
+root = pathlib.Path(__file__).resolve().parents[1]
+calls = root / "calls"
+k = int(calls.read_text()) if calls.exists() else 0
+calls.write_text(str(k + 1))
+values = json.loads((root / "values.json").read_text())
+print("a table line")
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {m: {"value": v[k], "unit": "-"} for m, v in values.items()}}))
+"""
+
+
+def test_ab_pairs_json_holds_the_pairs_and_their_statistics(tmp_path):
+    bench = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    values = {   # per side and metric, one value per pair
+        "parent": {"wall_s": [1.00, 1.02, 0.98, 1.01], "setup_s": [0.2] * 4, "cpu_s": [1.0] * 4,
+                   "peak_rss_mib": [50.0] * 4, "nodes_per_s": [100.0, 300.0, 100.0, 300.0]},
+        "change": {"wall_s": [0.90, 0.95, 0.99, 0.93], "setup_s": [0.2] * 4,
+                   "cpu_s": [1.5, 1.4, 1.6, 1.5], "peak_rss_mib": [50.0] * 4,
+                   "nodes_per_s": [210.0, 190.0, 220.0, 180.0]}}
+    git = ["git", "-c", "user.name=stub", "-c", "user.email=stub@example.org"]
+    for side, vals in values.items():
+        root = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text(STUB_RUN)
+        (root / "values.json").write_text(json.dumps(vals))
+        (root / "BENCHMARK.json").write_text(json.dumps({**bench, "run_seconds": 1}))
+        for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-qm", side]):
+            subprocess.run(git + cmd, cwd=root, check=True, capture_output=True)
+    out = tmp_path / "bench.json"
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "ab_pairs.py"), str(tmp_path / "parent"),
+                           str(tmp_path / "change"), "--workload", "w", "--seed", "0", "--pairs",
+                           "4", "--json", str(out)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    got = json.loads(out.read_text())
+    assert got.keys() == {"workload", "seed", "run_seconds", "pairs_run", "complete_pairs",
+                          "failed_runs", "heads", "host", "metrics"}
+    assert (got["workload"], got["seed"], got["run_seconds"]) == ("w", 0, 1.0)
+    assert (got["pairs_run"], got["complete_pairs"], got["failed_runs"]) == (4, 4, 0)
+    for side in values:
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path / side,
+                              capture_output=True, text=True, check=True).stdout.strip()
+        assert got["heads"][side] == head
+    host = got["host"]
+    assert host.keys() == {"cpu_count", "loadavg_before", "loadavg_after", "python", "numpy"}
+    assert host["cpu_count"] == os.cpu_count() and host["numpy"] == np.__version__
+    assert host["python"] == ".".join(map(str, sys.version_info[:3]))
+    run = _module(SCRIPTS.parent / "perfbench" / "run.py")
+    expected = {"wall_s": (3, "within bound"), "setup_s": (0, "within bound"),
+                "cpu_s": (0, "worse by more than bound"), "peak_rss_mib": (0, "within bound"),
+                "nodes_per_s": (2, "unresolved")}
+    assert list(got["metrics"]) == [m["name"] for m in bench["end_to_end"]]
+    for name, stats in got["metrics"].items():
+        assert stats["pairs"] == [{"parent": p, "change": c} for p, c in
+                                  zip(values["parent"][name], values["change"][name])]
+        assert (stats["wins"], stats["verdict"]) == expected[name], name
+        for side in values:
+            samples = values[side][name]
+            assert (stats[side]["q1"], stats[side]["q3"]) == run.quartiles(samples), name
+            assert stats[side]["median"] == statistics.median(samples), name
+        assert stats["parent_iqr"] == stats["parent"]["q3"] - stats["parent"]["q1"]
+        assert stats["median_gap"] == abs(stats["change"]["median"] - stats["parent"]["median"])
 
 
 @pytest.mark.parametrize("name", ["convergence_sweep", "make_golden", "gen_cascade", "ab_pairs"])

@@ -14,8 +14,7 @@ import pytest
 
 from pmcsurf import _cascade_gen, coeffs, jets, verify
 from pmcsurf.coeffs import (CoeffCache, EvalPoint, ModelParams, check_guards,
-                            eval_t, phase_quadratic_roots, t1_value, t2_value,
-                            t4_skew_residual, t11_roots)
+                            eval_t, t1_value, t2_value, t4_skew_residual, t11_roots)
 from pmcsurf.errors import ConfigError, SingularPoint, UnresolvedFormula, ZeroDenominator
 from pmcsurf.family4 import default_window, family_amplitude
 from pmcsurf.jets import Jet, jcos, jcot, jsin
@@ -154,9 +153,14 @@ def test_higher_order_jets_nest_consistently():
 
 # ---- phase quadratic ----
 
-def test_phase_quadratic_double_root():
-    r1, r2 = phase_quadratic_roots(1.0, -2.0, 1.0)
-    assert r1 == pytest.approx(1.0) and r2 == pytest.approx(1.0)
+@pytest.mark.parametrize("conjugate_pair", [True, False])
+@pytest.mark.parametrize("reading", coeffs.T9_READINGS)
+def test_t11_roots_are_the_cascade_branches_bitwise(conjugate_pair, reading):
+    # the cascade's t11 is the one statement of the roots: t11_roots reads it
+    pt = random_points(60, seed=29, conjugate_pair=conjugate_pair)
+    cache = CoeffCache(pt, t9_mode=reading)
+    for root, branch in zip(t11_roots(CoeffCache(pt, t9_mode=reading)), (+1, -1)):
+        assert root.tobytes() == cache.get(11, branch=branch).value().tobytes(), branch
 
 
 def test_phase_quadratic_roots_satisfy_their_equation():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import os
 import tracemalloc
 import weakref
 
@@ -16,7 +17,7 @@ from pmcsurf.errors import ConfigError
 from pmcsurf.fields import (GAUSS_STEP, Grid, HarmonicInput, MASK_DOMAIN, MASK_NUPATH,
                             MASK_SINGULAR, dz, dzbar, dzdzbar, gauss_frame, laplacian)
 from pmcsurf.profile import build_potential, solve_profile
-from pmcsurf.verify import (EQUATIONS, MARGIN, TASKS, Thresholds, _max_stat, default_workers,
+from pmcsurf.verify import (EQUATIONS, MARGIN, Thresholds, _max_stat, default_workers,
                             verify_suite)
 
 from conftest import build_family
@@ -48,17 +49,21 @@ def test_wirtinger_stencils_against_analytic_derivatives():
 
 
 def test_equation_registry_is_consistent():
-    kinds = {eq: e.kind for eq, e in EQUATIONS.items()}
-    assert set(kinds.values()) == {"identity", "stencil", "experimental"}
-    assert [eq for eq, k in kinds.items() if k == "identity"] == ["E2_6_ricci"]
-    assert [eq for eq, k in kinds.items() if k == "experimental"] == ["E2_12", "E2_13"]
-    for eq, e in EQUATIONS.items():
+    # one entry per report row, in report order; E2_13's two rows are
+    # adjacent, one per t9 reading, and no other row has a variant
+    rows = [(e.equation, e.variant) for e in EQUATIONS]
+    at = rows.index(("E2_13", T9_READINGS[0]))
+    assert rows[at:at + 2] == [("E2_13", m) for m in T9_READINGS]
+    assert all(m is None for _, m in rows[:at] + rows[at + 2:])
+    assert len({eq for eq, _ in rows}) == len(rows) - 1
+    assert {e.kind for e in EQUATIONS} == {"identity", "stencil", "experimental"}
+    assert [e.equation for e in EQUATIONS if e.kind == "identity"] == ["E2_6_ricci"]
+    assert [e.equation for e in EQUATIONS if e.kind == "experimental"] == ["E2_12", "E2_13",
+                                                                           "E2_13"]
+    for e in EQUATIONS:
         assert callable(e.residual)
-        assert e.mask & ~(MASK_DOMAIN | MASK_SINGULAR | MASK_NUPATH) == 0, eq
-        assert e.readings == (T9_READINGS if eq == "E2_13" else (None,)), eq
-    # one task per equation and t9 reading, in table order
-    assert TASKS == tuple((eq, m) for eq in EQUATIONS
-                          for m in (T9_READINGS if eq == "E2_13" else (None,)))
+        assert e.mask & ~(MASK_DOMAIN | MASK_SINGULAR | MASK_NUPATH) == 0, e
+        assert not hasattr(e, "readings")
     assert MARGIN >= 1
 
 
@@ -253,7 +258,8 @@ def test_report_serialization_and_table(locus_pair):
     d = rep.to_dict()
     assert d["passed"] is True
     assert d["order_band"] == [1.7, 2.3]
-    assert len(d["rows"]) == len(EQUATIONS) + 1   # one extra variant row
+    assert [(r["equation"], r.get("variant")) for r in d["rows"]] == [
+        (e.equation, e.variant) for e in EQUATIONS]
     text = rep.table()
     assert "pass" in text and "recorded" in text and "E2_13[alternate]" in text
 
@@ -400,10 +406,9 @@ def _bits(values):
 
 
 def _whole_grid_maxima(fields):
-    """Each task's maximum from the whole grid as one band: the reference for the bands."""
+    """Each row's maximum from the whole grid as one band: the reference for the bands."""
     P = _prepared(fields)
-    return [_max_stat(EQUATIONS[eq].residual(P) if m is None else EQUATIONS[eq].residual(P, m),
-                      P["mask"], EQUATIONS[eq].mask, P["rows"]) for eq, m in TASKS]
+    return [_max_stat(e.residual(P), P["mask"], e.mask, P["rows"]) for e in EQUATIONS]
 
 
 def _masked_rows(fields, rows):
@@ -423,13 +428,13 @@ def test_banded_maxima_equal_the_whole_grid_bitwise(locus_pair, monkeypatch, row
         whole = _whole_grid_maxima(fields)
         monkeypatch.setattr(verify, "CHUNK", rows * fields.grid.ny)
         assert _bits(verify._maxima(fields)) == _bits(whole)
-    if rows < 8:   # a band inside the masked rows: every task with a mask bit is NaN there
+    if rows < 8:   # a band inside the masked rows: every row with a mask bit is NaN there
         stats = verify._band_maxima(masked, 8, 8 + rows, verify._arena(rows * masked.grid.ny))
-        assert [np.isnan(top) for top in stats] == [EQUATIONS[eq].mask != 0 for eq, _ in TASKS]
-    # a task is NaN only when every band is
+        assert [np.isnan(top) for top in stats] == [e.mask != 0 for e in EQUATIONS]
+    # a row is NaN only when every band is
     nowhere = _masked_rows(locus_pair[0], slice(None))
     maxima = verify._maxima(nowhere)
-    assert [np.isnan(m) for m in maxima] == [EQUATIONS[eq].mask != 0 for eq, _ in TASKS]
+    assert [np.isnan(m) for m in maxima] == [e.mask != 0 for e in EQUATIONS]
     assert _bits(maxima) == _bits(_whole_grid_maxima(nowhere))
 
 
@@ -479,14 +484,11 @@ def test_verify_memory_is_bounded_by_the_band():
     assert large <= 1.25 * small, (small, large)
 
 
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("PMC_THREADS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("PMC_THREADS", "bogus")
-    with pytest.raises(ConfigError):
-        default_workers()
-    monkeypatch.delenv("PMC_THREADS")
-    assert default_workers() >= 1
+def test_worker_count_is_the_cpu_count_whatever_the_environment(monkeypatch):
+    # pmcsurf reads no thread setting: a value it once parsed changes nothing
+    for value in ("bogus", "3", ""):
+        monkeypatch.setenv("PMC_THREADS", value)
+        assert default_workers() == (os.cpu_count() or 1)
 
 
 def _rows(P, lo, hi):
@@ -509,15 +511,13 @@ def test_residual_bits_do_not_depend_on_the_array_size(n):
     P = _prepared(build_family(n).fields)
     band = 24   # rows per band, 67 KiB with its halo rows at 161; the last band is short
     assert (n % band) not in (0, 1)
-    for eq, reading in TASKS:
-        e = EQUATIONS[eq]
-        whole = e.residual(P) if reading is None else e.residual(P, reading)
+    for e in EQUATIONS:
+        whole = e.residual(P)
         for lo in range(0, n, band):
             hi = min(lo + band, n)
             q_lo, q_hi = max(lo - 1, 0), min(hi + 1, n)   # one halo row for the stencils
-            Q = _rows(P, q_lo, q_hi)
-            part = e.residual(Q) if reading is None else e.residual(Q, reading)
-            assert _parts(part[lo - q_lo:hi - q_lo]) == _parts(whole[lo:hi]), (eq, reading, lo)
+            part = e.residual(_rows(P, q_lo, q_hi))
+            assert _parts(part[lo - q_lo:hi - q_lo]) == _parts(whole[lo:hi]), (e.equation, e.variant, lo)
 
 
 def test_repeated_verify_runs_match_bitwise(locus_pair):
