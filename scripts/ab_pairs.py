@@ -105,6 +105,7 @@ def show(stats: dict) -> None:
 
 
 def git_head(checkout: Path) -> str | None:
+    """The checkout's commit; None for a tree that is not a git checkout (git archive)."""
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
                           text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
@@ -116,13 +117,6 @@ def loadavg() -> list[float] | None:
         with open("/proc/loadavg") as fh:
             return [float(x) for x in fh.read().split()[:3]]
     except OSError:
-        return None
-
-
-def numpy_version() -> str | None:
-    try:
-        return importlib.metadata.version("numpy")
-    except importlib.metadata.PackageNotFoundError:
         return None
 
 
@@ -171,7 +165,7 @@ def main(argv=None) -> int:
             "heads": {side: git_head(checkouts[side]) for side in SIDES},
             "host": {"cpu_count": os.cpu_count(), "loadavg_before": load_before,
                      "loadavg_after": load_after, "python": platform.python_version(),
-                     "numpy": numpy_version()},
+                     "numpy": importlib.metadata.version("numpy")},
             "metrics": stats}
         args.json.write_text(json.dumps(record, indent=1) + "\n")
     return 0 if pairs and not failed else 1
