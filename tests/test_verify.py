@@ -62,7 +62,7 @@ def test_equation_registry_is_consistent():
                                                                            "E2_13"]
     for e in EQUATIONS:
         assert callable(e.residual)
-        assert e.mask & ~(MASK_DOMAIN | MASK_SINGULAR | MASK_NUPATH) == 0, e
+        assert e.mask & ~(MASK_DOMAIN | MASK_SINGULAR | MASK_NUPATH) == 0, e.equation
         assert not hasattr(e, "readings")
     assert MARGIN >= 1
 
@@ -485,7 +485,7 @@ def test_verify_memory_is_bounded_by_the_band():
 
 
 def test_worker_count_is_the_cpu_count_whatever_the_environment(monkeypatch):
-    # pmcsurf reads no thread setting: a value it once parsed changes nothing
+    # pmcsurf reads no thread setting, so PMC_THREADS changes nothing
     for value in ("bogus", "3", ""):
         monkeypatch.setenv("PMC_THREADS", value)
         assert default_workers() == (os.cpu_count() or 1)
@@ -517,7 +517,8 @@ def test_residual_bits_do_not_depend_on_the_array_size(n):
             hi = min(lo + band, n)
             q_lo, q_hi = max(lo - 1, 0), min(hi + 1, n)   # one halo row for the stencils
             part = e.residual(_rows(P, q_lo, q_hi))
-            assert _parts(part[lo - q_lo:hi - q_lo]) == _parts(whole[lo:hi]), (e.equation, e.variant, lo)
+            assert _parts(part[lo - q_lo:hi - q_lo]) == _parts(whole[lo:hi]), (
+                e.equation, e.variant, lo)
 
 
 def test_repeated_verify_runs_match_bitwise(locus_pair):
