@@ -11,10 +11,10 @@ stencil-class residuals are judged by their convergence order across a grid
 pair, which separates genuine structure failure from discretization error.
 Two experimental diagnostics with unsettled source formulas are always
 computed and reported but never gate the outcome. Each grid is reduced to
-its per-row maxima by itself (`_maxima`), in bands of rows that are
+its per-row maxima by itself (`_maxima`), in bands of judged rows that are
 prepared one at a time, so verify's live arrays are bounded by the band at
-any grid; a band reads its input two rows beyond itself and prepares one
-halo row each side, which every residual stencil on its rows needs. The
+any grid; a band reads its input MARGIN rows beyond itself, and every
+residual stencil on its judged nodes reads only nodes prepared from it. The
 pair meets only through the maxima.
 """
 from __future__ import annotations
@@ -27,14 +27,16 @@ import numpy as np
 
 from ._cascade_gen import NC, NF, T_IDS, cascade_values
 from .coeffs import T9_READINGS, CoeffCache, EvalPoint, cascade_ok, phase_D, phase_E, phase_W
-from .errors import ConfigError, ZeroDenominator
+from .errors import EXIT_OK, EXIT_RESIDUAL, ConfigError, ZeroDenominator
 from .fields import (MASK_DOMAIN, MASK_SINGULAR, MASK_NUPATH, SurfaceFields, dz, dzbar,
                      dzdzbar, field_columns, gauss_frame)
 from .profile import F_eval
 
-MARGIN = 2           # frame nodes excluded from every statistic
-CHUNK = 2048         # nodes per band of rows, one row at the least: bounds verify's live arrays
+MARGIN = 2           # the nested stencil reach: a stencil of a stencil's output is
+                     # defined MARGIN nodes in, so only nodes that far in are judged
+CHUNK = 2048         # judged nodes per band of rows, one row at the least: bounds verify's live arrays
 ZERO_FLOOR = 1e-11   # residual pairs below this are degenerate-exact; no order is defined
+_INNER = (slice(1, -1), slice(1, -1))   # the nodes a stencil fills on its input
 
 
 @dataclass(frozen=True)
@@ -69,85 +71,78 @@ def _arena(nodes: int) -> tuple:
     return np.empty((NF, nodes)), np.empty((NC, nodes), dtype=np.complex128)
 
 
-def _cascade(al: np.ndarray, a: np.ndarray, ok: np.ndarray, own: slice, params,
-             arena: tuple) -> np.ndarray:
-    """The cascade rows t1, t2, T_IDS and the t9 readings over the prepared rows.
+def _cascade(al: np.ndarray, a: np.ndarray, ok: np.ndarray, params, arena: tuple) -> np.ndarray:
+    """The cascade rows t1, t2, T_IDS and the t9 readings over a prepared block.
 
-    t1 and t2 come at every evaluable node (ok), from one CoeffCache; the
-    rest only at those in the flat node range own, from one generated call
-    into arena (_arena, at least that many nodes). All else is NaN. The
-    values go straight into their nodes of one NaN row block, out of the
-    arena rows the next call reuses. The generated call allocates no
-    temporary, so its bits do not depend on how many nodes it takes; the
-    call still allocates the row block, which it returns, and the cache's
-    jets.
+    t1 and t2 come at every evaluable node (ok) of the block, from one
+    CoeffCache; the rest only at the evaluable nodes of its _INNER, the
+    judged nodes, from one generated call into arena (_arena, at least that
+    many nodes). All else is NaN. The values go straight into their nodes of
+    one NaN row block, out of the arena rows the next call reuses. The
+    generated call allocates no temporary, so its bits do not depend on how
+    many nodes it takes; the call still allocates the row block, which it
+    returns, and the cache's jets.
     """
-    at = np.flatnonzero(ok)
-    vals = np.full((2 + len(T_IDS) + len(T9_READINGS), ok.size), np.nan, dtype=np.complex128)
-    cache = CoeffCache(EvalPoint(al.flat[at], a.flat[at], params=params))
-    vals[0, at], vals[1, at] = cache.get(1).value(), cache.get(2).value()
-    at = at[np.searchsorted(at, own.start):np.searchsorted(at, own.stop)]
-    a_own, (F, C) = a.flat[at], arena
-    for row, v in zip(vals[2:], cascade_values(al.flat[at], a_own, np.conj(a_own), params.rho,
-                                               params.b, F[:, :at.size], C[:, :at.size])):
-        row[at] = v   # row by row: no (rows x nodes) temporary
-    return vals.reshape(len(vals), *ok.shape)
+    vals = np.full((2 + len(T_IDS) + len(T9_READINGS), *ok.shape), np.nan, dtype=np.complex128)
+    cache = CoeffCache(EvalPoint(al[ok], a[ok], params=params))
+    vals[0][ok], vals[1][ok] = cache.get(1).value(), cache.get(2).value()
+    ok, (F, C) = ok[_INNER], arena
+    al, a = al[_INNER][ok], a[_INNER][ok]
+    for row, v in zip(vals[2:], cascade_values(al, a, np.conj(a), params.rho, params.b,
+                                               F[:, :a.size], C[:, :a.size])):
+        row[_INNER][ok] = v   # row by row: no (rows x nodes) temporary
+    return vals
 
 
 def _prepare(fields: SurfaceFields, lo: int, hi: int, arena: tuple) -> dict:
-    """Everything the residuals read on rows lo..hi-1 of one grid, the band,
-    the shared stencils included; arena holds the generated cascade's
-    temporaries (_cascade).
+    """Everything the residuals read around the judged rows lo..hi-1 of one
+    grid, the band, the shared stencils included; arena holds the generated
+    cascade's temporaries (_cascade).
 
-    Halo rule: the arrays cover the band and one row each side, cut from
-    stencils over the input rows two beyond the band. A residual stencil
-    reaches one row, and those of E2_12 and OMEGA_CLOSED read a1 and W on
-    the halo rows, so every residual has on the band's rows the bits it has
-    on the whole grid; "rows" says where the band's judged rows sit. rho =
-    0 leaves t6 undefined and stops the grid at once. The cascade runs on
-    the nodes that clear the singularity guards and are not
-    singularity-masked (phase-stage bits leave the angle and Hopf columns
-    valid): t1 and t2 on every prepared row, which a1, c1 and W need, and
-    the T_IDS and t9 values on the band's own rows only, since no residual
-    differences them. The T_IDS and t9 values come from the straight-line
-    function of scripts/gen_cascade.py; t1 and t2 from the jet cascade at
-    order 0, at a few percent of the cost: OMEGA_CLOSED multiplies a one-ulp
-    change in t1 about a hundredfold, which moves its order on the c1 = -1
-    family by 2e-3. The nodes are conjugate pairs (abar = conj a), so conj
-    t1 needs no mirror cascade.
+    The band lies MARGIN rows off the edges (_maxima), so two blocks need no
+    clamp: the input block, rows lo-MARGIN..hi+MARGIN-1 and every column,
+    and the prepared block that every array here covers, its _INNER, where a
+    stencil over it is defined. A residual stencil is defined on the
+    prepared block's _INNER, the band's judged nodes, so every residual has
+    there the bits it has on the whole grid. rho = 0 leaves t6 undefined and
+    stops the grid at once. The cascade runs on the nodes that clear the
+    singularity guards and are not singularity-masked (phase-stage bits
+    leave the angle and Hopf columns valid): t1 and t2 on the prepared
+    block, which a1, c1 and W need, and the T_IDS and t9 values on the
+    judged nodes only, since no residual differences them. The T_IDS and t9
+    values come from the straight-line function of scripts/gen_cascade.py;
+    t1 and t2 from the jet cascade at order 0, at a few percent of the cost:
+    OMEGA_CLOSED multiplies a one-ulp change in t1 about a hundredfold,
+    which moves its order on the c1 = -1 family by 2e-3. The nodes are
+    conjugate pairs (abar = conj a), so conj t1 needs no mirror cascade.
     """
-    g, params = fields.grid, fields.params
+    params, hx, hy = fields.params, fields.grid.hx, fields.grid.hy
     if params.rho == 0:
         raise ZeroDenominator("rho = 0 makes t6 undefined")
-    hx, hy = g.hx, g.hy
-    p0, p1 = max(lo - 1, 0), min(hi + 1, g.nx)   # the prepared rows: the band and its halo
-    r0, r1 = max(lo - 2, 0), min(hi + 2, g.nx)   # the input rows their stencils read
-    halo = slice(p0 - r0, p1 - r0)                # the prepared rows among the input rows
-    al, a, lam, c, mask = (v[p0:p1] for v in (fields.alpha, fields.a, fields.lam, fields.c,
-                                              fields.mask))
+    rows = slice(lo - MARGIN, hi + MARGIN)   # the input block's rows
+    al, a, lam, c, mask, K_formula, K_metric = (v[rows][_INNER] for v in (
+        fields.alpha, fields.a, fields.lam, fields.c, fields.mask, fields.K_formula,
+        fields.K_metric))
     ok = cascade_ok(al) & ((mask & MASK_SINGULAR) == 0)
-    t1, t2, *cols = _cascade(al, a, ok, slice((lo - p0) * g.ny, (hi - p0) * g.ny), params,
-                             arena)
+    t1, t2, *cols = _cascade(al, a, ok, params, arena)
     t = {1: t1, 2: t2, **dict(zip(T_IDS, cols))}
     t9 = dict(zip(T9_READINGS, cols[len(T_IDS):]))
 
-    alc, a_in, c_in = fields.alpha[r0:r1].astype(np.complex128), fields.a[r0:r1], fields.c[r0:r1]
-    dz_a = dz(a_in, hx, hy)[halo]
+    alc, a_in, c_in = fields.alpha[rows].astype(np.complex128), fields.a[rows], fields.c[rows]
+    dz_a = dz(a_in, hx, hy)[_INNER]
     # phase one-form density from point data alone (the construction's W);
     # defined wherever the amplitude is admissible, whether or not the phase
     # integration succeeded downstream
     D = phase_D(al, a, params)
     w_ok = ok & ((mask & MASK_DOMAIN) == 0) & (D > 0)
-    judged = max(lo, MARGIN) - p0
     return {
         "hx": hx, "hy": hy, "params": params, "b": params.b, "alpha": al, "a": a,
         "lam": lam, "c": c, "cot": np.cos(al) / np.sin(al), "mask": mask,
-        "rows": slice(judged, max(judged, min(hi, g.nx - MARGIN) - p0)),
-        "K_formula": fields.K_formula[p0:p1], "K_metric": fields.K_metric[p0:p1],
-        "dz_alpha": dz(alc, hx, hy)[halo], "dzbar_alpha": dzbar(alc, hx, hy)[halo],
-        "dz_a": dz_a, "dzbar_a": dzbar(a_in, hx, hy)[halo], "t": t, "t9": t9,
+        "K_formula": K_formula, "K_metric": K_metric,
+        "dz_alpha": dz(alc, hx, hy)[_INNER], "dzbar_alpha": dzbar(alc, hx, hy)[_INNER],
+        "dz_a": dz_a, "dzbar_a": dzbar(a_in, hx, hy)[_INNER], "t": t, "t9": t9,
         "a1": dz_a / lam - a * t1,
-        "c1": dzbar(c_in, hx, hy)[halo] / np.conj(lam) - np.multiply(c, np.conj(t1)),
+        "c1": dzbar(c_in, hx, hy)[_INNER] / np.conj(lam) - np.multiply(c, np.conj(t1)),
         "W": phase_W(al, a, lam, D, w_ok, t1[w_ok], t2[w_ok], params),
     }
 
@@ -229,40 +224,41 @@ EQUATIONS = (
 )
 
 
-def _max_stat(res: np.ndarray, mask: np.ndarray, relevant: int, rows: slice) -> float:
-    """The largest |residual| at the judged nodes of rows, an infinite one
-    included; NaN when none holds a number. The frame columns never count."""
-    cols = slice(MARGIN, -MARGIN)
-    core = np.abs(res[rows, cols])
-    core[(mask[rows, cols] & relevant) != 0] = np.nan
+def _max_stat(res: np.ndarray, mask: np.ndarray, relevant: int) -> float:
+    """The largest |residual| at the judged nodes of a prepared block, its
+    _INNER, an infinite one included; NaN when none holds a number."""
+    core = np.abs(res[_INNER])
+    core[(mask[_INNER] & relevant) != 0] = np.nan
     return float(np.fmax.reduce(core, axis=None, initial=np.nan))
 
 
 def _band_maxima(fields: SurfaceFields, lo: int, hi: int, arena: tuple) -> list:
-    """_max_stat of every row of EQUATIONS over rows lo..hi-1; the band's
-    arrays die with the call."""
+    """_max_stat of every row of EQUATIONS over the judged rows lo..hi-1; the
+    band's arrays die with the call."""
     P = _prepare(fields, lo, hi, arena)
-    return [_max_stat(e.residual(P), P["mask"], e.mask, P["rows"]) for e in EQUATIONS]
+    return [_max_stat(e.residual(P), P["mask"], e.mask) for e in EQUATIONS]
 
 
 def _maxima(fields: SurfaceFields) -> list:
     """Each row's largest judged residual on one grid, in EQUATIONS order: NaN
     when no judged node holds a number.
 
-    A non-finite input is a ConfigError (_check_finite). The grid is walked
-    in bands of about CHUNK nodes, one row at the least, each prepared by
-    itself and freed before the next, so one band's arrays are alive at a
-    time whatever the grid, and a pair meets only through these maxima.
-    Every band's generated cascade writes into one arena, sized to a band's
-    nodes and dropped with the grid. A maximum is exact, so the bands
-    change no bit: np.fmax skips a band with no judged number.
+    A non-finite input is a ConfigError (_check_finite). The judged rows,
+    MARGIN..nx-MARGIN-1, are walked in bands of about CHUNK judged nodes,
+    one row at the least, each prepared by itself and freed before the
+    next, so one band's arrays are alive at a time whatever the grid, and a
+    pair meets only through these maxima. A grid has 5 nodes a side at the
+    least (Grid), so it has a judged node. Every band's generated cascade
+    writes into one arena, sized to a band's judged nodes and dropped with
+    the grid. A maximum is exact, so the bands change no bit: np.fmax skips
+    a band with no judged number.
     """
     _check_finite(fields)
-    nx, ny = fields.grid.nx, fields.grid.ny
-    step = max(1, CHUNK // ny)
-    arena, top = _arena(min(step, nx) * ny), np.full(len(EQUATIONS), np.nan)
-    for lo in range(0, nx, step):
-        top = np.fmax(top, _band_maxima(fields, lo, min(lo + step, nx), arena))
+    nx, width = fields.grid.nx, fields.grid.ny - 2 * MARGIN
+    step = max(1, CHUNK // width)
+    arena, top = _arena(min(step, nx - 2 * MARGIN) * width), np.full(len(EQUATIONS), np.nan)
+    for lo in range(MARGIN, nx - MARGIN, step):
+        top = np.fmax(top, _band_maxima(fields, lo, min(lo + step, nx - MARGIN), arena))
     return [float(m) for m in top]
 
 
@@ -297,7 +293,7 @@ class VerifyReport:
 
     @property
     def exit_code(self) -> int:
-        return 0 if self.passed else 1
+        return EXIT_OK if self.passed else EXIT_RESIDUAL
 
     def to_dict(self) -> dict:
         return {"degraded": self.degraded,

@@ -87,8 +87,9 @@ def family_harmonic(c1: float = 2.0, tilt: float = 0.5) -> HarmonicInput:
     return HarmonicInput.affine_window(*default_window(c1), (0.0, 1.0, 0.0, 1.0), tilt=tilt)
 
 
-def build_family(n: int, c1: float = 2.0, c2: float = 0.0, tilt: float = 0.5):
-    grid = Grid(0.0, 1.0, 0.0, 1.0, n, n)
+def build_family(n: int, c1: float = 2.0, c2: float = 0.0, tilt: float = 0.5,
+                 ny: int | None = None):
+    grid = Grid(0.0, 1.0, 0.0, 1.0, n, n if ny is None else ny)
     return family_surface(family_harmonic(c1, tilt), grid, FamilyParams(c1=c1, c2=c2))
 
 

@@ -64,33 +64,39 @@ def test_equation_registry_is_consistent():
         assert callable(e.residual)
         assert e.mask & ~(MASK_DOMAIN | MASK_SINGULAR | MASK_NUPATH) == 0, e.equation
         assert not hasattr(e, "readings")
-    assert MARGIN >= 1
+    # MARGIN is the reach of a stencil over a stencil's output, on which a
+    # band's input and prepared blocks rely: exactly the nodes MARGIN in hold it
+    F = np.ones((2 * MARGIN + 3, 2 * MARGIN + 3), dtype=complex)
+    defined = np.isfinite(dzbar(dz(F, 1.0, 1.0), 1.0, 1.0))
+    assert defined[MARGIN:-MARGIN, MARGIN:-MARGIN].all()
+    assert defined.sum() == (len(F) - 2 * MARGIN) ** 2
 
 
 def test_max_stat_respects_relevant_bits_only():
-    # the largest judged |residual|, NaN when no judged node holds a number
+    # the largest |residual| at the judged nodes, the prepared block's inner
+    # nodes; NaN when no judged node holds a number
     res = np.ones((7, 7), dtype=complex)
     res[3, 3] = 5.0
     mask = np.zeros((7, 7), dtype=np.uint8)
     mask[3, 3] = MASK_NUPATH
-    rows = slice(MARGIN, -MARGIN)
-    assert _max_stat(res, mask, 0, rows) == 5.0
-    assert _max_stat(res, mask, MASK_NUPATH, rows) == 1.0
-    assert _max_stat(res, mask, MASK_NUPATH | MASK_DOMAIN, rows) == 1.0
+    assert _max_stat(res, mask, 0) == 5.0
+    assert _max_stat(res, mask, MASK_NUPATH) == 1.0
+    assert _max_stat(res, mask, MASK_NUPATH | MASK_DOMAIN) == 1.0
     mask[:] = MASK_SINGULAR
-    assert np.isnan(_max_stat(res, mask, MASK_SINGULAR, rows))
-    # the two-node frame never contributes
-    res[0, 0] = 100.0
+    assert np.isnan(_max_stat(res, mask, MASK_SINGULAR))
+    # the block's outer ring, which no stencil of a residual fills, never contributes
+    res[0, 3] = res[6, 3] = res[3, 0] = res[3, 6] = 100.0
     mask[:] = 0
-    assert _max_stat(res, mask, 0, rows) == 5.0
-    # a band's judged rows, and a band holding no judged row
-    assert _max_stat(res, mask, 0, slice(4, 5)) == 1.0
-    assert np.isnan(_max_stat(res, mask, 0, slice(2, 2)))
+    assert _max_stat(res, mask, 0) == 5.0
+    # a band of one judged row, and one whose judged nodes are all masked
+    band, nowhere = res[3:6], mask[3:6] | MASK_DOMAIN
+    assert _max_stat(band, mask[3:6], 0) == 1.0
+    assert np.isnan(_max_stat(band, nowhere, MASK_DOMAIN))
     # an infinite residual counts, also where every judged residual is infinite
-    res[4, 2:5] = np.inf
-    assert _max_stat(res, mask, 0, slice(4, 5)) == np.inf
-    assert _max_stat(res, mask, 0, rows) == np.inf
-    assert all(type(_max_stat(res, mask, 0, r)) is float for r in (rows, slice(2, 2)))
+    res[4, 1:6] = np.inf
+    assert _max_stat(band, mask[3:6], 0) == np.inf
+    assert _max_stat(res, mask, 0) == np.inf
+    assert all(type(_max_stat(band, m, MASK_DOMAIN)) is float for m in (mask[3:6], nowhere))
 
 
 def test_single_surface_mode_judges_identities_only(locus_pair):
@@ -269,31 +275,33 @@ def _evaluable(fields):
 
 
 def _bands(fields):
-    """(lo, hi) of each band that _maxima walks."""
-    nx, step = fields.grid.nx, max(1, verify.CHUNK // fields.grid.ny)
-    return [(lo, min(lo + step, nx)) for lo in range(0, nx, step)]
+    """(lo, hi) of each band of judged rows that _maxima walks."""
+    nx, width = fields.grid.nx, fields.grid.ny - 2 * MARGIN
+    step = max(1, verify.CHUNK // width)
+    return [(lo, min(lo + step, nx - MARGIN)) for lo in range(MARGIN, nx - MARGIN, step)]
 
 
-def _prepared(fields, lo=0, hi=None):
-    """verify._prepare of rows lo..hi-1, the whole grid by default, into an
-    arena of the band's own nodes."""
-    hi = fields.grid.nx if hi is None else hi
-    return verify._prepare(fields, lo, hi, verify._arena((hi - lo) * fields.grid.ny))
+def _prepared(fields, lo=MARGIN, hi=None):
+    """verify._prepare of the judged rows lo..hi-1, every judged row by
+    default, into an arena of the band's judged nodes."""
+    hi = fields.grid.nx - MARGIN if hi is None else hi
+    return verify._prepare(fields, lo, hi,
+                           verify._arena((hi - lo) * (fields.grid.ny - 2 * MARGIN)))
 
 
 def _band_counts(fields):
-    """Per band, the evaluable nodes of its prepared rows (the band and one
-    halo row each side) and of its own rows."""
-    ok, nx = _evaluable(fields), fields.grid.nx
-    window = [int(ok[max(lo - 1, 0):min(hi + 1, nx)].sum()) for lo, hi in _bands(fields)]
-    own = [int(ok[lo:hi].sum()) for lo, hi in _bands(fields)]
-    return window, own
+    """Per band, the evaluable nodes of its prepared block (the band and one
+    row each side, every column but the outer two) and of its judged nodes."""
+    ok = _evaluable(fields)
+    block = [int(ok[lo - 1:hi + 1, 1:-1].sum()) for lo, hi in _bands(fields)]
+    judged = [int(ok[lo:hi, MARGIN:-MARGIN].sum()) for lo, hi in _bands(fields)]
+    return block, judged
 
 
 def test_one_cascade_call_and_cache_per_band(locus_pair, monkeypatch):
     # per band of each grid: one cache giving t1 and t2 from the jets at order
-    # 0 on its prepared rows, and one call of the generated straight-line
-    # cascade on its own rows, into the grid's one arena
+    # 0 on its prepared block, and one call of the generated straight-line
+    # cascade on its judged nodes, into the grid's one arena
     calls, built, jets, arenas = [], [], [], []
     generated = verify.cascade_values
 
@@ -325,12 +333,14 @@ def test_one_cascade_call_and_cache_per_band(locus_pair, monkeypatch):
     assert arenas[0][1] is not arenas[-1][1]
     assert sorted(r.variant for r in rep.rows if r.equation == "E2_13") == ["alternate", "as_printed"]
     assert "t9_mode" not in rep.to_dict()
-    # the whole grid as one band takes one of each, a band with no evaluable node too
+    # every judged row as one band takes one of each, a band with no evaluable node too
     for fields in (locus_pair[1], _masked_rows(locus_pair[0], slice(None))):
         calls.clear()
         built.clear()
         _prepared(fields)
-        assert calls == [n for n, _ in built] == [int(_evaluable(fields).sum())]
+        ok = _evaluable(fields)
+        assert [n for n, _ in built] == [int(ok[1:-1, 1:-1].sum())]
+        assert calls == [int(ok[MARGIN:-MARGIN, MARGIN:-MARGIN].sum())]
 
 
 def _same_bits(x, y) -> bool:
@@ -406,9 +416,9 @@ def _bits(values):
 
 
 def _whole_grid_maxima(fields):
-    """Each row's maximum from the whole grid as one band: the reference for the bands."""
+    """Each row's maximum from every judged row as one band: the reference for the bands."""
     P = _prepared(fields)
-    return [_max_stat(e.residual(P), P["mask"], e.mask, P["rows"]) for e in EQUATIONS]
+    return [_max_stat(e.residual(P), P["mask"], e.mask) for e in EQUATIONS]
 
 
 def _masked_rows(fields, rows):
@@ -418,15 +428,16 @@ def _masked_rows(fields, rows):
     return dataclasses.replace(fields, mask=mask)
 
 
-# rows per band: one (band edges inside the MARGIN rows), two (a band of
-# just the MARGIN rows, short last bands), five and seven (short last bands)
-# and 65 (one band per grid)
+# judged rows per band of the 29 and 61 of the pair: one (bands on the
+# first and last judged rows), two and five (short last bands), seven (a
+# last band of one row) and 65 (one band per grid)
 @pytest.mark.parametrize("rows", [1, 2, 5, 7, 65])
 def test_banded_maxima_equal_the_whole_grid_bitwise(locus_pair, monkeypatch, rows):
     masked = _masked_rows(locus_pair[0], slice(8, 16))   # bands with every judged node masked
     for fields in (*locus_pair, masked):
         whole = _whole_grid_maxima(fields)
-        monkeypatch.setattr(verify, "CHUNK", rows * fields.grid.ny)
+        monkeypatch.setattr(verify, "CHUNK", rows * (fields.grid.ny - 2 * MARGIN))
+        assert [hi - lo for lo, hi in _bands(fields)][0] == min(rows, fields.grid.nx - 2 * MARGIN)
         assert _bits(verify._maxima(fields)) == _bits(whole)
     if rows < 8:   # a band inside the masked rows: every row with a mask bit is NaN there
         stats = verify._band_maxima(masked, 8, 8 + rows, verify._arena(rows * masked.grid.ny))
@@ -449,24 +460,76 @@ def test_banded_reports_equal_the_whole_grid_bitwise(locus_pair, monkeypatch):
 
 
 def test_a_band_prepares_the_rows_of_the_whole_grid_bitwise(locus_pair):
-    # the halo rule: a band's arrays hold the whole grid's bits on its rows
-    # and one row each side, but the T_IDS and t9 values on its own rows only
+    # a band's prepared block, its judged rows and one row each side, every
+    # column but the outer two, holds the bits of every judged row prepared
+    # as one band; the T_IDS and t9 values only at its judged nodes
     fields = locus_pair[1]
-    nx = fields.grid.nx
-    whole = _prepared(fields)
-    for lo, hi in ((0, 1), (1, 4), (2, 3), (20, 27), (nx - 3, nx), (nx - 1, nx)):
-        band, p0, p1 = _prepared(fields, lo, hi), max(lo - 1, 0), min(hi + 1, nx)
+    nx, ny = fields.grid.nx, fields.grid.ny
+    whole = _prepared(fields)   # the prepared block of rows 1..nx-2
+    for lo, hi in ((2, 3), (2, 5), (3, 4), (20, 27), (nx - 5, nx - 2), (nx - 3, nx - 2)):
+        band, block = _prepared(fields, lo, hi), slice(lo - 2, hi)   # its rows among whole's
         assert band.keys() == whole.keys()
-        for key in whole.keys() - {"t", "t9", "rows"}:
-            assert _same_bits(band[key], _rows(whole[key], p0, p1)), (lo, key)
+        assert band["alpha"].shape == (hi - lo + 2, ny - 2)
+        assert _same_bits(band["alpha"][1:-1, 1:-1], fields.alpha[lo:hi, MARGIN:-MARGIN])
+        for key in whole.keys() - {"t", "t9"}:
+            assert _same_bits(band[key], _rows(whole[key], block.start, block.stop)), (lo, key)
         rows = {**{(i, None): row for i, row in band["t"].items()},
                 **{(9, m): row for m, row in band["t9"].items()}}
         for (i, m), row in rows.items():
-            r0, r1 = (p0, p1) if i in (1, 2) else (lo, hi)   # t1 and t2 on the halo rows too
-            ref = whole["t"][i] if m is None else whole["t9"][m]
-            assert _same_bits(row[r0 - p0:r1 - p0], ref[r0:r1]), (lo, i, m)
-        judged = np.arange(p0, p1)[band["rows"]]
-        assert list(judged) == [r for r in range(lo, hi) if MARGIN <= r < nx - MARGIN]
+            ref = (whole["t"][i] if m is None else whole["t9"][m])[block]
+            if i in (1, 2):   # t1 and t2 on the whole block
+                assert _same_bits(row, ref), (lo, i)
+                continue
+            inner = np.full(row.shape, np.nan, dtype=row.dtype)
+            inner[1:-1, 1:-1] = ref[1:-1, 1:-1]
+            assert _same_bits(row, inner), (lo, i, m)
+
+
+def test_the_generated_cascade_takes_the_evaluable_judged_nodes_only(locus_pair, monkeypatch):
+    # no residual differences the T_IDS or t9 values, so no frame node, nor
+    # any node a residual stencil only reaches, goes to the generated call
+    seen = []
+    generated = verify.cascade_values
+
+    def recording(alpha, a, abar, rho, b, F, C):
+        seen.append((alpha.copy(), a.copy()))
+        return generated(alpha, a, abar, rho, b, F, C)
+
+    monkeypatch.setattr(verify, "cascade_values", recording)
+    judged = (slice(MARGIN, -MARGIN), slice(MARGIN, -MARGIN))
+    masked = _masked_rows(locus_pair[0], slice(8, 16))   # judged nodes that are not evaluable
+    assert not _evaluable(masked)[judged].all()
+    for fields in (*locus_pair, masked):
+        seen.clear()
+        verify._maxima(fields)
+        assert len(seen) == len(_bands(fields))
+        ok = _evaluable(fields)[judged]
+        for got, column in zip(zip(*seen), (fields.alpha, fields.a)):
+            assert _same_bits(np.concatenate(got), column[judged][ok])
+
+
+def test_the_smallest_grids_judge_their_inner_nodes(monkeypatch):
+    # a side of 2 MARGIN nodes would hold no judged node, and Grid refuses
+    # it, so verify never meets one; a side of 2 MARGIN + 1 holds one
+    for shape in ((2 * MARGIN, 9), (9, 2 * MARGIN)):
+        with pytest.raises(ConfigError, match="at least 5 nodes per axis"):
+            Grid(0.0, 1.0, 0.0, 1.0, *shape)
+    calls = []
+    generated = verify.cascade_values
+
+    def counting(alpha, *args):
+        calls.append(alpha.size)
+        return generated(alpha, *args)
+
+    monkeypatch.setattr(verify, "cascade_values", counting)
+    rep = verify_suite(build_family(5).fields, build_family(9).fields)
+    assert calls == [1, 25]   # one band per grid: the 5x5 grid's one judged node, 5x5 at 9
+    assert all(np.isfinite([r.max_coarse, r.max_fine]).all() for r in rep.rows)
+    for shape, judged in (((5, 9), [5]), ((9, 5), [5])):   # one judged row, one judged column
+        calls.clear()
+        fields = build_family(shape[0], ny=shape[1]).fields
+        assert all(np.isfinite(m) for m in verify._maxima(fields))
+        assert calls == judged
 
 
 def _traced_peak(fields) -> int:
@@ -509,13 +572,14 @@ def test_residual_bits_do_not_depend_on_the_array_size(n):
     # numpy evaluates some products in place, in swapped operand order, once
     # an operand reaches 256 KiB; a residual's bits must not see that
     P = _prepared(build_family(n).fields)
-    band = 24   # rows per band, 67 KiB with its halo rows at 161; the last band is short
-    assert (n % band) not in (0, 1)
+    rows = len(P["a"])   # the prepared block of every judged row
+    band = 24   # rows per band, 65 KiB with one more row each side at 161; the last band is short
+    assert (rows % band) not in (0, 1)
     for e in EQUATIONS:
         whole = e.residual(P)
-        for lo in range(0, n, band):
-            hi = min(lo + band, n)
-            q_lo, q_hi = max(lo - 1, 0), min(hi + 1, n)   # one halo row for the stencils
+        for lo in range(0, rows, band):
+            hi = min(lo + band, rows)
+            q_lo, q_hi = max(lo - 1, 0), min(hi + 1, rows)   # one row each side for the stencils
             part = e.residual(_rows(P, q_lo, q_hi))
             assert _parts(part[lo - q_lo:hi - q_lo]) == _parts(whole[lo:hi]), (
                 e.equation, e.variant, lo)
